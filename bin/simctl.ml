@@ -97,19 +97,6 @@ let alpha_t =
                beta/(1+alpha(k-1)) under k concurrent transfers. 0 = the paper's \
                linear model.")
 
-let bb_t =
-  let pair_conv = Arg.(pair ~sep:',' float float) in
-  Arg.(value
-       & opt (some pair_conv) None
-       & info [ "burst-buffer" ] ~docv:"CAP_GB,BW_GBS"
-           ~doc:"Add a burst buffer: capacity (GB) and write bandwidth (GB/s), e.g. \
-                 250000,1000.")
-
-let bb_spec_of = function
-  | None -> None
-  | Some (capacity_gb, bandwidth_gbs) ->
-      Some { Cocheck_sim.Burst_buffer.capacity_gb; bandwidth_gbs }
-
 let multilevel_conv =
   let parse s =
     match String.split_on_char ',' s with
@@ -275,13 +262,13 @@ let run_cmd =
                    ordered-nb-fixed, ordered-nb-daly, least-waste, greedy-exposure, \
                    baseline.")
   in
-  let action strategy bandwidth mtbf_years seed days prospective failure_dist alpha bb
+  let action strategy bandwidth mtbf_years seed days prospective failure_dist alpha
       multilevel hierarchy trace_out series_out manifest_out sample_dt perfetto_out =
     let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
     Format.printf "%a@." Platform.pp platform;
     let cfg s =
       Config.make ~platform ~strategy:s ~seed ~days ~failure_dist
-        ~interference_alpha:alpha ?burst_buffer:(bb_spec_of bb)
+        ~interference_alpha:alpha
         ?multilevel:(ml_of multilevel hierarchy) ()
     in
     let timer = Obs.Timer.create () in
@@ -387,7 +374,7 @@ let run_cmd =
     Format.printf "checkpoints: %d committed, %d aborted@."
       r.ckpts_committed r.ckpts_aborted;
     if r.bb_absorbed > 0 || r.bb_spilled > 0 then
-      Format.printf "burst buffer: %d commits absorbed, %d spilled@." r.bb_absorbed
+      Format.printf "buffer levels: %d commits absorbed, %d spilled@." r.bb_absorbed
         r.bb_spilled;
     Format.printf "node-seconds in segment: progress %.4e, waste %.4e, enrolled %.4e@."
       r.progress_ns r.waste_ns r.enrolled_ns;
@@ -442,7 +429,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a single simulation and print its waste breakdown.")
     Term.(const action $ strategy_t $ bandwidth_t $ mtbf_years_t $ seed_t $ days_t
-          $ prospective_t $ failure_dist_t $ alpha_t $ bb_t $ multilevel_t $ hierarchy_t
+          $ prospective_t $ failure_dist_t $ alpha_t $ multilevel_t $ hierarchy_t
           $ trace_out_t $ series_out_t $ manifest_out_t $ sample_dt_t $ perfetto_out_t)
 
 (* ------------------------------------------------------------------ *)
@@ -678,12 +665,12 @@ let report_cmd =
           $ seed_t $ out_t $ domains_t)
 
 let observe_cmd =
-  let action strategy bandwidth mtbf_years seed days prospective failure_dist alpha bb
+  let action strategy bandwidth mtbf_years seed days prospective failure_dist alpha
       multilevel hierarchy sample_dt trace_out series_out manifest_out =
     let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
     let cfg =
       Config.make ~platform ~strategy ~seed ~days ~failure_dist
-        ~interference_alpha:alpha ?burst_buffer:(bb_spec_of bb)
+        ~interference_alpha:alpha
         ?multilevel:(ml_of multilevel hierarchy) ()
     in
     let timer = Obs.Timer.create () in
@@ -728,7 +715,7 @@ let observe_cmd =
           $ bandwidth_t $ mtbf_years_t $ seed_t
           $ Arg.(value & opt float 10.0 & info [ "days" ] ~docv:"DAYS"
                    ~doc:"Segment length.")
-          $ prospective_t $ failure_dist_t $ alpha_t $ bb_t $ multilevel_t $ hierarchy_t
+          $ prospective_t $ failure_dist_t $ alpha_t $ multilevel_t $ hierarchy_t
           $ sample_dt_t $ trace_out_t $ series_out_t $ manifest_out_t)
 
 (* ------------------------------------------------------------------ *)
@@ -938,7 +925,7 @@ let campaign_run_cmd =
                  ui.perfetto.dev.")
   in
   let action spec_file name axis values bandwidth mtbf_years prospective strategies reps
-      seed days failure_dist alpha bb multilevel hierarchy store save_spec out domains
+      seed days failure_dist alpha multilevel hierarchy store save_spec out domains
       progress trace_out =
     let spec =
       match spec_file with
@@ -955,7 +942,7 @@ let campaign_run_cmd =
           let strategies = Option.value strategies ~default:Strategy.paper_seven in
           try
             E.Spec.make ~name ~platform ~strategies ~axis ~reps ~seed ~days ?failure_dist
-              ?interference_alpha:alpha ?burst_buffer:(bb_spec_of bb)
+              ?interference_alpha:alpha
               ?multilevel:(ml_of multilevel hierarchy) ()
           with Invalid_argument m ->
             Format.eprintf "error: invalid campaign: %s@." m;
@@ -1018,7 +1005,7 @@ let campaign_run_cmd =
              the results store when one is given.")
     Term.(const action $ spec_file_t $ name_t $ axis_t $ values_t $ bandwidth_t
           $ mtbf_years_t $ prospective_t $ strategies_t $ reps_t 100 $ seed_t $ days_t
-          $ failure_dist_opt_t $ alpha_opt_t $ bb_t $ multilevel_t $ hierarchy_t
+          $ failure_dist_opt_t $ alpha_opt_t $ multilevel_t $ hierarchy_t
           $ store_t $ save_spec_t $ out_t $ domains_t $ progress_out_t
           $ campaign_trace_out_t)
 

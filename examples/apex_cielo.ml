@@ -18,7 +18,7 @@ module Lower_bound = Cocheck_core.Lower_bound
 module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
 module Metrics = Cocheck_sim.Metrics
-module Montecarlo = Cocheck_experiments.Montecarlo
+module E = Cocheck_experiments
 module Stats = Cocheck_util.Stats
 module Table = Cocheck_util.Table
 
@@ -40,17 +40,20 @@ let () =
   (* Monte Carlo over the seven strategies. *)
   let measurements =
     Pool.with_pool (fun pool ->
-        Montecarlo.measure ~pool ~platform ~strategies:Strategy.paper_seven ~reps ~seed:7
-          ~days ())
+        let spec =
+          E.Spec.make ~name:"apex-cielo" ~platform ~strategies:Strategy.paper_seven ~reps
+            ~seed:7 ~days ()
+        in
+        (E.Runner.run ~pool spec).E.Runner.results)
   in
   let table =
     Table.create ~headers:[ "Strategy"; "mean"; "d1"; "q1"; "median"; "q3"; "d9" ]
   in
   List.iter
-    (fun m ->
-      let c = m.Montecarlo.stats in
+    (fun (m : E.Runner.cell_result) ->
+      let c = m.stats in
       Table.add_row table
-        ([ Strategy.name m.Montecarlo.strategy ]
+        ([ Strategy.name m.strategy ]
         @ List.map (Printf.sprintf "%.3f")
             [ c.Stats.mean; c.d1; c.q1; c.median; c.q3; c.d9 ]))
     measurements;

@@ -13,7 +13,6 @@ module Strategy = Cocheck_core.Strategy
 module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
 module Metrics = Cocheck_sim.Metrics
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Table = Cocheck_util.Table
 module Units = Cocheck_util.Units
 
@@ -40,7 +39,7 @@ let () =
     (fun cap ->
       let bb =
         if cap <= 0.0 then None
-        else Some { Burst_buffer.capacity_gb = cap; bandwidth_gbs = 1000.0 }
+        else Some { Config.capacity_gb = cap; bandwidth_gbs = 1000.0 }
       in
       let r, waste = run bb in
       Table.add_row table

@@ -6,7 +6,6 @@ module App_class = Cocheck_model.App_class
 module Apex = Cocheck_model.Apex
 module Platform = Cocheck_model.Platform
 module Failure_trace = Cocheck_sim.Failure_trace
-module Burst_buffer = Cocheck_sim.Burst_buffer
 
 type row = { label : string; values : (string * float) list }
 type study = { title : string; rows : row list; table : Table.t }
@@ -106,7 +105,7 @@ let burst_buffer ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
       (fun cap ->
         let burst_buffer =
           if cap <= 0.0 then None
-          else Some { Burst_buffer.capacity_gb = cap; bandwidth_gbs = bb_bandwidth_gbs }
+          else Some { Cocheck_sim.Config.capacity_gb = cap; bandwidth_gbs = bb_bandwidth_gbs }
         in
         {
           label =
@@ -213,16 +212,16 @@ let two_level ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
         soft_fraction;
       }
   in
-  let single_level =
-    Montecarlo.mean_waste ~pool ~platform ~strategy ~reps ~seed ~days ()
+  let mean_waste ?multilevel () =
+    match mc ~pool ~platform ~strategies:[ strategy ] ~reps ~seed ~days ?multilevel () with
+    | [ (_, w) ] -> w
+    | _ -> assert false
   in
+  let single_level = mean_waste () in
   let rows =
     List.map
       (fun soft ->
-        let w =
-          Montecarlo.mean_waste ~pool ~platform ~strategy ~reps ~seed ~days
-            ~multilevel:(ml soft) ()
-        in
+        let w = mean_waste ~multilevel:(ml soft) () in
         {
           label = Printf.sprintf "soft=%g" soft;
           values =

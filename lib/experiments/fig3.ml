@@ -50,8 +50,12 @@ let min_bandwidth ~pool ~strategy ~node_mtbf_years ~target_efficiency ~reps ~see
   let target_waste = 1.0 -. target_efficiency in
   let waste_at beta =
     let platform = Platform.prospective ~bandwidth_gbs:beta ~node_mtbf_years () in
-    Montecarlo.mean_waste ~pool ~platform ~classes ~strategy ~reps ~seed ~days
-      ?manifest_dir ()
+    let spec =
+      Spec.make ~name:"fig3" ~platform ~classes ~strategies:[ strategy ] ~reps ~seed ~days ()
+    in
+    match (Runner.run ~pool ?store:(Option.map Store.open_ manifest_dir) spec).Runner.results with
+    | [ r ] -> r.Runner.stats.Cocheck_util.Stats.mean
+    | _ -> assert false
   in
   log_bisect ~f:(fun beta -> waste_at beta -. target_waste) ~lo0:50.0 ~hi0:400.0 ~iters
 

@@ -7,12 +7,13 @@ let oblivious_fixed = Strategy.Oblivious (Strategy.Fixed Strategy.default_fixed_
 let ordered_fixed = Strategy.Ordered (Strategy.Fixed Strategy.default_fixed_period_s)
 
 let measure_map ~pool ~platform ~reps ~seed ~days =
-  let ms =
-    Montecarlo.measure ~pool ~platform ~strategies:Strategy.paper_seven ~reps ~seed ~days
-      ()
+  let spec =
+    Spec.make ~name:"shape-checks" ~platform ~strategies:Strategy.paper_seven ~reps ~seed
+      ~days ()
   in
+  let results = (Runner.run ~pool spec).Runner.results in
   fun strategy ->
-    (List.find (fun m -> m.Montecarlo.strategy = strategy) ms).Montecarlo.stats
+    (List.find (fun (r : Runner.cell_result) -> r.strategy = strategy) results).stats
       .Cocheck_util.Stats.mean
 
 let run ~pool ?(reps = 8) ?(seed = 42) ?(days = 15.0) () =
@@ -23,8 +24,8 @@ let run ~pool ?(reps = 8) ?(seed = 42) ?(days = 15.0) () =
   let cielo b = Platform.cielo ~bandwidth_gbs:b ~node_mtbf_years:2.0 () in
   let at40 = measure_map ~pool ~platform:(cielo 40.0) ~reps ~seed ~days in
   let at160 = measure_map ~pool ~platform:(cielo 160.0) ~reps ~seed ~days in
-  let bound40 = Sweep.theoretical_waste ~platform:(cielo 40.0) () in
-  let bound160 = Sweep.theoretical_waste ~platform:(cielo 160.0) () in
+  let bound40 = Runner.theoretical_waste ~platform:(cielo 40.0) () in
+  let bound160 = Runner.theoretical_waste ~platform:(cielo 160.0) () in
 
   let w_of_fixed = at40 oblivious_fixed and w_ordered_fixed = at40 ordered_fixed in
   add "fig1-fixed-saturated"
@@ -84,7 +85,7 @@ let run ~pool ?(reps = 8) ?(seed = 42) ?(days = 15.0) () =
   let cielo_mtbf y = Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:y () in
   let at50y = measure_map ~pool ~platform:(cielo_mtbf 50.0) ~reps ~seed ~days in
   let at5y = measure_map ~pool ~platform:(cielo_mtbf 5.0) ~reps ~seed ~days in
-  let bound5 = Sweep.theoretical_waste ~platform:(cielo_mtbf 5.0) () in
+  let bound5 = Runner.theoretical_waste ~platform:(cielo_mtbf 5.0) () in
 
   add "fig2-fixed-flat"
     "The blocking Fixed strategies stay saturated (~80 % waste) however reliable the \

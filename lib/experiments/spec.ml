@@ -5,7 +5,6 @@ module App_class = Cocheck_model.App_class
 module Strategy = Cocheck_core.Strategy
 module Config = Cocheck_sim.Config
 module Failure_trace = Cocheck_sim.Failure_trace
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Units = Cocheck_util.Units
 
 type axis =
@@ -26,7 +25,7 @@ type t = {
   days : float;
   failure_dist : Failure_trace.distribution option;
   interference_alpha : float option;
-  burst_buffer : Burst_buffer.spec option;
+  burst_buffer : Config.burst_buffer option;
   multilevel : Config.multilevel option;
 }
 
@@ -40,6 +39,7 @@ let validate t =
         if List.exists (fun v -> v <= 0.0 || not (Float.is_finite v)) vs then
           invalid_arg (Printf.sprintf "Spec: %s values must be positive" what)
   in
+  Option.iter (fun bb -> ignore (Config.with_burst_buffer bb t.multilevel)) t.burst_buffer;
   match t.axis with
   | No_sweep -> ()
   | Mtbf_years ys -> check_axis "MTBF" ys

@@ -33,7 +33,9 @@ type t = {
   days : float;  (** measurement-segment length per run *)
   failure_dist : Cocheck_sim.Failure_trace.distribution option;
   interference_alpha : float option;
-  burst_buffer : Cocheck_sim.Burst_buffer.spec option;
+  burst_buffer : Cocheck_sim.Config.burst_buffer option;
+      (** kept as written so spec digests are stable; {!config} desugars it
+          into a buffer level ({!Cocheck_sim.Config.with_burst_buffer}) *)
   multilevel : Cocheck_sim.Config.multilevel option;
 }
 
@@ -48,7 +50,7 @@ val make :
   ?days:float ->
   ?failure_dist:Cocheck_sim.Failure_trace.distribution ->
   ?interference_alpha:float ->
-  ?burst_buffer:Cocheck_sim.Burst_buffer.spec ->
+  ?burst_buffer:Cocheck_sim.Config.burst_buffer ->
   ?multilevel:Cocheck_sim.Config.multilevel ->
   unit ->
   t
@@ -58,8 +60,10 @@ val make :
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on an empty strategy set, non-positive reps
-    or days, an empty/non-positive axis, or a [Flush_gbs] axis without a
-    multilevel buffer level to apply it to. *)
+    or days, an empty/non-positive axis, a [Flush_gbs] axis without a
+    multilevel buffer level to apply it to, or a [burst_buffer] that
+    {!Cocheck_sim.Config.with_burst_buffer} rejects (non-positive, or
+    beside buffer levels). *)
 
 (** {2 Cell expansion} *)
 
@@ -82,8 +86,8 @@ val log_x : t -> bool
 val rep_seed : seed:int -> rep:int -> int
 (** The derived per-replication seed. A large odd multiplier spreads
     replication seeds far apart in the SplitMix expansion space; this is
-    {e the} one definition — every execution path (runner, legacy
-    [Montecarlo] shim, tests) derives seeds here. *)
+    {e the} one definition — every execution path (runner, tests)
+    derives seeds here. *)
 
 val config :
   t -> cell:cell -> strategy:Cocheck_core.Strategy.t -> rep:int -> Cocheck_sim.Config.t

@@ -2,7 +2,6 @@ module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
 module Metrics = Cocheck_sim.Metrics
 module Failure_trace = Cocheck_sim.Failure_trace
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Strategy = Cocheck_core.Strategy
 module Platform = Cocheck_model.Platform
 module App_class = Cocheck_model.App_class
@@ -47,10 +46,10 @@ let failure_dist_to_json (d : Failure_trace.distribution) =
   | Failure_trace.Lognormal { sigma } ->
       Json.Obj [ ("law", Json.String "lognormal"); ("sigma", Json.Float sigma) ]
 
-let burst_buffer_to_json (bb : Burst_buffer.spec) =
+let burst_buffer_to_json (bb : Config.burst_buffer) =
   Json.Obj
     [
-      ("capacity_gb", Json.Float bb.Burst_buffer.capacity_gb);
+      ("capacity_gb", Json.Float bb.Config.capacity_gb);
       ("bandwidth_gbs", Json.Float bb.bandwidth_gbs);
     ]
 
@@ -108,7 +107,6 @@ let config_to_json (cfg : Config.t) =
        ("failure_dist", failure_dist_to_json cfg.failure_dist);
        ("interference_alpha", Json.Float cfg.interference_alpha);
      ]
-    @ optional "burst_buffer" (Option.map burst_buffer_to_json cfg.burst_buffer)
     @ optional "multilevel" (Option.map multilevel_to_json cfg.multilevel))
 
 (* ------------------------------------------------------------------ *)
@@ -186,7 +184,7 @@ let optional_member name conv j =
 let burst_buffer_of_json bb =
   let* capacity_gb = f_float "capacity_gb" bb in
   let* bandwidth_gbs = f_float "bandwidth_gbs" bb in
-  Ok { Burst_buffer.capacity_gb; bandwidth_gbs }
+  Ok { Config.capacity_gb; bandwidth_gbs }
 
 let level_of_json l =
   let* kind = f_string "kind" l in
@@ -242,6 +240,14 @@ let config_of_json j =
   let* interference_alpha = f_float "interference_alpha" j in
   let* burst_buffer = optional_member "burst_buffer" burst_buffer_of_json j in
   let* multilevel = optional_member "multilevel" multilevel_of_json j in
+  let* multilevel =
+    match burst_buffer with
+    | None -> Ok multilevel
+    | Some bb -> (
+        match Config.with_burst_buffer bb multilevel with
+        | m -> Ok (Some m)
+        | exception Invalid_argument e -> Error e)
+  in
   Ok
     {
       Config.platform;
@@ -256,7 +262,6 @@ let config_of_json j =
       with_failures;
       failure_dist;
       interference_alpha;
-      burst_buffer;
       multilevel;
     }
 

@@ -14,7 +14,10 @@ val strategy_to_string : Cocheck_core.Strategy.t -> string
 
 val config_to_json : Cocheck_sim.Config.t -> Json.t
 val config_of_json : Json.t -> (Cocheck_sim.Config.t, string) result
-(** Exact inverse of {!config_to_json} (field-for-field, floats included). *)
+(** Exact inverse of {!config_to_json} (field-for-field, floats included).
+    A legacy ["burst_buffer"] member is still accepted and desugared by
+    {!Cocheck_sim.Config.with_burst_buffer}; combining it with buffer
+    levels is an [Error]. *)
 
 (** {2 Piecewise encoders}
 
@@ -32,8 +35,8 @@ val failure_dist_to_json : Cocheck_sim.Failure_trace.distribution -> Json.t
 val failure_dist_of_json :
   Json.t -> (Cocheck_sim.Failure_trace.distribution, string) result
 
-val burst_buffer_to_json : Cocheck_sim.Burst_buffer.spec -> Json.t
-val burst_buffer_of_json : Json.t -> (Cocheck_sim.Burst_buffer.spec, string) result
+val burst_buffer_to_json : Cocheck_sim.Config.burst_buffer -> Json.t
+val burst_buffer_of_json : Json.t -> (Cocheck_sim.Config.burst_buffer, string) result
 val multilevel_to_json : Cocheck_sim.Config.multilevel -> Json.t
 val multilevel_of_json : Json.t -> (Cocheck_sim.Config.multilevel, string) result
 

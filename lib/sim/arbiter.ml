@@ -176,7 +176,7 @@ let fifo ?(free = req_free_create ()) () : arbiter =
    allocation beyond the two accumulator refs. Ties break towards arrival
    order exactly as {!Least_waste.select} breaks them. The retired
    list-based formulation survives as the differential-testing oracle in
-   {!Lw_reference}.
+   test/lw_reference.ml.
 
    With a checkpoint storage hierarchy the policy keeps one affine
    aggregate per storage level ({!Least_waste.Levels}); token-arbitrated

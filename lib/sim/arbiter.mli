@@ -38,7 +38,8 @@ val least_waste :
     scalars per level). [levels] (default 1) is the storage-hierarchy
     depth, PFS included; token requests all live at the deepest level, and
     [levels = 1] is bit-identical to the single-aggregate formulation.
-    Differentially tested against the list-based oracle {!Lw_reference}. *)
+    Differentially tested against the list-based oracle in
+    [test/lw_reference.ml]. *)
 
 val greedy_exposure : ?free:Sim_types.req_free -> unit -> Sim_types.arbiter
 (** Grant to the request with the largest exposure × nodes product — the

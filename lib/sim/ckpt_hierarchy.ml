@@ -5,9 +5,9 @@ module Io = Io_subsystem
    when the absorb write commits, [Flushing] while a background drain moves
    it one tier deeper, and [Gone] once it reaches the PFS (recorded in
    [pfs_notes]), is destroyed by a failure, or its write is aborted.
-   Capacity accounting mirrors {!Burst_buffer}: the source tier is reserved
-   from write start to flush completion, the destination tier from flush
-   start (so concurrent flushes cannot oversubscribe it). *)
+   Capacity accounting: the source tier is reserved from write start to
+   flush completion, the destination tier from flush start (so concurrent
+   flushes cannot oversubscribe it). *)
 type copy_state = Writing | Resident | Flushing | Gone
 
 type copy = {

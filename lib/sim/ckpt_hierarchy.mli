@@ -1,5 +1,7 @@
-(** An L-level checkpoint storage hierarchy (VELOC-style), generalizing
-    {!Burst_buffer} to any chain of buffer tiers above the PFS.
+(** An L-level checkpoint storage hierarchy (VELOC-style): the simulator's
+    one checkpoint-storage engine, covering any chain of buffer tiers above
+    the PFS. The paper's Section 8 burst buffer is one level of it
+    ({!Config.with_burst_buffer}).
 
     Each {!Config.buffer_level} owns an absorb {!Io_subsystem} (jobs write
     and recover at [bl_bandwidth_gbs], linear sharing) of limited capacity.
@@ -8,8 +10,9 @@
     {- [bl_flush_gbs = None] — serialized drains, one per level at a time,
        as {!Io_subsystem.Drain} flows {e inside the destination tier's}
        subsystem (the PFS below the deepest level), contending with its
-       foreground traffic. With a single level this reproduces
-       {!Burst_buffer} event-for-event — the differential oracle.}
+       foreground traffic. This is the burst-buffer discipline; its
+       capacity and drain accounting is differentially tested against the
+       standalone oracle in [test/burst_buffer.ml].}
     {- [bl_flush_gbs = Some b] — the level gets a dedicated [b] GB/s flush
        edge; every queued copy with room downstream flushes immediately,
        concurrent flushes contending as ordinary weighted flows.}}

@@ -37,10 +37,7 @@ and on_ckpt_request w inst =
            tier counts the spill itself and the commit falls back to the
            strategy's PFS path below. *)
         let absorbed =
-          match (w.bb, w.hier) with
-          | Some bb, _ -> try_bb_ckpt w bb inst
-          | None, Some h -> try_hier_ckpt w h inst
-          | None, None -> false
+          match w.hier with Some h -> try_hier_ckpt w h inst | None -> false
         in
         if not absorbed then begin
           if not w.uses_token then begin
@@ -95,20 +92,6 @@ and start_ckpt_flow w inst =
       ~volume_gb:inst.spec.Jobgen.ckpt_gb ~on_complete:(ckpt_complete w inst)
   in
   inst.activity <- Doing_io (w.io, flow, Io.Ckpt)
-
-and try_bb_ckpt w bb inst =
-  match
-    Burst_buffer.write bb ~owner:inst.spec.Jobgen.id ~job:inst.idx
-      ~nodes:inst.spec.Jobgen.nodes ~volume_gb:inst.spec.Jobgen.ckpt_gb
-      ~on_complete:(ckpt_complete w inst)
-  with
-  | None -> false
-  | Some flow ->
-      pause_compute w inst;
-      emit_inst w inst Trace.Ckpt_started;
-      inst.ckpt_content <- inst.work_done;
-      inst.activity <- Doing_io (Burst_buffer.io bb, flow, Io.Ckpt);
-      true
 
 and try_hier_ckpt w h inst =
   let content = capture_content w inst in

@@ -13,7 +13,6 @@ type t = {
   with_failures : bool;
   failure_dist : Failure_trace.distribution;
   interference_alpha : float;
-  burst_buffer : Burst_buffer.spec option;
   multilevel : multilevel option;
 }
 
@@ -35,6 +34,8 @@ and buffer_level = {
   bl_survival : float;
 }
 
+type burst_buffer = { capacity_gb : float; bandwidth_gbs : float }
+
 let local_level ~period_s ~cost_s ~recovery_s ~soft_fraction =
   {
     levels =
@@ -49,7 +50,7 @@ let local_level ~period_s ~cost_s ~recovery_s ~soft_fraction =
       ];
   }
 
-let validate_multilevel ~has_burst_buffer m =
+let validate_multilevel m =
   if m.levels = [] then invalid_arg "Config: multilevel with no levels";
   let seen_buffer = ref false in
   List.iter
@@ -63,8 +64,6 @@ let validate_multilevel ~has_burst_buffer m =
             ~recovery_s:s.sl_recovery_s ~fraction:s.sl_survival
       | Buffer b ->
           seen_buffer := true;
-          if has_burst_buffer then
-            invalid_arg "Config: burst_buffer and buffer levels are exclusive";
           if b.bl_capacity_gb <= 0.0 then
             invalid_arg "Config: buffer level capacity must be positive";
           if b.bl_bandwidth_gbs <= 0.0 then
@@ -84,10 +83,27 @@ let validate t =
   if t.min_duration_s <= 0.0 then invalid_arg "Config: non-positive duration";
   if t.fill_factor < 1.0 then invalid_arg "Config: fill factor below 1";
   if t.interference_alpha < 0.0 then invalid_arg "Config: negative interference alpha";
-  Option.iter Burst_buffer.spec_validate t.burst_buffer;
-  Option.iter
-    (validate_multilevel ~has_burst_buffer:(Option.is_some t.burst_buffer))
-    t.multilevel
+  Option.iter validate_multilevel t.multilevel
+
+let with_burst_buffer bb multilevel =
+  if bb.capacity_gb <= 0.0 then invalid_arg "Config: burst-buffer capacity must be positive";
+  if bb.bandwidth_gbs <= 0.0 then invalid_arg "Config: burst-buffer bandwidth must be positive";
+  let levels = match multilevel with Some m -> m.levels | None -> [] in
+  if List.exists (function Buffer _ -> true | Snapshot _ -> false) levels then
+    invalid_arg "Config: a burst buffer cannot join existing buffer levels";
+  {
+    levels =
+      levels
+      @ [
+          Buffer
+            {
+              bl_capacity_gb = bb.capacity_gb;
+              bl_bandwidth_gbs = bb.bandwidth_gbs;
+              bl_flush_gbs = None;
+              bl_survival = 1.0;
+            };
+        ];
+  }
 
 let make ~platform ?classes ~strategy ?(seed = 42) ?(days = 60.0) ?(fill_factor = 1.15)
     ?(with_failures = true) ?(failure_dist = Failure_trace.Exponential)
@@ -117,8 +133,10 @@ let make ~platform ?classes ~strategy ?(seed = 42) ?(days = 60.0) ?(fill_factor 
       with_failures;
       failure_dist;
       interference_alpha;
-      burst_buffer;
-      multilevel;
+      multilevel =
+        (match burst_buffer with
+        | None -> multilevel
+        | Some bb -> Some (with_burst_buffer bb multilevel));
     }
   in
   validate t;

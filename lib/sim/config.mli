@@ -17,9 +17,6 @@ type t = {
       (** 0 gives the paper's linear interference; larger values erode the
           aggregate bandwidth under contention (footnote 2's adversarial
           model), see {!Io_subsystem} *)
-  burst_buffer : Burst_buffer.spec option;
-      (** when set, checkpoints that fit commit to a burst buffer and drain
-          to the PFS in the background (the Section 8 extension) *)
   multilevel : multilevel option;
       (** when set, jobs checkpoint through an L-level hierarchy
           ({!Ckpt_hierarchy}): cheap node-local snapshot levels that
@@ -31,9 +28,7 @@ type t = {
 
 and multilevel = { levels : level list }
 (** Levels shallow → deep; the PFS is the implicit deepest level and is
-    not listed. {!Snapshot} levels must precede {!Buffer} levels, and
-    [buffer_level]s are exclusive with the legacy [burst_buffer] field
-    (which they generalize). *)
+    not listed. {!Snapshot} levels must precede {!Buffer} levels. *)
 
 and level = Snapshot of snapshot_level | Buffer of buffer_level
 
@@ -52,11 +47,24 @@ and buffer_level = {
   bl_flush_gbs : float option;
       (** background flush edge toward the next tier: [None] serializes
           drains one at a time through the next tier's I/O subsystem (the
-          legacy burst-buffer behavior, kept as the differential oracle);
+          burst-buffer behavior, see {!with_burst_buffer});
           [Some b] gives the edge its own [b] GB/s virtual-time scheduler
           where concurrent flushes contend as ordinary weighted flows *)
   bl_survival : float;  (** probability a failure leaves this tier intact *)
 }
+
+type burst_buffer = { capacity_gb : float; bandwidth_gbs : float }
+(** The paper's Section 8 burst buffer: a shared absorbing tier of
+    [capacity_gb] that jobs write at [bandwidth_gbs] and that drains to the
+    PFS in the background. It is syntax for one {!Buffer} level, see
+    {!with_burst_buffer}. *)
+
+val with_burst_buffer : burst_buffer -> multilevel option -> multilevel
+(** Desugar a burst buffer into the hierarchy: appends
+    [Buffer {bl_capacity_gb = capacity_gb; bl_bandwidth_gbs = bandwidth_gbs;
+    bl_flush_gbs = None; bl_survival = 1.0}] after any snapshot levels.
+    Raises [Invalid_argument] on a non-positive capacity or bandwidth, or
+    when buffer levels are already present. *)
 
 val make :
   platform:Cocheck_model.Platform.t ->
@@ -68,7 +76,7 @@ val make :
   ?with_failures:bool ->
   ?failure_dist:Failure_trace.distribution ->
   ?interference_alpha:float ->
-  ?burst_buffer:Burst_buffer.spec ->
+  ?burst_buffer:burst_buffer ->
   ?multilevel:multilevel ->
   unit ->
   t
@@ -77,6 +85,7 @@ val make :
     [min_duration_s = days + 2] days, [seg_start = 1] day,
     [seg_end = days + 1] days, [horizon = days + 2] days. [classes]
     defaults to the APEX LANL workload scaled to the platform.
+    [burst_buffer] is desugared into [multilevel] by {!with_burst_buffer}.
     The Baseline strategy forces [with_failures = false]. *)
 
 val local_level :

@@ -1,6 +1,6 @@
 (* Incremental flow scheduler over virtual service time.
 
-   The naive design (kept as Io_reference) rescans every flow on every
+   The naive design (kept as test/io_reference.ml) rescans every flow on every
    membership change: settle all n flows, refold the weight total per flow
    (O(n^2)) and rebuild every completion event (O(n log n) heap churn).
    This engine exploits the structure of proportional sharing instead.

@@ -28,8 +28,8 @@
     total, touch a min-heap of virtual completion deadlines and retime the
     {e single} calendar event that tracks the heap minimum. Ledger entries
     settle lazily, at flow completion/abort or an explicit {!sync}; ledger
-    totals match the eager full-rescan reference ({!Io_reference}) within
-    float tolerance, enforced by a differential test.
+    totals match the eager full-rescan reference ([test/io_reference.ml])
+    within float tolerance, enforced by a differential test.
 
     Flow state lives in a pooled struct-of-arrays layout: a {!flow} is a
     generation-tagged immediate handle (like {!Cocheck_util.Pqueue}

@@ -182,16 +182,8 @@ and begin_blocking_io w inst kind volume =
        tier, so the recovery read goes at that tier's speed. *)
     kind = Io.Recovery
     &&
-    match (w.bb, w.hier) with
-    | Some bb, _ when Burst_buffer.resident_for bb ~owner:inst.spec.Jobgen.id ->
-        let flow =
-          Burst_buffer.read bb ~owner:inst.spec.Jobgen.id ~job:inst.idx
-            ~nodes:inst.spec.Jobgen.nodes ~volume_gb:volume ~on_complete:(fun () ->
-              on_blocking_io_done w inst kind)
-        in
-        inst.activity <- Doing_io (Burst_buffer.io bb, flow, kind);
-        true
-    | _, Some h -> (
+    match w.hier with
+    | Some h -> (
         match Ckpt_hierarchy.recovery_source h ~owner:inst.spec.Jobgen.id with
         | Some level ->
             let pool, flow =
@@ -202,7 +194,7 @@ and begin_blocking_io w inst kind volume =
             inst.activity <- Doing_io (pool, flow, kind);
             true
         | None -> false)
-    | _ -> false
+    | None -> false
   in
   if fast then ()
   else if volume <= 0.0 then begin

@@ -286,7 +286,6 @@ type w = {
   mutable queue : entry list;  (* priority order: restarts first *)
   insts : (int, inst) Hashtbl.t;
   live : live_slots;  (* node-holding instances by grant slot, for failure lookup *)
-  bb : Burst_buffer.t option;
   hier : Ckpt_hierarchy.t option;  (* buffer levels of [cfg.multilevel] *)
   snap : Config.snapshot_level array;  (* snapshot levels, shallow → deep *)
   trace : Trace.t option;
@@ -410,18 +409,12 @@ let release_token w inst =
     w.token_busy <- false
   end
 
-(* A flow may live on the PFS, inside the burst buffer, or on a hierarchy
-   level's pool; buffered writes additionally hold a capacity reservation
-   to release. *)
+(* A flow may live on the PFS or on a hierarchy level's pool; buffered
+   writes additionally hold a capacity reservation to release (reads have
+   none, and abort_write ignores them). *)
 let abort_inst_flow w sub flow =
-  match w.bb with
-  | Some bb when sub == Burst_buffer.io bb ->
-      Burst_buffer.abort_write bb flow;
-      (* Reads have no reservation; abort_write ignores them. *)
+  match w.hier with
+  | Some h when Ckpt_hierarchy.owns_pool h sub ->
+      Ckpt_hierarchy.abort_write h ~pool:sub flow;
       Io.abort_flow sub flow
-  | _ -> (
-      match w.hier with
-      | Some h when Ckpt_hierarchy.owns_pool h sub ->
-          Ckpt_hierarchy.abort_write h ~pool:sub flow;
-          Io.abort_flow sub flow
-      | _ -> Io.abort_flow sub flow)
+  | _ -> Io.abort_flow sub flow

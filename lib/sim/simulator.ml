@@ -86,7 +86,6 @@ let snapshot_of w =
   (* Ledger entries settle lazily in the flow scheduler; flush both
      subsystems so the probe reads current totals. *)
   Io.sync w.io;
-  (match w.bb with Some bb -> Io.sync (Burst_buffer.io bb) | None -> ());
   (match w.hier with Some h -> Ckpt_hierarchy.iter_pools h Io.sync | None -> ());
   let computing = ref 0 and in_io = ref 0 and waiting = ref 0 in
   Hashtbl.iter
@@ -200,7 +199,7 @@ let run ?specs ?trace ?hooks ?sample ?on_engine (cfg : Config.t) =
   in
   (* Split the multilevel spec into its two storage kinds: snapshot levels
      drive the local-tick machinery, buffer levels build the checkpoint
-     storage hierarchy (like the burst buffer, inert under Baseline). *)
+     storage hierarchy (inert under Baseline). *)
   let snap =
     match cfg.multilevel with
     | None -> [||]
@@ -265,13 +264,6 @@ let run ?specs ?trace ?hooks ?sample ?on_engine (cfg : Config.t) =
       trace;
       hooks;
       soft_rng = Rng.substream (Rng.create ~seed:cfg.seed) "failure-type";
-      bb =
-        (match cfg.strategy with
-        | Strategy.Baseline -> None
-        | _ ->
-            Option.map
-              (fun spec -> Burst_buffer.create ~engine ~metrics ~pfs:io spec)
-              cfg.burst_buffer);
       hier;
       snap;
       token_busy = false;
@@ -332,16 +324,8 @@ let run ?specs ?trace ?hooks ?sample ?on_engine (cfg : Config.t) =
              (c.App_class.name, Stats.running_mean w.interval_stats.(i)))
            classes);
     specs_total = Array.length specs;
-    bb_absorbed =
-      (match (w.bb, w.hier) with
-      | Some bb, _ -> Burst_buffer.writes_absorbed bb
-      | None, Some h -> Ckpt_hierarchy.writes_absorbed h
-      | None, None -> 0);
-    bb_spilled =
-      (match (w.bb, w.hier) with
-      | Some bb, _ -> Burst_buffer.writes_spilled bb
-      | None, Some h -> Ckpt_hierarchy.writes_spilled h
-      | None, None -> 0);
+    bb_absorbed = (match w.hier with Some h -> Ckpt_hierarchy.writes_absorbed h | None -> 0);
+    bb_spilled = (match w.hier with Some h -> Ckpt_hierarchy.writes_spilled h | None -> 0);
     mean_ckpt_wait =
       Array.to_list
         (Array.mapi

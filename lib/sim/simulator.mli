@@ -21,8 +21,10 @@ type result = {
       (** per class: mean time between committed checkpoints (commit end to
           commit end); [nan] for classes that never committed twice *)
   specs_total : int;  (** jobs in the generated list *)
-  bb_absorbed : int;  (** checkpoints the burst buffer absorbed (0 without one) *)
-  bb_spilled : int;  (** checkpoints that had to bypass a full burst buffer *)
+  bb_absorbed : int;
+      (** checkpoints a buffer level of the storage hierarchy absorbed (0
+          without one) *)
+  bb_spilled : int;  (** checkpoints that had to bypass full buffer levels *)
   mean_ckpt_wait : (string * float) list;
       (** per class: mean latency from checkpoint request to transfer start
           — the postponement exposure of the non-blocking strategies

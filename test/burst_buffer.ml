@@ -1,6 +1,7 @@
+open Cocheck_sim
 module Io = Io_subsystem
 
-type spec = { capacity_gb : float; bandwidth_gbs : float }
+type spec = Config.burst_buffer = { capacity_gb : float; bandwidth_gbs : float }
 
 let spec_validate spec =
   if spec.capacity_gb <= 0.0 then invalid_arg "Burst_buffer: capacity must be positive";

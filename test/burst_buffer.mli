@@ -1,7 +1,11 @@
-(** A burst-buffer tier in front of the parallel file system — the paper's
-    Section 8 extension ("As burst-buffers and other NVRAM storage
-    mechanisms become more common, a natural extension of this work would
-    consider their impact on I/O contention/interference").
+(** The original standalone burst-buffer tier, kept as a test-side oracle
+    for a single {!Cocheck_sim.Config.Buffer} level of
+    {!Cocheck_sim.Ckpt_hierarchy} (the simulator desugars the paper's
+    Section 8 burst buffer into exactly that level, see
+    {!Cocheck_sim.Config.with_burst_buffer}). The storage-level
+    differential in [test_hierarchy.ml] drives random write/abort/advance
+    histories through both and compares their capacity and drain
+    accounting after every step.
 
     Model: a fast absorbing tier of limited capacity. Checkpoints whose
     size fits in the free capacity commit at burst-buffer speed (its own
@@ -11,12 +15,13 @@
     but hold no compute nodes. Capacity is reserved when a write starts
     and released when its drain completes. A job whose newest committed
     checkpoint is still in the buffer recovers at burst-buffer speed;
-    otherwise it recovers from the PFS.
+    otherwise it recovers from the PFS. This recovery rule is where the
+    oracle deliberately differs from the hierarchy, which reads from the
+    PFS once a newer checkpoint has committed there. *)
 
-    The simulator consults {!fits} when a checkpoint starts: full buffers
-    spill the commit to the regular PFS path of the active strategy. *)
+open Cocheck_sim
 
-type spec = { capacity_gb : float; bandwidth_gbs : float }
+type spec = Config.burst_buffer = { capacity_gb : float; bandwidth_gbs : float }
 
 val spec_validate : spec -> unit
 

@@ -14,8 +14,19 @@ let seeds = [ 11; 42; 1337 ]
 let days = 2.0
 let bandwidth_gbs = 40.0
 
-let config ~strategy ~seed =
-  Config.make ~platform:(Platform.cielo ~bandwidth_gbs ()) ~strategy ~seed ~days ()
+let config ?burst_buffer ~strategy ~seed () =
+  Config.make ~platform:(Platform.cielo ~bandwidth_gbs ()) ~strategy ~seed ~days ?burst_buffer
+    ()
+
+(* Cielo with a 400 TB / 1 TB/s burst buffer: at this scale jobs restart
+   after a newer checkpoint has already drained to the PFS, so these blocks
+   pin the hierarchy's recovery rule (read the newer PFS copy, not the
+   older buffered one). *)
+let burst_buffer = { Config.capacity_gb = 400_000.0; bandwidth_gbs = 1_000.0 }
+let bb_seeds = [ 11; 42 ]
+
+let bb_strategies =
+  [ Strategy.Oblivious (Strategy.Fixed Strategy.default_fixed_period_s); Strategy.Least_waste ]
 
 let f v = Printf.sprintf "%h" v
 
@@ -25,10 +36,10 @@ let named_floats pairs =
 let named_ints pairs =
   String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s:%d" k v) pairs)
 
-let result_block ~strategy ~seed (r : Simulator.result) =
+let result_block ?(label = "") ~strategy ~seed (r : Simulator.result) =
   String.concat "\n"
     [
-      Printf.sprintf "run %s seed=%d" (Strategy.name strategy) seed;
+      Printf.sprintf "run %s seed=%d%s" (Strategy.name strategy) seed label;
       "progress_ns=" ^ f r.progress_ns;
       "waste_ns=" ^ f r.waste_ns;
       "enrolled_ns=" ^ f r.enrolled_ns;
@@ -59,8 +70,16 @@ let all_runs () =
       (fun strategy ->
         List.map
           (fun seed ->
-            result_block ~strategy ~seed (Simulator.run (config ~strategy ~seed)))
+            result_block ~strategy ~seed (Simulator.run (config ~strategy ~seed ())))
           seeds)
       Strategy.paper_seven
+    @ List.concat_map
+        (fun strategy ->
+          List.map
+            (fun seed ->
+              result_block ~label:" burst_buffer=400000,1000" ~strategy ~seed
+                (Simulator.run (config ~burst_buffer ~strategy ~seed ())))
+            bb_seeds)
+        bb_strategies
   in
   String.concat "\n\n" blocks ^ "\n"

@@ -7,6 +7,7 @@
    both on randomized schedules and demands matching ledgers. Test-only:
    nothing under lib/ or bin/ may depend on this module. *)
 
+open Cocheck_sim
 module Engine = Cocheck_des.Engine
 
 type sharing = [ `Linear | `Degraded of float | `Unshared ]

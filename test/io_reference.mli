@@ -8,6 +8,8 @@
     flow and rebuilds every completion event. Test-only; production code
     must use {!Io_subsystem}. *)
 
+open Cocheck_sim
+
 type sharing = [ `Linear | `Degraded of float | `Unshared ]
 type io_kind = Input | Output | Ckpt | Recovery | Drain
 

@@ -1,3 +1,4 @@
+open Cocheck_sim
 open Sim_types
 module Candidate = Cocheck_core.Candidate
 module Least_waste = Cocheck_core.Least_waste

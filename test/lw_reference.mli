@@ -7,8 +7,10 @@
     maintained affine aggregates (see {!Cocheck_core.Least_waste.Aggregate});
     [test/test_arbiter_differential.ml] replays randomized request schedules
     through both and demands identical selections (equal inflicted wastes on
-    floating-point near-ties). Test/bench-only — the simulator never
+    floating-point near-ties). Test-only — the simulator never
     constructs this policy. *)
+
+open Cocheck_sim
 
 val to_candidate :
   bandwidth_gbs:float -> now:float -> Sim_types.request -> Cocheck_core.Candidate.t

@@ -92,7 +92,7 @@ let policies ~label =
       fun () -> Arbiter.least_waste ~node_mtbf_s:mtbf_s ~bandwidth_gbs () );
     (label ^ "/greedy-exposure", fun () -> Arbiter.greedy_exposure ());
     ( label ^ "/least-waste-reference",
-      fun () -> Cocheck_sim.Lw_reference.arbiter ~node_mtbf_s:mtbf_s ~bandwidth_gbs () );
+      fun () -> Lw_reference.arbiter ~node_mtbf_s:mtbf_s ~bandwidth_gbs () );
   ]
 
 (* The unified-cancellation contract: whatever the internal representation

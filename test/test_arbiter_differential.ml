@@ -12,7 +12,6 @@
 
 module T = Cocheck_sim.Sim_types
 module Arbiter = Cocheck_sim.Arbiter
-module Lw_reference = Cocheck_sim.Lw_reference
 module Node_pool = Cocheck_sim.Node_pool
 module Io = Cocheck_sim.Io_subsystem
 module Jobgen = Cocheck_model.Jobgen

@@ -9,7 +9,6 @@ module Strategy = Cocheck_core.Strategy
 module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
 module Failure_trace = Cocheck_sim.Failure_trace
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Units = Cocheck_util.Units
 module Json = Cocheck_obs.Json
 module E = Cocheck_experiments
@@ -102,7 +101,7 @@ let spec_gen =
     let burst_buffer =
       opt
         (map
-           (fun (capacity_gb, bandwidth_gbs) -> { Burst_buffer.capacity_gb; bandwidth_gbs })
+           (fun (capacity_gb, bandwidth_gbs) -> { Config.capacity_gb; bandwidth_gbs })
            (pair (float_range 10.0 1e6) (float_range 10.0 5000.0)))
     in
     let snapshot_level =
@@ -133,6 +132,17 @@ let spec_gen =
     map
       (fun (((platform, classes), (strategies, axis)),
             (((reps, seed), days), ((failure_dist, alpha), (burst_buffer, multilevel)))) ->
+        (* A burst buffer desugars into a buffer level, so it is only
+           valid beside snapshot levels. *)
+        let burst_buffer =
+          match multilevel with
+          | Some m
+            when List.exists
+                   (function Config.Buffer _ -> true | Config.Snapshot _ -> false)
+                   m.Config.levels ->
+              None
+          | _ -> burst_buffer
+        in
         {
           E.Spec.name = "qc-campaign";
           platform;
@@ -274,6 +284,125 @@ let buffer_level ?flush ?(survival = 1.0) ?(cap = 100.0) ?(bw = 10.0) () =
 let ml_digest_spec ?name ?multilevel () =
   E.Spec.make ?name ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
     ~strategies:[ Strategy.Least_waste ] ~reps:3 ~seed:5 ~days:1.0 ?multilevel ()
+
+(* ------------------------------------------------------------------ *)
+(* Pinned keys: the burst-buffer desugar moves only burst-buffer keys   *)
+(* ------------------------------------------------------------------ *)
+
+(* Literal digests from before the burst buffer was folded into the
+   storage hierarchy. A non-burst-buffer spec must keep both its digest
+   and its cell keys byte for byte; a burst-buffer spec keeps its digest
+   (the spec JSON still carries [burst_buffer]) but its cell keys move,
+   because its results did. *)
+let pinned_fixed = Strategy.Oblivious (Strategy.Fixed 3600.0)
+
+let pinned_spec () =
+  E.Spec.make ~name:"pinned" ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ())
+    ~strategies:[ Strategy.Least_waste; pinned_fixed ]
+    ~axis:(E.Spec.Mtbf_years [ 2.0; 10.0 ]) ~reps:3 ~seed:7 ~days:2.0
+    ~failure_dist:(Failure_trace.Weibull { shape = 0.7 })
+    ~multilevel:
+      {
+        Config.levels =
+          [
+            Config.Snapshot
+              { Config.sl_period_s = 600.0; sl_cost_s = 10.0; sl_recovery_s = 30.0; sl_survival = 0.5 };
+            Config.Buffer
+              {
+                Config.bl_capacity_gb = 1000.0;
+                bl_bandwidth_gbs = 200.0;
+                bl_flush_gbs = Some 20.0;
+                bl_survival = 0.9;
+              };
+          ];
+      }
+    ()
+
+let pinned_bb = { Config.capacity_gb = 400_000.0; bandwidth_gbs = 1_000.0 }
+
+let pinned_bb_spec ?burst_buffer ?multilevel () =
+  E.Spec.make ~name:"pinned-bb" ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ())
+    ~strategies:[ Strategy.Least_waste ] ~reps:2 ~seed:11 ~days:2.0 ?burst_buffer ?multilevel
+    ()
+
+let test_pinned_key_stable () =
+  let s = pinned_spec () in
+  Alcotest.(check string) "spec digest" "b8c87546b4293b2387bdc1be4523a047" (E.Spec.digest s);
+  Alcotest.(check string) "cell key" "bcdcf7a7b7c0caa0cd646800b03177e1"
+    (E.Spec.cell_key s ~cell:(List.nth (E.Spec.cells s) 1) ~strategy:pinned_fixed ~rep:2)
+
+let test_burst_buffer_key_moves () =
+  let s = pinned_bb_spec ~burst_buffer:pinned_bb () in
+  Alcotest.(check string) "spec digest unchanged" "bb32394870e321cfd5f341add3f19f99"
+    (E.Spec.digest s);
+  let key = key_of s () in
+  Alcotest.(check bool) "cell key changed" true (key <> "c9cc1f912edfd923c5f7043b5badcfb4");
+  let level =
+    Config.Buffer
+      {
+        Config.bl_capacity_gb = pinned_bb.capacity_gb;
+        bl_bandwidth_gbs = pinned_bb.bandwidth_gbs;
+        bl_flush_gbs = None;
+        bl_survival = 1.0;
+      }
+  in
+  Alcotest.(check string) "keyed as its buffer level"
+    (key_of (pinned_bb_spec ~multilevel:{ Config.levels = [ level ] } ()) ())
+    key
+
+let test_legacy_burst_buffer_manifest_decodes () =
+  let base =
+    Config.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+      ~strategy:Strategy.Least_waste ~seed:3 ~days:1.0 ()
+  in
+  let legacy =
+    match Manifest.config_to_json base with
+    | Json.Obj members ->
+        Json.Obj
+          (members
+          @ [
+              ( "burst_buffer",
+                Json.Obj [ ("capacity_gb", Json.Float 64.0); ("bandwidth_gbs", Json.Float 8.0) ] );
+            ])
+    | _ -> Alcotest.fail "config encodes as an object"
+  in
+  let expected =
+    {
+      base with
+      Config.multilevel =
+        Some
+          {
+            Config.levels =
+              [
+                Config.Buffer
+                  {
+                    Config.bl_capacity_gb = 64.0;
+                    bl_bandwidth_gbs = 8.0;
+                    bl_flush_gbs = None;
+                    bl_survival = 1.0;
+                  };
+              ];
+          };
+    }
+  in
+  match Manifest.config_of_json legacy with
+  | Ok cfg -> Alcotest.(check bool) "decodes to the single-level config" true (cfg = expected)
+  | Error e -> Alcotest.fail e
+
+let test_burst_buffer_beside_buffer_level_rejected () =
+  let with_level = { Config.levels = [ buffer_level () ] } in
+  (* Built as a record so the invalid combination reaches the decoder. *)
+  let spec =
+    { (pinned_bb_spec ~multilevel:with_level ()) with E.Spec.burst_buffer = Some pinned_bb }
+  in
+  (match E.Spec.of_json (E.Spec.to_json spec) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "spec with burst_buffer and a buffer level must not decode"
+  | exception e -> Alcotest.failf "decoder raised %s" (Printexc.to_string e));
+  Alcotest.(check bool) "Spec.make refuses it" true
+    (match pinned_bb_spec ~burst_buffer:pinned_bb ~multilevel:with_level () with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 let test_legacy_multilevel_json_decodes () =
   (* A hand-written two-level spec in the pre-hierarchy format must keep
@@ -691,6 +820,12 @@ let () =
           Alcotest.test_case "level knobs change keys" `Quick
             test_level_knobs_change_key;
           Alcotest.test_case "flush axis" `Quick test_flush_axis;
+          Alcotest.test_case "pinned key stable" `Quick test_pinned_key_stable;
+          Alcotest.test_case "burst-buffer key moves" `Quick test_burst_buffer_key_moves;
+          Alcotest.test_case "legacy burst_buffer manifest decodes" `Quick
+            test_legacy_burst_buffer_manifest_decodes;
+          Alcotest.test_case "burst_buffer beside buffer level rejected" `Quick
+            test_burst_buffer_beside_buffer_level_rejected;
         ] );
       ( "runner",
         [

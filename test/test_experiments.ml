@@ -1,6 +1,6 @@
-(* Tests for the experiments layer: Monte Carlo aggregation, figure data
-   structures and rendering, the fig1/fig2 sweeps (at toy scale) and the
-   fig3 bandwidth search. *)
+(* Tests for the experiments layer: Monte Carlo aggregation through the
+   campaign engine, figure data structures and rendering, the fig1/fig2
+   sweeps (at toy scale) and the fig3 bandwidth search. *)
 
 module Pool = Cocheck_parallel.Pool
 module Platform = Cocheck_model.Platform
@@ -26,66 +26,69 @@ let tiny_class =
     ~input_pct:10.0 ~output_pct:10.0 ~ckpt_pct:50.0 ()
 
 (* ------------------------------------------------------------------ *)
-(* Montecarlo                                                           *)
+(* Monte Carlo protocol (Spec + Runner)                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* One unswept campaign on the toy platform: cell results in strategy
+   order. *)
+let measure ~pool ~strategies ~reps ~seed =
+  let spec =
+    E.Spec.make ~name:"mc" ~platform:(tiny_platform ()) ~classes:[ tiny_class ] ~strategies
+      ~reps ~seed ~days:0.5 ()
+  in
+  (E.Runner.run ~pool spec).E.Runner.results
 
 let test_measure_shapes () =
   Pool.with_pool ~num_domains:0 (fun pool ->
       let ms =
-        E.Montecarlo.measure ~pool ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+        measure ~pool
           ~strategies:[ Strategy.Least_waste; Strategy.Ordered Strategy.Daly ]
-          ~reps:4 ~seed:1 ~days:0.5 ()
+          ~reps:4 ~seed:1
       in
       Alcotest.(check int) "one measurement per strategy" 2 (List.length ms);
       List.iter
-        (fun m ->
-          Alcotest.(check int) "4 ratios" 4 (Array.length m.E.Montecarlo.ratios);
-          Alcotest.(check int) "stats over 4" 4 m.E.Montecarlo.stats.Stats.n;
+        (fun (m : E.Runner.cell_result) ->
+          Alcotest.(check int) "4 ratios" 4 (Array.length m.ratios);
+          Alcotest.(check int) "stats over 4" 4 m.stats.Stats.n;
           Array.iter
             (fun r -> Alcotest.(check bool) "ratio finite and >= 0" true (r >= 0.0 && Float.is_finite r))
             m.ratios)
         ms)
 
+let check_same_ratios msg a b =
+  List.iter2
+    (fun (ma : E.Runner.cell_result) (mb : E.Runner.cell_result) ->
+      Array.iteri (fun i r -> checkf msg ~eps:0.0 r mb.ratios.(i)) ma.ratios)
+    a b
+
 let test_measure_deterministic () =
   let run () =
     Pool.with_pool ~num_domains:0 (fun pool ->
-        E.Montecarlo.measure ~pool ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
-          ~strategies:[ Strategy.Least_waste ] ~reps:3 ~seed:11 ~days:0.5 ())
+        measure ~pool ~strategies:[ Strategy.Least_waste ] ~reps:3 ~seed:11)
   in
-  let a = run () and b = run () in
-  List.iter2
-    (fun ma mb ->
-      Array.iteri
-        (fun i r -> checkf "identical ratios" ~eps:0.0 r mb.E.Montecarlo.ratios.(i))
-        ma.E.Montecarlo.ratios)
-    a b
+  check_same_ratios "identical ratios" (run ()) (run ())
 
 let test_measure_parallel_matches_sequential () =
   let run domains =
     Pool.with_pool ~num_domains:domains (fun pool ->
-        E.Montecarlo.measure ~pool ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
-          ~strategies:[ Strategy.Ordered_nb Strategy.Daly ] ~reps:4 ~seed:2 ~days:0.5 ())
+        measure ~pool ~strategies:[ Strategy.Ordered_nb Strategy.Daly ] ~reps:4 ~seed:2)
   in
-  let seq = run 0 and par = run 2 in
-  List.iter2
-    (fun ms mp ->
-      Array.iteri
-        (fun i r -> checkf "scheduling-independent" ~eps:0.0 r mp.E.Montecarlo.ratios.(i))
-        ms.E.Montecarlo.ratios)
-    seq par
+  check_same_ratios "scheduling-independent" (run 0) (run 2)
 
 let test_rep_seed_distinct () =
-  let s = E.Montecarlo.rep_seed ~seed:42 ~rep:0 in
-  let s' = E.Montecarlo.rep_seed ~seed:42 ~rep:1 in
+  let s = E.Spec.rep_seed ~seed:42 ~rep:0 in
+  let s' = E.Spec.rep_seed ~seed:42 ~rep:1 in
   Alcotest.(check bool) "rep seeds distinct" true (s <> s')
 
 let test_mean_waste_positive () =
   Pool.with_pool ~num_domains:0 (fun pool ->
-      let w =
-        E.Montecarlo.mean_waste ~pool ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
-          ~strategy:(Strategy.Oblivious (Strategy.Fixed 600.0)) ~reps:2 ~seed:1 ~days:0.5 ()
-      in
-      Alcotest.(check bool) "positive waste" true (w > 0.0 && w < 1.5))
+      match
+        measure ~pool ~strategies:[ Strategy.Oblivious (Strategy.Fixed 600.0) ] ~reps:2 ~seed:1
+      with
+      | [ m ] ->
+          let w = m.E.Runner.stats.Stats.mean in
+          Alcotest.(check bool) "positive waste" true (w > 0.0 && w < 1.5)
+      | _ -> Alcotest.fail "one strategy, one result")
 
 (* ------------------------------------------------------------------ *)
 (* Figures                                                              *)
@@ -137,22 +140,21 @@ let test_series_value_at () =
     (E.Figures.series_value_at fig ~label:"nope" ~x:1.0)
 
 (* ------------------------------------------------------------------ *)
-(* Sweep / Table1                                                       *)
+(* Theoretical model / Table1                                           *)
 (* ------------------------------------------------------------------ *)
 
 let test_theoretical_waste_decreases_with_bandwidth () =
-  let w b = E.Sweep.theoretical_waste ~platform:(Platform.cielo ~bandwidth_gbs:b ()) () in
+  let w b = E.Runner.theoretical_waste ~platform:(Platform.cielo ~bandwidth_gbs:b ()) () in
   Alcotest.(check bool) "monotone" true (w 160.0 < w 40.0)
 
 let test_sweep_includes_theory_series () =
   Pool.with_pool ~num_domains:0 (fun pool ->
-      let series =
-        E.Sweep.waste_vs ~pool
-          ~points:[ (1.0, tiny_platform ()) ]
-          ~classes:[ tiny_class ]
-          ~strategies:[ Strategy.Least_waste ]
-          ~reps:2 ~seed:1 ~days:0.5 ()
+      let spec =
+        E.Spec.make ~name:"sweep" ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+          ~strategies:[ Strategy.Least_waste ] ~axis:(E.Spec.Bandwidth_gbs [ 1.0 ]) ~reps:2
+          ~seed:1 ~days:0.5 ()
       in
+      let series = (E.Runner.to_figure (E.Runner.run ~pool spec)).E.Figures.series in
       Alcotest.(check int) "strategy + theory" 2 (List.length series);
       let labels = List.map (fun s -> s.E.Figures.label) series in
       Alcotest.(check bool) "theory labelled" true (List.mem "Theoretical Model" labels))
@@ -184,7 +186,7 @@ let test_fig3_theoretical_consistent_with_bound () =
   let b = E.Fig3.min_bandwidth_theoretical ~node_mtbf_years:y ~target_efficiency:target () in
   let waste_at beta =
     let platform = Platform.prospective ~bandwidth_gbs:beta ~node_mtbf_years:y () in
-    E.Sweep.theoretical_waste ~platform ()
+    E.Runner.theoretical_waste ~platform ()
   in
   Alcotest.(check bool) "feasible at b" true (waste_at b <= (1.0 -. target) +. 1e-6);
   Alcotest.(check bool) "infeasible below b" true

@@ -6,7 +6,6 @@
 module Engine = Cocheck_des.Engine
 module Metrics = Cocheck_sim.Metrics
 module Io = Cocheck_sim.Io_subsystem
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Failure_trace = Cocheck_sim.Failure_trace
 module Trace = Cocheck_sim.Trace
 module Config = Cocheck_sim.Config
@@ -168,7 +167,7 @@ let test_degraded_simulation_worse () =
   Alcotest.(check bool) "adversarial interference hurts" true (run 1.0 > run 0.0)
 
 (* ------------------------------------------------------------------ *)
-(* Burst buffer                                                         *)
+(* Burst buffer (the test-side oracle module, test/burst_buffer.ml)      *)
 (* ------------------------------------------------------------------ *)
 
 let mk_bb ?(capacity = 100.0) ?(bb_bw = 100.0) ?(pfs_bw = 10.0) () =
@@ -281,8 +280,8 @@ let test_bb_drains_serialize () =
   Alcotest.(check int) "all drained" 0 (Burst_buffer.drains_pending bb);
   checkf "space reclaimed" 0.0 (Burst_buffer.used_gb bb)
 
-(* Burst buffer end-to-end: a contended scenario where the buffer absorbs
-   the checkpoint traffic. *)
+(* Burst buffer end-to-end (desugared into one hierarchy buffer level): a
+   contended scenario where the buffer absorbs the checkpoint traffic. *)
 let tiny_class =
   App_class.make ~name:"toy" ~workload_pct:100.0 ~walltime_s:(Units.hours 2.0) ~nodes:16
     ~input_pct:10.0 ~output_pct:10.0 ~ckpt_pct:50.0 ()
@@ -291,7 +290,7 @@ let tiny_platform =
   Platform.make ~name:"tiny" ~nodes:64 ~mem_per_node_gb:1.0 ~bandwidth_gbs:0.2
     ~node_mtbf_s:(Units.years 2.0)
 
-let bb_spec = { Burst_buffer.capacity_gb = 64.0; bandwidth_gbs = 8.0 }
+let bb_spec = { Config.capacity_gb = 64.0; bandwidth_gbs = 8.0 }
 
 let run_tiny ?burst_buffer strategy =
   let cfg s =
@@ -319,7 +318,7 @@ let test_bb_simulation_reduces_waste () =
 let test_bb_simulation_spills_when_small () =
   (* An 8 GB job checkpoint against a 9 GB buffer: at most one resident
      copy; concurrent committers spill. *)
-  let small = { Burst_buffer.capacity_gb = 9.0; bandwidth_gbs = 8.0 } in
+  let small = { Config.capacity_gb = 9.0; bandwidth_gbs = 8.0 } in
   let r, _ = run_tiny ~burst_buffer:small (Strategy.Oblivious (Strategy.Fixed 600.0)) in
   Alcotest.(check bool) "some spills" true (r.Simulator.bb_spilled > 0);
   Alcotest.(check bool) "some absorbed" true (r.bb_absorbed > 0)
@@ -484,10 +483,10 @@ let test_multilevel_validation () =
                };
            ];
        });
-  Alcotest.(check bool) "buffer level exclusive with burst_buffer" true
+  Alcotest.(check bool) "burst_buffer rejected beside a buffer level" true
     (match
        Config.make ~platform ~classes:[ tiny_class ] ~strategy:Strategy.Least_waste
-         ~burst_buffer:{ Burst_buffer.capacity_gb = 64.0; bandwidth_gbs = 8.0 }
+         ~burst_buffer:{ Config.capacity_gb = 64.0; bandwidth_gbs = 8.0 }
          ~multilevel:
            {
              Config.levels =

@@ -3,7 +3,9 @@
    compared as hexadecimal literals, i.e. bit-exactly). The fixture was
    generated from the pre-decomposition monolithic simulator, so a green
    run proves the arbiter/lifecycle/checkpoint/failure split is
-   behavior-preserving. Regenerate (only on an intentional behavior
+   behavior-preserving. Appended blocks run Oblivious-Fixed and Least-Waste
+   with a 400 TB / 1 TB/s burst buffer on two seeds; they pin the storage
+   hierarchy's semantics for that buffer level. Regenerate (only on an intentional behavior
    change) with:
 
      dune exec test/golden/gen_golden.exe > test/golden_results.txt *)

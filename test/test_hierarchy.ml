@@ -2,9 +2,9 @@
    L-level waste model (against the Two_level oracle and against perturbed
    periods), the level-aware Least-Waste aggregates, the hierarchical lower
    bound, the Ckpt_hierarchy storage engine (capacity accounting, flush
-   cascades, failure survival), and the end-to-end differential oracle —
-   a single-buffer serialized hierarchy must reproduce the legacy
-   burst-buffer simulation event for event. *)
+   cascades, failure survival), and the burst buffer: its desugaring into
+   one serialized-drain buffer level, and a storage-level differential of
+   that level against the standalone burst-buffer oracle. *)
 
 module Platform = Cocheck_model.Platform
 module App_class = Cocheck_model.App_class
@@ -17,7 +17,6 @@ module Lower_bound = Cocheck_core.Lower_bound
 module Least_waste = Cocheck_core.Least_waste
 module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Ckpt_hierarchy = Cocheck_sim.Ckpt_hierarchy
 module Metrics = Cocheck_sim.Metrics
 module Io = Cocheck_sim.Io_subsystem
@@ -460,7 +459,8 @@ let test_hier_capacity_invariant =
       && Float.abs (Ckpt_hierarchy.used_gb h ~level:1) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: burst-buffer differential oracle                         *)
+(* Burst buffer: desugared into one buffer level, checked against the    *)
+(* standalone oracle (test/burst_buffer.ml)                              *)
 (* ------------------------------------------------------------------ *)
 
 let tiny_platform ?(bandwidth = 1.0) ?(mtbf_years = 0.05) () =
@@ -471,69 +471,106 @@ let tiny_class =
   App_class.make ~name:"toy" ~workload_pct:100.0 ~walltime_s:(Units.hours 2.0) ~nodes:16
     ~input_pct:10.0 ~output_pct:10.0 ~ckpt_pct:50.0 ()
 
-let check_same_run ctx (a : Simulator.result) (b : Simulator.result) =
-  let ci what x y = checki (ctx ^ ": " ^ what) x y in
-  ci "events" a.Simulator.events b.Simulator.events;
-  ci "ckpts committed" a.ckpts_committed b.Simulator.ckpts_committed;
-  ci "ckpts aborted" a.ckpts_aborted b.Simulator.ckpts_aborted;
-  ci "restarts" a.restarts b.Simulator.restarts;
-  ci "absorbed" a.bb_absorbed b.Simulator.bb_absorbed;
-  ci "spilled" a.bb_spilled b.Simulator.bb_spilled;
-  ci "jobs completed" a.jobs_completed b.Simulator.jobs_completed;
-  ci "failures hitting jobs" a.failures_hitting_jobs b.Simulator.failures_hitting_jobs;
-  let cf what x y =
-    checkb
-      (Printf.sprintf "%s: %s (%.17g vs %.17g)" ctx what x y)
-      true
-      (Numerics.fequal ~eps:1e-9 x y)
+(* The simulator has one checkpoint-storage engine: a burst buffer is
+   syntax for a serialized-drain buffer level appended after any snapshot
+   levels, so the two spellings build the same Config.t. *)
+let test_burst_buffer_desugars_to_buffer_level () =
+  let snapshot =
+    Config.Snapshot
+      { Config.sl_period_s = 600.0; sl_cost_s = 5.0; sl_recovery_s = 30.0; sl_survival = 0.6 }
   in
-  cf "progress" a.progress_ns b.Simulator.progress_ns;
-  cf "waste" a.waste_ns b.Simulator.waste_ns;
-  cf "enrolled" a.enrolled_ns b.Simulator.enrolled_ns;
-  List.iter2
-    (fun (k1, v1) (k2, v2) ->
-      if k1 <> k2 then Alcotest.failf "%s: waste kind order differs" ctx;
-      cf (Metrics.kind_name k1) v1 v2)
-    a.by_kind b.Simulator.by_kind
+  let buffer = Config.Buffer (lvl 30.0 10.0) in
+  let mk ?burst_buffer ?multilevel () =
+    Config.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+      ~strategy:Strategy.Least_waste ~seed:3 ~days:1.0 ?burst_buffer ?multilevel ()
+  in
+  let bb = { Config.capacity_gb = 30.0; bandwidth_gbs = 10.0 } in
+  checkb "alone: one buffer level" true
+    (mk ~burst_buffer:bb () = mk ~multilevel:{ Config.levels = [ buffer ] } ());
+  checkb "after the snapshot levels" true
+    (mk ~burst_buffer:bb ~multilevel:{ Config.levels = [ snapshot ] } ()
+    = mk ~multilevel:{ Config.levels = [ snapshot; buffer ] } ())
 
-(* A single buffer level with serialized flushes IS the legacy burst
-   buffer: both configs must produce the same event stream and metrics
-   (the PR's acceptance oracle). *)
-let test_single_buffer_matches_burst_buffer () =
-  let capacity = 30.0 and bw = 10.0 in
-  let bb_equiv =
-    {
-      Config.levels =
-        [
-          Config.Buffer
-            {
-              Config.bl_capacity_gb = capacity;
-              bl_bandwidth_gbs = bw;
-              bl_flush_gbs = None;
-              bl_survival = 1.0;
-            };
-        ];
-    }
-  in
-  List.iter
-    (fun (name, strategy, seed) ->
-      let mk ?burst_buffer ?multilevel () =
-        Config.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ] ~strategy ~seed
-          ~days:1.0 ~with_failures:true ?burst_buffer ?multilevel ()
+(* Storage-level differential: random write / abort / advance histories,
+   with foreground PFS traffic for the drains to contend with, run through
+   the standalone burst buffer and a one-level hierarchy with serialized
+   drains; capacity, absorption, spill and drain accounting must agree
+   after every step. Recovery-source choice is where the two deliberately
+   differ (the hierarchy reads a newer PFS copy, the oracle its older
+   buffered one), covered by "recovery source vs PFS note" instead. *)
+let test_single_buffer_matches_burst_buffer_storage =
+  QCheck.Test.make ~name:"single buffer = burst buffer" ~count:100
+    QCheck.(pair small_int (int_range 5 60))
+    (fun (seed, nops) ->
+      let rng = Rng.create ~seed in
+      let u lo hi = lo +. (Rng.unit_float rng *. (hi -. lo)) in
+      let capacity = u 20.0 150.0 and bw = u 5.0 50.0 and pfs_bw = u 0.5 5.0 in
+      let side () =
+        let engine = Engine.create () in
+        let metrics = Metrics.create ~seg_start:0.0 ~seg_end:1e9 in
+        (engine, Io.create ~engine ~metrics ~bandwidth_gbs:pfs_bw ~sharing:`Linear, metrics)
       in
-      let a =
-        Simulator.run
-          (mk ~burst_buffer:{ Burst_buffer.capacity_gb = capacity; bandwidth_gbs = bw } ())
+      let b_engine, b_pfs, b_metrics = side () in
+      let bb =
+        Burst_buffer.create ~engine:b_engine ~metrics:b_metrics ~pfs:b_pfs
+          { Config.capacity_gb = capacity; bandwidth_gbs = bw }
       in
-      let b = Simulator.run (mk ~multilevel:bb_equiv ()) in
-      checkb (name ^ ": buffer actually used") true (a.Simulator.bb_absorbed > 0);
-      check_same_run name a b)
-    [
-      ("oblivious/1", Strategy.Oblivious (Strategy.Fixed 600.0), 1);
-      ("oblivious/2", Strategy.Oblivious (Strategy.Fixed 600.0), 2);
-      ("ordered_nb/3", Strategy.Ordered_nb (Strategy.Fixed 600.0), 3);
-      ("least_waste/4", Strategy.Least_waste, 4);
-    ]
+      let h_engine, h_pfs, h_metrics = side () in
+      let h =
+        Ckpt_hierarchy.create ~engine:h_engine ~metrics:h_metrics ~pfs:h_pfs
+          [ lvl capacity bw ]
+      in
+      (* In-flight writes, paired across the two sides; committed ones are
+         dropped after every step. *)
+      let live = ref [] in
+      let t = ref 0.0 in
+      let agree () =
+        Float.abs (Burst_buffer.used_gb bb -. Ckpt_hierarchy.used_gb h ~level:0) < 1e-9
+        && Burst_buffer.writes_absorbed bb = Ckpt_hierarchy.writes_absorbed h
+        && Burst_buffer.writes_spilled bb = Ckpt_hierarchy.writes_spilled h
+        && Burst_buffer.drains_pending bb = Ckpt_hierarchy.drains_pending h
+      in
+      let ok = ref true in
+      for i = 1 to nops do
+        (match Rng.int rng 5 with
+        | 0 | 1 -> (
+            let owner = Rng.int rng 4 and volume_gb = u 1.0 80.0 in
+            let done_ = ref false in
+            let on_complete () = done_ := true in
+            match
+              ( Burst_buffer.write bb ~owner ~job:i ~nodes:2 ~volume_gb ~on_complete,
+                Ckpt_hierarchy.write h ~owner ~job:i ~nodes:2 ~volume_gb
+                  ~content:(float_of_int i) ~at:!t ~on_complete:ignore )
+            with
+            | None, None -> ()
+            | Some bf, Some hf -> live := (done_, bf, hf) :: !live
+            | _ -> ok := false)
+        | 2 -> (
+            (* Abort the newest write still in flight. *)
+            match !live with
+            | (_, bf, (pool, hf)) :: rest ->
+                Burst_buffer.abort_write bb bf;
+                Ckpt_hierarchy.abort_write h ~pool hf;
+                live := rest
+            | [] -> ())
+        | 3 ->
+            let volume_gb = u 1.0 20.0 in
+            List.iter
+              (fun pfs ->
+                ignore
+                  (Io.start_flow pfs ~job:(1000 + i) ~nodes:1 ~kind:Io.Output ~volume_gb
+                     ~on_complete:ignore))
+              [ b_pfs; h_pfs ]
+        | _ ->
+            t := !t +. u 0.1 20.0;
+            Engine.run ~until:!t b_engine;
+            Engine.run ~until:!t h_engine);
+        live := List.filter (fun (d, _, _) -> not !d) !live;
+        if not (agree ()) then ok := false
+      done;
+      Engine.run b_engine;
+      Engine.run h_engine;
+      !ok && agree () && Burst_buffer.drains_pending bb = 0)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: flush bandwidth sweep                                    *)
@@ -610,8 +647,9 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "single buffer = burst buffer" `Quick
-            test_single_buffer_matches_burst_buffer;
+          Alcotest.test_case "burst buffer desugars to a buffer level" `Quick
+            test_burst_buffer_desugars_to_buffer_level;
+          QCheck_alcotest.to_alcotest test_single_buffer_matches_burst_buffer_storage;
         ] );
       ( "flush-sweep",
         [

@@ -102,7 +102,7 @@ module New_io : IO = struct
 end
 
 module Ref_io : IO = struct
-  include Cocheck_sim.Io_reference
+  include Io_reference
 
   let kinds = [| Input; Output; Ckpt; Recovery; Drain |]
   let sync _ = None

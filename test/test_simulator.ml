@@ -452,7 +452,7 @@ let test_random_scenario_invariants =
       in
       let burst_buffer =
         if with_bb then
-          Some { Cocheck_sim.Burst_buffer.capacity_gb = 30.0; bandwidth_gbs = 10.0 }
+          Some { Cocheck_sim.Config.capacity_gb = 30.0; bandwidth_gbs = 10.0 }
         else None
       in
       let multilevel =
