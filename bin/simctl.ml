@@ -36,8 +36,8 @@ let mtbf_years_t =
 let seed_t =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Root random seed.")
 
-let days_t =
-  Arg.(value & opt float 60.0 & info [ "days" ] ~docv:"DAYS"
+let days_t default =
+  Arg.(value & opt float default & info [ "days" ] ~docv:"DAYS"
          ~doc:"Measurement segment length in days (one excluded day is added on each side).")
 
 let reps_t default =
@@ -56,13 +56,16 @@ let domains_t =
   Arg.(value & opt (some int) None & info [ "domains"; "j" ] ~docv:"N"
          ~doc:"Worker domains for Monte Carlo (default: cores - 1).")
 
-let platform_of ~prospective ~bandwidth ~mtbf_years =
-  if prospective then Platform.prospective ~bandwidth_gbs:bandwidth ~node_mtbf_years:mtbf_years ()
-  else Platform.cielo ~bandwidth_gbs:bandwidth ~node_mtbf_years:mtbf_years ()
-
 let strategy_conv =
   let parse s = match Strategy.of_string s with Ok v -> Ok v | Error e -> Error (`Msg e) in
   Arg.conv (parse, Strategy.pp)
+
+let strategy_t =
+  Arg.(value & opt strategy_conv Strategy.Least_waste
+       & info [ "strategy"; "s" ] ~docv:"STRATEGY"
+           ~doc:"One of oblivious-fixed, oblivious-daly, ordered-fixed, ordered-daly, \
+                 ordered-nb-fixed, ordered-nb-daly, least-waste, greedy-exposure, \
+                 baseline.")
 
 let failure_dist_conv =
   let parse s =
@@ -86,16 +89,16 @@ let failure_dist_conv =
 
 let failure_dist_t =
   Arg.(value
-       & opt failure_dist_conv Cocheck_sim.Failure_trace.Exponential
+       & opt (some failure_dist_conv) None
        & info [ "failure-dist" ] ~docv:"DIST"
            ~doc:"Failure inter-arrival law: exponential (default), weibull:<shape>, \
                  lognormal:<sigma>. Mean-matched to the node MTBF.")
 
 let alpha_t =
-  Arg.(value & opt float 0.0 & info [ "alpha" ] ~docv:"ALPHA"
+  Arg.(value & opt (some float) None & info [ "alpha" ] ~docv:"ALPHA"
          ~doc:"Adversarial interference factor: aggregate bandwidth degrades to \
-               beta/(1+alpha(k-1)) under k concurrent transfers. 0 = the paper's \
-               linear model.")
+               beta/(1+alpha(k-1)) under k concurrent transfers. 0 (default) = the \
+               paper's linear model.")
 
 let multilevel_conv =
   let parse s =
@@ -107,25 +110,25 @@ let multilevel_conv =
         with
         | Some period_s, Some cost_s, Some recovery_s, Some soft_fraction ->
             Ok
-              (Cocheck_sim.Config.local_level ~period_s ~cost_s ~recovery_s
+              (Config.local_level ~period_s ~cost_s ~recovery_s
                  ~soft_fraction)
         | _ -> Error (`Msg "expected four numbers: period,cost,recovery,soft_fraction"))
     | _ -> Error (`Msg "expected PERIOD,COST,RECOVERY,SOFT (seconds,seconds,seconds,[0-1])")
   in
   let pp_level ppf = function
-    | Cocheck_sim.Config.Snapshot s ->
-        Format.fprintf ppf "snapshot:%g,%g,%g,%g" s.Cocheck_sim.Config.sl_period_s
+    | Config.Snapshot s ->
+        Format.fprintf ppf "snapshot:%g,%g,%g,%g" s.Config.sl_period_s
           s.sl_cost_s s.sl_recovery_s s.sl_survival
-    | Cocheck_sim.Config.Buffer b ->
-        Format.fprintf ppf "buffer:%g,%g%s,%g" b.Cocheck_sim.Config.bl_capacity_gb
+    | Config.Buffer b ->
+        Format.fprintf ppf "buffer:%g,%g%s,%g" b.Config.bl_capacity_gb
           b.bl_bandwidth_gbs
           (match b.bl_flush_gbs with None -> "" | Some f -> Printf.sprintf ",%g" f)
           b.bl_survival
   in
-  let pp ppf (m : Cocheck_sim.Config.multilevel) =
+  let pp ppf (m : Config.multilevel) =
     Format.pp_print_list
       ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ';')
-      pp_level ppf m.Cocheck_sim.Config.levels
+      pp_level ppf m.Config.levels
   in
   Arg.conv (parse, pp)
 
@@ -133,7 +136,8 @@ let multilevel_t =
   Arg.(value
        & opt (some multilevel_conv) None
        & info [ "multilevel" ] ~docv:"P,C,R,SOFT"
-           ~doc:"Two-level checkpointing: local period (s), local snapshot cost (s),                  local recovery (s), soft-failure fraction. E.g. 600,5,10,0.6.")
+           ~doc:"Two-level checkpointing: local period (s), local snapshot cost (s), \
+                 local recovery (s), soft-failure fraction. E.g. 600,5,10,0.6.")
 
 (* Buffer tiers of the checkpoint hierarchy: semicolon-separated levels,
    shallow to deep, each CAP,BW[,FLUSH[,SURV]]. A FLUSH gives the level a
@@ -144,9 +148,9 @@ let hierarchy_conv =
     let parts = List.map float_of_string_opt (String.split_on_char ',' (String.trim s)) in
     let buf cap bw flush surv =
       Ok
-        (Cocheck_sim.Config.Buffer
+        (Config.Buffer
            {
-             Cocheck_sim.Config.bl_capacity_gb = cap;
+             Config.bl_capacity_gb = cap;
              bl_bandwidth_gbs = bw;
              bl_flush_gbs = flush;
              bl_survival = surv;
@@ -158,21 +162,14 @@ let hierarchy_conv =
     | [ Some cap; Some bw; Some fl; Some sv ] -> buf cap bw (Some fl) sv
     | _ -> Error (`Msg "each level is CAP_GB,BW_GBS[,FLUSH_GBS[,SURVIVAL]]")
   in
+  (* [split_on_char] never returns [], so a parsed list is never empty. *)
   let parse s =
-    let rec collect = function
-      | [] -> Ok []
+    let rec collect acc = function
+      | [] -> Ok (List.rev acc)
       | l :: rest -> (
-          match parse_level l with
-          | Error _ as e -> e
-          | Ok level -> (
-              match collect rest with
-              | Error _ as e -> e
-              | Ok levels -> Ok (level :: levels)))
+          match parse_level l with Ok level -> collect (level :: acc) rest | Error _ as e -> e)
     in
-    match collect (String.split_on_char ';' s) with
-    | Error e -> Error e
-    | Ok [] -> Error (`Msg "expected at least one level")
-    | Ok levels -> Ok levels
+    collect [] (String.split_on_char ';' s)
   in
   let pp ppf levels =
     Format.fprintf ppf "%d buffer level(s)" (List.length levels)
@@ -193,11 +190,62 @@ let hierarchy_t =
    into one level list, shallow to deep. *)
 let ml_of multilevel hierarchy =
   match (multilevel, hierarchy) with
-  | None, None -> None
-  | Some m, None -> Some m
-  | None, Some bufs -> Some { Cocheck_sim.Config.levels = bufs }
-  | Some m, Some bufs ->
-      Some { Cocheck_sim.Config.levels = m.Cocheck_sim.Config.levels @ bufs }
+  | m, None -> m
+  | None, Some bufs -> Some { Config.levels = bufs }
+  | Some m, Some bufs -> Some { Config.levels = m.Config.levels @ bufs }
+
+(* The scenario flags: the platform and its modelling knobs. A knob left
+   unset stays [None] in the Spec, so the run takes Config's default. *)
+type scenario = {
+  bandwidth : float;
+  mtbf_years : float;
+  prospective : bool;
+  failure_dist : Cocheck_sim.Failure_trace.distribution option;
+  alpha : float option;
+  multilevel : Config.multilevel option;
+}
+
+let platform_of sc =
+  if sc.prospective then
+    Platform.prospective ~bandwidth_gbs:sc.bandwidth ~node_mtbf_years:sc.mtbf_years ()
+  else Platform.cielo ~bandwidth_gbs:sc.bandwidth ~node_mtbf_years:sc.mtbf_years ()
+
+(* The platform flags alone, for the commands that take no knobs. *)
+let platform_flags_t =
+  let make bandwidth mtbf_years prospective =
+    { bandwidth; mtbf_years; prospective; failure_dist = None; alpha = None; multilevel = None }
+  in
+  Term.(const make $ bandwidth_t $ mtbf_years_t $ prospective_t)
+
+let platform_t = Term.(const platform_of $ platform_flags_t)
+
+let scenario_t =
+  let with_knobs sc failure_dist alpha multilevel hierarchy =
+    { sc with failure_dist; alpha; multilevel = ml_of multilevel hierarchy }
+  in
+  Term.(const with_knobs $ platform_flags_t $ failure_dist_t $ alpha_t $ multilevel_t
+        $ hierarchy_t)
+
+(* The Spec the scenario flags describe. An invalid one is an error
+   message and exit 1, not an uncaught exception. *)
+let scenario_spec ~what ?name ?axis ~strategies ~reps ~seed ~days sc =
+  try
+    E.Spec.make ?name ~platform:(platform_of sc) ~strategies ?axis ~reps ~seed ~days
+      ?failure_dist:sc.failure_dist ?interference_alpha:sc.alpha ?multilevel:sc.multilevel
+      ()
+  with Invalid_argument m ->
+    Format.eprintf "error: invalid %s: %s@." what m;
+    exit 1
+
+(* A single run is a one-cell, one-strategy, one-replication Spec.
+   Replication 0 runs at the root seed; [single_run ... s] is the run's
+   configuration under strategy [s], Baseline included. *)
+let single_run ~strategy ~seed ~days sc =
+  let spec =
+    scenario_spec ~what:"run" ~name:"run" ~strategies:[ strategy ] ~reps:1 ~seed ~days sc
+  in
+  let cell = List.hd (E.Spec.cells spec) in
+  fun s -> E.Spec.config spec ~cell ~strategy:s ~rep:0
 
 (* Observability outputs, shared by `run` and `observe`. *)
 
@@ -250,46 +298,77 @@ let finish_figure out fig =
   print_string (E.Figures.render fig);
   write_out out (E.Figures.to_csv fig)
 
+type outputs = {
+  trace_out : string option;
+  series_out : string option;
+  manifest_out : string option;
+  sample_dt : float option;
+}
+
+let outputs_t =
+  let make trace_out series_out manifest_out sample_dt =
+    { trace_out; series_out; manifest_out; sample_dt }
+  in
+  Term.(const make $ trace_out_t $ series_out_t $ manifest_out_t $ sample_dt_t)
+
+(* What a run records beside its result: only what an output asks for,
+   unless [always] (the dashboard shows the series and histograms). *)
+type recorders = {
+  trace : Cocheck_sim.Trace.t option;
+  registry : Obs.Histogram.registry option;
+  hooks : Simulator.hooks option;
+  series : Obs.Series.t option;
+  sample : (float * (Simulator.snapshot -> unit)) option;
+}
+
+let recorders ~always o cfg =
+  let registry =
+    if always || o.manifest_out <> None then Some (Obs.Histogram.registry ()) else None
+  in
+  let series, sample =
+    if always || o.series_out <> None then
+      let dt = match o.sample_dt with Some d -> d | None -> Obs.Sampler.default_dt cfg in
+      let s, observe = Obs.Sampler.create () in
+      (Some s, Some (dt, observe))
+    else (None, None)
+  in
+  {
+    trace = Option.map (fun _ -> Cocheck_sim.Trace.create ~capacity:2_000_000 ()) o.trace_out;
+    registry;
+    hooks = Option.map Obs.Instrument.standard registry;
+    series;
+    sample;
+  }
+
+let write_outputs o recs ~cfg ~timer ~result ?extra () =
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      Obs.Export.write_jsonl oc (Option.get recs.trace);
+      close_out oc;
+      Format.printf "wrote %s@." path)
+    o.trace_out;
+  Option.iter
+    (fun path -> write_out (Some path) (Obs.Series.to_csv (Option.get recs.series)))
+    o.series_out;
+  Option.iter
+    (fun path ->
+      Obs.Manifest.write ~path
+        (Obs.Manifest.make ~cfg ~timer ~result ?registry:recs.registry ?extra ());
+      Format.printf "wrote %s@." path)
+    o.manifest_out
+
 (* ------------------------------------------------------------------ *)
 (* run                                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let strategy_t =
-    Arg.(value & opt strategy_conv Strategy.Least_waste
-         & info [ "strategy"; "s" ] ~docv:"STRATEGY"
-             ~doc:"One of oblivious-fixed, oblivious-daly, ordered-fixed, ordered-daly, \
-                   ordered-nb-fixed, ordered-nb-daly, least-waste, greedy-exposure, \
-                   baseline.")
-  in
-  let action strategy bandwidth mtbf_years seed days prospective failure_dist alpha
-      multilevel hierarchy trace_out series_out manifest_out sample_dt perfetto_out =
-    let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
-    Format.printf "%a@." Platform.pp platform;
-    let cfg s =
-      Config.make ~platform ~strategy:s ~seed ~days ~failure_dist
-        ~interference_alpha:alpha
-        ?multilevel:(ml_of multilevel hierarchy) ()
-    in
+  let action strategy scenario seed days outputs perfetto_out =
+    let config = single_run ~strategy ~seed ~days scenario in
+    let cfg = config strategy in
+    Format.printf "%a@." Platform.pp cfg.Config.platform;
     let timer = Obs.Timer.create () in
-    let trace =
-      Option.map (fun _ -> Cocheck_sim.Trace.create ~capacity:2_000_000 ()) trace_out
-    in
-    let registry =
-      if manifest_out <> None then Some (Obs.Histogram.registry ()) else None
-    in
-    let hooks = Option.map Obs.Instrument.standard registry in
-    let cfg_s = cfg strategy in
-    let series, sample =
-      match series_out with
-      | None -> (None, None)
-      | Some _ ->
-          let dt =
-            match sample_dt with Some d -> d | None -> Obs.Sampler.default_dt cfg_s
-          in
-          let s, observe = Obs.Sampler.create () in
-          (Some s, Some (dt, observe))
-    in
+    let recs = recorders ~always:false outputs cfg in
     let tracer =
       match perfetto_out with
       | None -> Obs.Tracing.disabled
@@ -298,75 +377,58 @@ let run_cmd =
     let specs =
       Obs.Timer.time timer ~name:"generate" (fun () ->
           Obs.Tracing.span tracer ~cat:"phase" ~track:main_track "generate" (fun () ->
-              Simulator.generate_specs (cfg Strategy.Baseline)))
+              Simulator.generate_specs (config Strategy.Baseline)))
     in
-    let baseline, r =
-      if not (Obs.Tracing.is_enabled tracer) then
-        (* The untraced path is byte-for-byte the pre-tracing sequence. *)
-        let baseline =
-          Obs.Timer.time timer ~name:"baseline" (fun () ->
-              Simulator.run ~specs (cfg Strategy.Baseline))
-        in
-        let r =
-          Obs.Timer.time timer ~name:"simulate" (fun () ->
-              Simulator.run ~specs ?trace ?hooks ?sample cfg_s)
-        in
-        (baseline, r)
-      else begin
-        (* Traced: baseline and strategy run as two tasks of an observed
-           pool, so the trace shows genuine per-worker lanes, each
-           simulation with its own engine/GC counter tracks. The Timer is
-           not thread-safe, so tasks measure themselves and record after
-           the join. *)
-        Obs.Tracing.name_track tracer ~track:main_track "main";
-        let timed name f =
-          let t0 = Unix.gettimeofday () in
-          let v =
-            Obs.Tracing.span tracer ~cat:"phase" ~track:(Pool.current_worker ()) name f
-          in
-          (v, Unix.gettimeofday () -. t0)
-        in
-        let instrumented prefix runit =
-          (* The flush emits one final counter sample once the engine
-             drains, so short runs still get counter points. *)
-          let flush = ref (fun () -> ()) in
-          let on_engine engine =
-            flush :=
-              Obs.Tracing.instrument_engine tracer ~prefix
-                ~kinds:Cocheck_sim.Ev_kind.names engine
-          in
-          let r = runit ~on_engine in
-          !flush ();
-          r
-        in
-        let (baseline, baseline_s), (r, simulate_s) =
-          Pool.with_pool ~num_domains:2
-            ~telemetry:(Obs.Tracing.pool_telemetry tracer ?registry ())
-            (fun pool ->
-              let fb =
-                Pool.async pool (fun () ->
-                    timed "baseline" (fun () ->
-                        instrumented "baseline" (fun ~on_engine ->
-                            Simulator.run ~specs ~on_engine (cfg Strategy.Baseline))))
-              in
-              let fr =
-                Pool.async pool (fun () ->
-                    timed "simulate" (fun () ->
-                        instrumented (Strategy.name strategy) (fun ~on_engine ->
-                            Simulator.run ~specs ?trace ?hooks ?sample ~on_engine cfg_s)))
-              in
-              let b = Pool.await fb in
-              let r = Pool.await fr in
-              (b, r))
-        in
-        Obs.Timer.record timer ~name:"baseline" ~seconds:baseline_s;
-        Obs.Timer.record timer ~name:"simulate" ~seconds:simulate_s;
-        (baseline, r)
-      end
+    (* Baseline and strategy run as two tasks of one pool. When profiled,
+       the trace shows them as per-worker lanes, each simulation with its
+       own engine/GC counter tracks; unprofiled, every hook is a no-op.
+       The Timer is not thread-safe, so tasks measure themselves and
+       record after the join. *)
+    Obs.Tracing.name_track tracer ~track:main_track "main";
+    let timed name f =
+      let t0 = Unix.gettimeofday () in
+      let v = Obs.Tracing.span tracer ~cat:"phase" ~track:(Pool.current_worker ()) name f in
+      (v, Unix.gettimeofday () -. t0)
     in
+    let instrumented prefix runit =
+      (* The flush emits one final counter sample once the engine drains,
+         so short runs still get counter points. *)
+      let flush = ref (fun () -> ()) in
+      let on_engine engine =
+        flush :=
+          Obs.Tracing.instrument_engine tracer ~prefix ~kinds:Cocheck_sim.Ev_kind.names
+            engine
+      in
+      let r = runit ~on_engine in
+      !flush ();
+      r
+    in
+    let (baseline, baseline_s), (r, simulate_s) =
+      Pool.with_pool ~num_domains:2
+        ~telemetry:(Obs.Tracing.pool_telemetry tracer ?registry:recs.registry ())
+        (fun pool ->
+          let fb =
+            Pool.async pool (fun () ->
+                timed "baseline" (fun () ->
+                    instrumented "baseline" (fun ~on_engine ->
+                        Simulator.run ~specs ~on_engine (config Strategy.Baseline))))
+          in
+          let fr =
+            Pool.async pool (fun () ->
+                timed "simulate" (fun () ->
+                    instrumented (Strategy.name strategy) (fun ~on_engine ->
+                        Simulator.run ~specs ?trace:recs.trace ?hooks:recs.hooks
+                          ?sample:recs.sample ~on_engine cfg)))
+          in
+          let b = Pool.await fb in
+          let r = Pool.await fr in
+          (b, r))
+    in
+    Obs.Timer.record timer ~name:"baseline" ~seconds:baseline_s;
+    Obs.Timer.record timer ~name:"simulate" ~seconds:simulate_s;
+    let waste_ratio = Simulator.waste_ratio ~strategy:r ~baseline in
     Format.printf "strategy: %s@." (Strategy.name strategy);
-    Format.printf "waste ratio: %.4f (efficiency %.4f)@."
-      (Simulator.waste_ratio ~strategy:r ~baseline)
+    Format.printf "waste ratio: %.4f (efficiency %.4f)@." waste_ratio
       (Simulator.efficiency ~strategy:r ~baseline);
     Format.printf
       "jobs: %d generated, %d started, %d completed; failures hitting jobs: %d; restarts: %d@."
@@ -395,30 +457,9 @@ let run_cmd =
           Format.printf "%s: %d restarts, %.3g node-seconds rolled back@." name restarts
             lost)
       r.restarts_by_class r.lost_work_by_class;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        Obs.Export.write_jsonl oc (Option.get trace);
-        close_out oc;
-        Format.printf "wrote %s@." path)
-      trace_out;
-    Option.iter
-      (fun path ->
-        write_out (Some path) (Obs.Series.to_csv (Option.get series)))
-      series_out;
-    Option.iter
-      (fun path ->
-        let extra =
-          [
-            ( "waste_ratio",
-              Obs.Json.Float (Simulator.waste_ratio ~strategy:r ~baseline) );
-          ]
-        in
-        Obs.Manifest.write ~path
-          (Obs.Manifest.make ~cfg:cfg_s ~timer ~result:r
-             ?registry ~extra ());
-        Format.printf "wrote %s@." path)
-      manifest_out;
+    write_outputs outputs recs ~cfg ~timer ~result:r
+      ~extra:[ ("waste_ratio", Obs.Json.Float waste_ratio) ]
+      ();
     Option.iter
       (fun path ->
         Obs.Tracing.write ~path ~process_name:"simctl run" tracer;
@@ -428,9 +469,8 @@ let run_cmd =
       perfetto_out
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a single simulation and print its waste breakdown.")
-    Term.(const action $ strategy_t $ bandwidth_t $ mtbf_years_t $ seed_t $ days_t
-          $ prospective_t $ failure_dist_t $ alpha_t $ multilevel_t $ hierarchy_t
-          $ trace_out_t $ series_out_t $ manifest_out_t $ sample_dt_t $ perfetto_out_t)
+    Term.(const action $ strategy_t $ scenario_t $ seed_t $ days_t 60.0 $ outputs_t
+          $ perfetto_out_t)
 
 (* ------------------------------------------------------------------ *)
 (* figures                                                              *)
@@ -452,7 +492,7 @@ let fig1_cmd =
              ?manifest_dir ()))
   in
   Cmd.v (Cmd.info "fig1" ~doc:"Waste ratio vs bandwidth (paper Figure 1).")
-    Term.(const action $ reps_t 100 $ seed_t $ days_t $ mtbf_years_t $ out_t $ domains_t
+    Term.(const action $ reps_t 100 $ seed_t $ days_t 60.0 $ mtbf_years_t $ out_t $ domains_t
           $ manifest_dir_t)
 
 let strategies_t =
@@ -471,7 +511,7 @@ let fig2_cmd =
              ?manifest_dir ()))
   in
   Cmd.v (Cmd.info "fig2" ~doc:"Waste ratio vs node MTBF (paper Figure 2).")
-    Term.(const action $ reps_t 100 $ seed_t $ days_t $ bandwidth_t $ out_t $ domains_t
+    Term.(const action $ reps_t 100 $ seed_t $ days_t 60.0 $ bandwidth_t $ out_t $ domains_t
           $ manifest_dir_t $ strategies_t)
 
 let fig3_cmd =
@@ -480,10 +520,7 @@ let fig3_cmd =
         finish_figure out (E.Fig3.run ~pool ~reps ~seed ~days ()))
   in
   Cmd.v (Cmd.info "fig3" ~doc:"Min bandwidth for 80% efficiency (paper Figure 3).")
-    Term.(const action $ reps_t 5 $ seed_t
-          $ Arg.(value & opt float 20.0 & info [ "days" ] ~docv:"DAYS"
-                   ~doc:"Segment length per probe.")
-          $ out_t $ domains_t)
+    Term.(const action $ reps_t 5 $ seed_t $ days_t 20.0 $ out_t $ domains_t)
 
 let table1_cmd =
   let action () = print_string (E.Table1.render ()) in
@@ -491,32 +528,27 @@ let table1_cmd =
     Term.(const action $ const ())
 
 let bound_cmd =
-  let action bandwidth mtbf_years prospective =
-    let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
-    let classes =
-      if prospective then Apex.scaled_workload ~target:platform else Apex.lanl_workload
-    in
+  let action platform =
+    let classes = Apex.default_workload platform in
     let counts = Waste.steady_state_counts ~classes ~platform in
     let r = Lower_bound.solve_model ~classes:counts ~platform () in
     Format.printf "%a@." Platform.pp platform;
     Format.printf "lambda: %.6g@." r.Lower_bound.lambda;
     Format.printf "I/O fraction F: %.4f@." r.io_fraction;
     Format.printf "waste lower bound: %.4f (efficiency %.4f)@." r.waste (1.0 -. r.waste);
-    List.iteri
-      (fun i ((_, c), (p, pd)) ->
-        ignore i;
+    List.iter
+      (fun ((_, c), (p, pd)) ->
         Format.printf "  %-10s P_opt = %8.0f s   P_Daly = %8.0f s@."
           c.Cocheck_model.App_class.name p pd)
       (List.combine counts (List.combine r.periods r.daly_periods))
   in
   Cmd.v
     (Cmd.info "bound" ~doc:"Theorem 1 lower bound and optimal periods for a platform.")
-    Term.(const action $ bandwidth_t $ mtbf_years_t $ prospective_t)
+    Term.(const action $ platform_t)
 
 let trace_cmd =
-  let action strategy bandwidth mtbf_years seed days prospective limit job =
-    let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
-    let cfg = Config.make ~platform ~strategy ~seed ~days () in
+  let action strategy platform seed days limit job =
+    let cfg = single_run ~strategy ~seed ~days platform strategy in
     let trace = Cocheck_sim.Trace.create () in
     let r = Simulator.run ~trace cfg in
     Format.printf
@@ -533,13 +565,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Run a short simulation and dump its structured event log.")
-    Term.(const action
-          $ Arg.(value & opt strategy_conv Strategy.Least_waste
-                 & info [ "strategy"; "s" ] ~docv:"STRATEGY" ~doc:"Strategy to trace.")
-          $ bandwidth_t $ mtbf_years_t $ seed_t
-          $ Arg.(value & opt float 3.0 & info [ "days" ] ~docv:"DAYS"
-                   ~doc:"Segment length (keep small: traces are verbose).")
-          $ prospective_t
+    Term.(const action $ strategy_t $ platform_flags_t $ seed_t $ days_t 3.0
           $ Arg.(value & opt int 200 & info [ "limit" ] ~docv:"N"
                    ~doc:"Maximum events to print.")
           $ Arg.(value & opt (some int) None & info [ "job" ] ~docv:"JOB"
@@ -595,22 +621,18 @@ let ablation_cmd =
   Cmd.v
     (Cmd.info "ablation" ~doc:"Ablation studies: failure law, interference model, \
                                burst buffer, period scaling.")
-    Term.(const action $ which_t $ reps_t 8 $ seed_t
-          $ Arg.(value & opt float 20.0 & info [ "days" ] ~docv:"DAYS"
-                   ~doc:"Segment length per run.")
-          $ domains_t)
+    Term.(const action $ which_t $ reps_t 8 $ seed_t $ days_t 20.0 $ domains_t)
 
 let timeline_cmd =
-  let action strategy bandwidth mtbf_years seed days prospective buckets =
-    let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
-    let cfg = Config.make ~platform ~strategy ~seed ~days () in
+  let action strategy platform seed days buckets =
+    let cfg = single_run ~strategy ~seed ~days platform strategy in
     let trace = Cocheck_sim.Trace.create ~capacity:2_000_000 () in
     let r = Simulator.run ~trace cfg in
     let tl =
-      E.Timeline.build ~trace ~total_nodes:platform.Platform.nodes ~horizon:cfg.horizon
+      E.Timeline.build ~trace ~total_nodes:cfg.platform.Platform.nodes ~horizon:cfg.horizon
         ~buckets ()
     in
-    Format.printf "%a — %s, %d jobs started, %d restarts@.@." Platform.pp platform
+    Format.printf "%a — %s, %d jobs started, %d restarts@.@." Platform.pp cfg.platform
       (Strategy.name strategy) r.Simulator.jobs_started r.restarts;
     print_string (E.Timeline.render tl)
   in
@@ -618,13 +640,7 @@ let timeline_cmd =
     (Cmd.info "timeline"
        ~doc:"Run a simulation and render the node-utilization timeline (dips = failure \
              kills and drain effects).")
-    Term.(const action
-          $ Arg.(value & opt strategy_conv Strategy.Least_waste
-                 & info [ "strategy"; "s" ] ~docv:"STRATEGY" ~doc:"Strategy to run.")
-          $ bandwidth_t $ mtbf_years_t $ seed_t
-          $ Arg.(value & opt float 10.0 & info [ "days" ] ~docv:"DAYS"
-                   ~doc:"Segment length.")
-          $ prospective_t
+    Term.(const action $ strategy_t $ platform_flags_t $ seed_t $ days_t 10.0
           $ Arg.(value & opt int 48 & info [ "buckets" ] ~docv:"N"
                    ~doc:"Time buckets to render."))
 
@@ -639,10 +655,7 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Verify the paper's qualitative claims (strategy orderings, crossovers, \
              bound tracking) against a reduced Monte Carlo. Exits non-zero on failure.")
-    Term.(const action $ reps_t 8 $ seed_t
-          $ Arg.(value & opt float 15.0 & info [ "days" ] ~docv:"DAYS"
-                   ~doc:"Segment length per run.")
-          $ domains_t)
+    Term.(const action $ reps_t 8 $ seed_t $ days_t 15.0 $ domains_t)
 
 let report_cmd =
   let action full seed out domains =
@@ -665,58 +678,26 @@ let report_cmd =
           $ seed_t $ out_t $ domains_t)
 
 let observe_cmd =
-  let action strategy bandwidth mtbf_years seed days prospective failure_dist alpha
-      multilevel hierarchy sample_dt trace_out series_out manifest_out =
-    let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
-    let cfg =
-      Config.make ~platform ~strategy ~seed ~days ~failure_dist
-        ~interference_alpha:alpha
-        ?multilevel:(ml_of multilevel hierarchy) ()
-    in
+  let action strategy scenario seed days outputs =
+    let cfg = single_run ~strategy ~seed ~days scenario strategy in
     let timer = Obs.Timer.create () in
-    let registry = Obs.Histogram.registry () in
-    let hooks = Obs.Instrument.standard registry in
-    let dt =
-      match sample_dt with Some d -> d | None -> Obs.Sampler.default_dt cfg
-    in
-    let series, observe = Obs.Sampler.create () in
-    let trace =
-      Option.map (fun _ -> Cocheck_sim.Trace.create ~capacity:2_000_000 ()) trace_out
-    in
+    let recs = recorders ~always:true outputs cfg in
     let r =
       Obs.Timer.time timer ~name:"simulate" (fun () ->
-          Simulator.run ?trace ~hooks ~sample:(dt, observe) cfg)
+          Simulator.run ?trace:recs.trace ?hooks:recs.hooks ?sample:recs.sample cfg)
     in
-    print_string (Obs.Dashboard.render ~cfg ~result:r ~series ~registry ());
+    print_string
+      (Obs.Dashboard.render ~cfg ~result:r ~series:(Option.get recs.series)
+         ~registry:(Option.get recs.registry) ());
     print_newline ();
     print_string (Obs.Timer.render timer);
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        Obs.Export.write_jsonl oc (Option.get trace);
-        close_out oc;
-        Format.printf "wrote %s@." path)
-      trace_out;
-    Option.iter (fun path -> write_out (Some path) (Obs.Series.to_csv series)) series_out;
-    Option.iter
-      (fun path ->
-        Obs.Manifest.write ~path
-          (Obs.Manifest.make ~cfg ~timer ~result:r ~registry ());
-        Format.printf "wrote %s@." path)
-      manifest_out
+    write_outputs outputs recs ~cfg ~timer ~result:r ()
   in
   Cmd.v
     (Cmd.info "observe"
        ~doc:"Run one instrumented simulation and render an ASCII dashboard: headline \
              metrics, waste breakdown, platform sparklines, latency histograms.")
-    Term.(const action
-          $ Arg.(value & opt strategy_conv Strategy.Least_waste
-                 & info [ "strategy"; "s" ] ~docv:"STRATEGY" ~doc:"Strategy to observe.")
-          $ bandwidth_t $ mtbf_years_t $ seed_t
-          $ Arg.(value & opt float 10.0 & info [ "days" ] ~docv:"DAYS"
-                   ~doc:"Segment length.")
-          $ prospective_t $ failure_dist_t $ alpha_t $ multilevel_t $ hierarchy_t
-          $ sample_dt_t $ trace_out_t $ series_out_t $ manifest_out_t)
+    Term.(const action $ strategy_t $ scenario_t $ seed_t $ days_t 10.0 $ outputs_t)
 
 (* ------------------------------------------------------------------ *)
 (* bench-diff                                                           *)
@@ -894,16 +875,8 @@ let campaign_run_cmd =
   in
   let values_t =
     Arg.(value & opt (list ~sep:',' float) [] & info [ "values" ] ~docv:"V1,V2,..."
-           ~doc:"Axis values (years for --axis mtbf, GB/s for --axis bandwidth).")
-  in
-  let failure_dist_opt_t =
-    Arg.(value & opt (some failure_dist_conv) None & info [ "failure-dist" ] ~docv:"DIST"
-           ~doc:"Failure inter-arrival law: exponential, weibull:<shape>, \
-                 lognormal:<sigma>.")
-  in
-  let alpha_opt_t =
-    Arg.(value & opt (some float) None & info [ "alpha" ] ~docv:"ALPHA"
-           ~doc:"Adversarial interference factor.")
+           ~doc:"Axis values (years for --axis mtbf, GB/s for --axis bandwidth and \
+                 --axis flush).")
   in
   let save_spec_t =
     Arg.(value & opt (some string) None & info [ "save-spec" ] ~docv:"FILE"
@@ -924,14 +897,12 @@ let campaign_run_cmd =
                  spans — and write Chrome trace_event JSON to $(docv) for \
                  ui.perfetto.dev.")
   in
-  let action spec_file name axis values bandwidth mtbf_years prospective strategies reps
-      seed days failure_dist alpha multilevel hierarchy store save_spec out domains
-      progress trace_out =
+  let action spec_file name axis values scenario strategies reps seed days store save_spec
+      out domains progress trace_out =
     let spec =
       match spec_file with
       | Some path -> load_spec path
-      | None -> (
-          let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
+      | None ->
           let axis =
             match axis with
             | `None -> E.Spec.No_sweep
@@ -940,13 +911,7 @@ let campaign_run_cmd =
             | `Flush -> E.Spec.Flush_gbs values
           in
           let strategies = Option.value strategies ~default:Strategy.paper_seven in
-          try
-            E.Spec.make ~name ~platform ~strategies ~axis ~reps ~seed ~days ?failure_dist
-              ?interference_alpha:alpha
-              ?multilevel:(ml_of multilevel hierarchy) ()
-          with Invalid_argument m ->
-            Format.eprintf "error: invalid campaign: %s@." m;
-            exit 1)
+          scenario_spec ~what:"campaign" ~name ~axis ~strategies ~reps ~seed ~days scenario
     in
     Option.iter
       (fun path ->
@@ -957,10 +922,6 @@ let campaign_run_cmd =
       match trace_out with
       | None -> Obs.Tracing.disabled
       | Some _ -> Obs.Tracing.create ()
-    in
-    let telemetry =
-      if Obs.Tracing.is_enabled tracer then Some (Obs.Tracing.pool_telemetry tracer ())
-      else None
     in
     let progress_oc = Option.map open_out progress in
     let on_progress =
@@ -973,7 +934,7 @@ let campaign_run_cmd =
           flush oc)
         progress_oc
     in
-    with_pool ?telemetry domains (fun pool ->
+    with_pool ~telemetry:(Obs.Tracing.pool_telemetry tracer ()) domains (fun pool ->
         let store = Option.map E.Store.open_ store in
         let o = E.Runner.run ~pool ?store ~tracer ?on_progress spec in
         let cells, strategies, reps = campaign_counts spec in
@@ -1003,10 +964,8 @@ let campaign_run_cmd =
     (Cmd.info "run"
        ~doc:"Execute a declarative campaign (from --spec or from flags), resuming from \
              the results store when one is given.")
-    Term.(const action $ spec_file_t $ name_t $ axis_t $ values_t $ bandwidth_t
-          $ mtbf_years_t $ prospective_t $ strategies_t $ reps_t 100 $ seed_t $ days_t
-          $ failure_dist_opt_t $ alpha_opt_t $ multilevel_t $ hierarchy_t
-          $ store_t $ save_spec_t $ out_t $ domains_t $ progress_out_t
+    Term.(const action $ spec_file_t $ name_t $ axis_t $ values_t $ scenario_t
+          $ strategies_t $ reps_t 100 $ seed_t $ days_t 60.0 $ store_t $ save_spec_t $ out_t $ domains_t $ progress_out_t
           $ campaign_trace_out_t)
 
 let campaign_status_cmd =
@@ -1269,12 +1228,8 @@ let query_cmd =
       Term.(const action $ socket_t $ port_t $ query_spec_req_t)
   in
   let platform_q name ~doc mk =
-    let action socket port bandwidth mtbf_years prospective =
-      let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
-      query_one ~socket ~port (mk platform)
-    in
-    Cmd.v (Cmd.info name ~doc)
-      Term.(const action $ socket_t $ port_t $ bandwidth_t $ mtbf_years_t $ prospective_t)
+    let action socket port platform = query_one ~socket ~port (mk platform) in
+    Cmd.v (Cmd.info name ~doc) Term.(const action $ socket_t $ port_t $ platform_t)
   in
   Cmd.group
     (Cmd.info "query"

@@ -22,9 +22,8 @@ let () =
   Format.printf "Burst buffer: 1 TB/s write bandwidth, capacity swept below.@.@.";
   let strategy = Strategy.Least_waste in
   let run burst_buffer =
-    let cfg s =
-      Config.make ~platform ~strategy:s ~seed:11 ~days:15.0 ?burst_buffer ()
-    in
+    let multilevel = Option.map (fun bb -> Config.with_burst_buffer bb None) burst_buffer in
+    let cfg s = Config.make ~platform ~strategy:s ~seed:11 ~days:15.0 ?multilevel () in
     let specs = Simulator.generate_specs (cfg Strategy.Baseline) in
     let baseline = Simulator.run ~specs (cfg Strategy.Baseline) in
     let r = Simulator.run ~specs (cfg strategy) in

@@ -336,12 +336,10 @@ let strategy_series o =
       })
     o.spec.Spec.strategies
 
-let default_classes platform =
-  if platform.Platform.name = "Cielo" then Apex.lanl_workload
-  else Apex.scaled_workload ~target:platform
-
 let theoretical_waste ~platform ?classes () =
-  let classes = match classes with Some cs -> cs | None -> default_classes platform in
+  let classes =
+    match classes with Some cs -> cs | None -> Apex.default_workload platform
+  in
   let counts = Waste.steady_state_counts ~classes ~platform in
   (Lower_bound.solve_model ~classes:counts ~platform ()).Lower_bound.waste
 

@@ -63,12 +63,8 @@ let rec admit t pts =
   else if Atomic.compare_and_set t.inflight cur (cur + pts) then true
   else admit t pts
 
-let default_classes platform =
-  if platform.Platform.name = "Cielo" then Apex.lanl_workload
-  else Apex.scaled_workload ~target:platform
-
 let solve_bound platform =
-  let classes = default_classes platform in
+  let classes = Apex.default_workload platform in
   let counts = Waste.steady_state_counts ~classes ~platform in
   Lower_bound.solve_model ~classes:counts ~platform ()
 

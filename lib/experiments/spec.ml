@@ -29,56 +29,6 @@ type t = {
   multilevel : Config.multilevel option;
 }
 
-let validate t =
-  if t.strategies = [] then invalid_arg "Spec: empty strategy set";
-  if t.reps <= 0 then invalid_arg "Spec: reps must be positive";
-  if t.days <= 0.0 then invalid_arg "Spec: days must be positive";
-  let check_axis what = function
-    | [] -> invalid_arg (Printf.sprintf "Spec: empty %s axis" what)
-    | vs ->
-        if List.exists (fun v -> v <= 0.0 || not (Float.is_finite v)) vs then
-          invalid_arg (Printf.sprintf "Spec: %s values must be positive" what)
-  in
-  Option.iter (fun bb -> ignore (Config.with_burst_buffer bb t.multilevel)) t.burst_buffer;
-  match t.axis with
-  | No_sweep -> ()
-  | Mtbf_years ys -> check_axis "MTBF" ys
-  | Bandwidth_gbs bs -> check_axis "bandwidth" bs
-  | Flush_gbs fs ->
-      check_axis "flush bandwidth" fs;
-      let has_buffer =
-        match t.multilevel with
-        | Some m ->
-            List.exists
-              (function Config.Buffer _ -> true | Config.Snapshot _ -> false)
-              m.Config.levels
-        | None -> false
-      in
-      if not has_buffer then
-        invalid_arg "Spec: flush-bandwidth axis needs a multilevel buffer level"
-
-let make ?(name = "campaign") ~platform ?classes ~strategies ?(axis = No_sweep)
-    ?(reps = 100) ?(seed = 42) ?(days = 60.0) ?failure_dist ?interference_alpha
-    ?burst_buffer ?multilevel () =
-  let t =
-    {
-      name;
-      platform;
-      classes;
-      strategies;
-      axis;
-      reps;
-      seed;
-      days;
-      failure_dist;
-      interference_alpha;
-      burst_buffer;
-      multilevel;
-    }
-  in
-  validate t;
-  t
-
 (* ------------------------------------------------------------------ *)
 (* Cell expansion                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -124,10 +74,70 @@ let config t ~cell ~strategy ~rep =
     | Flush_gbs _, Some f -> Option.map (fun m -> with_flush_gbs m f) t.multilevel
     | _ -> t.multilevel
   in
+  (* A spec may spell "no hierarchy" as an empty level list. *)
+  let multilevel = match multilevel with Some { Config.levels = [] } -> None | m -> m in
+  let multilevel =
+    match t.burst_buffer with
+    | None -> multilevel
+    | Some bb -> Some (Config.with_burst_buffer bb multilevel)
+  in
   Config.make ~platform:cell.platform ?classes:t.classes ~strategy
     ~seed:(rep_seed ~seed:t.seed ~rep) ~days:t.days ?failure_dist:t.failure_dist
-    ?interference_alpha:t.interference_alpha ?burst_buffer:t.burst_buffer
-    ?multilevel ()
+    ?interference_alpha:t.interference_alpha ?multilevel ()
+
+let validate t =
+  if t.strategies = [] then invalid_arg "Spec: empty strategy set";
+  if t.reps <= 0 then invalid_arg "Spec: reps must be positive";
+  if t.days <= 0.0 then invalid_arg "Spec: days must be positive";
+  let check_axis what = function
+    | [] -> invalid_arg (Printf.sprintf "Spec: empty %s axis" what)
+    | vs ->
+        if List.exists (fun v -> v <= 0.0 || not (Float.is_finite v)) vs then
+          invalid_arg (Printf.sprintf "Spec: %s values must be positive" what)
+  in
+  (match t.axis with
+  | No_sweep -> ()
+  | Mtbf_years ys -> check_axis "MTBF" ys
+  | Bandwidth_gbs bs -> check_axis "bandwidth" bs
+  | Flush_gbs fs ->
+      check_axis "flush bandwidth" fs;
+      let has_buffer =
+        match t.multilevel with
+        | Some m ->
+            List.exists
+              (function Config.Buffer _ -> true | Config.Snapshot _ -> false)
+              m.Config.levels
+        | None -> false
+      in
+      if not has_buffer then
+        invalid_arg "Spec: flush-bandwidth axis needs a multilevel buffer level");
+  (* The knobs are checked by the rules that will run them: every cell's
+     configuration is built once. *)
+  List.iter
+    (fun cell -> ignore (config t ~cell ~strategy:(List.hd t.strategies) ~rep:0))
+    (cells t)
+
+let make ?(name = "campaign") ~platform ?classes ~strategies ?(axis = No_sweep)
+    ?(reps = 100) ?(seed = 42) ?(days = 60.0) ?failure_dist ?interference_alpha
+    ?burst_buffer ?multilevel () =
+  let t =
+    {
+      name;
+      platform;
+      classes;
+      strategies;
+      axis;
+      reps;
+      seed;
+      days;
+      failure_dist;
+      interference_alpha;
+      burst_buffer;
+      multilevel;
+    }
+  in
+  validate t;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                        *)

@@ -60,8 +60,11 @@ val make :
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on an empty strategy set, non-positive reps
-    or days, an empty/non-positive axis, a [Flush_gbs] axis without a
-    multilevel buffer level to apply it to, or a [burst_buffer] that
+    or days, an empty/non-positive axis, or a [Flush_gbs] axis without a
+    multilevel buffer level to apply it to. The modelling knobs are checked
+    by building every cell's {!config}, so a spec is rejected exactly when
+    {!Cocheck_sim.Config} would reject one of its runs: a negative
+    interference alpha, an invalid level, or a [burst_buffer] that
     {!Cocheck_sim.Config.with_burst_buffer} rejects (non-positive, or
     beside buffer levels). *)
 
@@ -92,7 +95,10 @@ val rep_seed : seed:int -> rep:int -> int
 val config :
   t -> cell:cell -> strategy:Cocheck_core.Strategy.t -> rep:int -> Cocheck_sim.Config.t
 (** The exact simulator configuration of one (cell, strategy, replication)
-    point. *)
+    point. A [multilevel] with no levels means no hierarchy. A single run
+    is the one-cell ([No_sweep]), one-replication case:
+    [rep_seed ~seed ~rep:0 = seed], so replication 0 runs at the root
+    seed. *)
 
 (** {2 Serialization} *)
 

@@ -27,6 +27,10 @@ let scaled_workload ~target =
   let factor = float_of_int target.Platform.nodes /. float_of_int cielo_nodes in
   List.map (App_class.scale_nodes ~factor) lanl_workload
 
+let default_workload platform =
+  if platform.Platform.name = "Cielo" then lanl_workload
+  else scaled_workload ~target:platform
+
 let table1 =
   let open Cocheck_util in
   let t =

@@ -20,5 +20,10 @@ val scaled_workload : target:Platform.t -> App_class.t list
     workload keeps the same platform shares while footprints follow the
     target machine's memory. *)
 
+val default_workload : Platform.t -> App_class.t list
+(** The workload a platform runs when none is given: Cielo runs
+    {!lanl_workload} as measured, any other platform runs
+    {!scaled_workload} for itself. *)
+
 val table1 : Cocheck_util.Table.t
 (** Table 1 rendered verbatim (workload %, work time, cores, I/O sizes). *)

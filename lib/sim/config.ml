@@ -107,14 +107,10 @@ let with_burst_buffer bb multilevel =
 
 let make ~platform ?classes ~strategy ?(seed = 42) ?(days = 60.0) ?(fill_factor = 1.15)
     ?(with_failures = true) ?(failure_dist = Failure_trace.Exponential)
-    ?(interference_alpha = 0.0) ?burst_buffer ?multilevel () =
+    ?(interference_alpha = 0.0) ?multilevel () =
   let day = Cocheck_util.Units.day in
   let classes =
-    match classes with
-    | Some cs -> cs
-    | None ->
-        if platform.Platform.name = "Cielo" then Apex.lanl_workload
-        else Apex.scaled_workload ~target:platform
+    match classes with Some cs -> cs | None -> Apex.default_workload platform
   in
   let with_failures =
     match strategy with Cocheck_core.Strategy.Baseline -> false | _ -> with_failures
@@ -133,10 +129,7 @@ let make ~platform ?classes ~strategy ?(seed = 42) ?(days = 60.0) ?(fill_factor 
       with_failures;
       failure_dist;
       interference_alpha;
-      multilevel =
-        (match burst_buffer with
-        | None -> multilevel
-        | Some bb -> Some (with_burst_buffer bb multilevel));
+      multilevel;
     }
   in
   validate t;

@@ -76,7 +76,6 @@ val make :
   ?with_failures:bool ->
   ?failure_dist:Failure_trace.distribution ->
   ?interference_alpha:float ->
-  ?burst_buffer:burst_buffer ->
   ?multilevel:multilevel ->
   unit ->
   t
@@ -84,8 +83,8 @@ val make :
     (default 60) preceded and followed by one excluded day, so
     [min_duration_s = days + 2] days, [seg_start = 1] day,
     [seg_end = days + 1] days, [horizon = days + 2] days. [classes]
-    defaults to the APEX LANL workload scaled to the platform.
-    [burst_buffer] is desugared into [multilevel] by {!with_burst_buffer}.
+    defaults to {!Cocheck_model.Apex.default_workload}. A burst buffer is
+    passed as [~multilevel:(with_burst_buffer bb multilevel)].
     The Baseline strategy forces [with_failures = false]. *)
 
 val local_level :
@@ -102,4 +101,7 @@ val baseline_of : t -> t
     checkpoints, no interference) — the waste-ratio denominator run. *)
 
 val validate : t -> unit
-(** Raises [Invalid_argument] on inconsistent segments/horizons. *)
+(** Raises [Invalid_argument] on inconsistent segments/horizons, a negative
+    interference alpha or an invalid multilevel level (a non-positive
+    period, bandwidth or capacity, a survival fraction outside \[0, 1\],
+    or a snapshot level after a buffer level). *)

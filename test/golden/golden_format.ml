@@ -15,8 +15,8 @@ let days = 2.0
 let bandwidth_gbs = 40.0
 
 let config ?burst_buffer ~strategy ~seed () =
-  Config.make ~platform:(Platform.cielo ~bandwidth_gbs ()) ~strategy ~seed ~days ?burst_buffer
-    ()
+  let multilevel = Option.map (fun bb -> Config.with_burst_buffer bb None) burst_buffer in
+  Config.make ~platform:(Platform.cielo ~bandwidth_gbs ()) ~strategy ~seed ~days ?multilevel ()
 
 (* Cielo with a 400 TB / 1 TB/s burst buffer: at this scale jobs restart
    after a newer checkpoint has already drained to the PFS, so these blocks

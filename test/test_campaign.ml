@@ -220,6 +220,91 @@ let test_spec_validate () =
   rejects "Spec: bandwidth values must be positive" (fun () ->
       make ~axis:(E.Spec.Bandwidth_gbs [ 40.0; -1.0 ]) ())
 
+(* The knobs are checked by Config's own rules, so a spec that no run
+   could use is refused when it is decoded or made, not inside a pool
+   task. *)
+let test_spec_rejects_invalid_knobs () =
+  let base =
+    E.Spec.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+      ~strategies:[ Strategy.Least_waste ] ~reps:1 ~days:1.0 ()
+  in
+  let buffer ~bandwidth ~survival =
+    Config.Buffer
+      {
+        Config.bl_capacity_gb = 100.0;
+        bl_bandwidth_gbs = bandwidth;
+        bl_flush_gbs = None;
+        bl_survival = survival;
+      }
+  in
+  let cases =
+    [
+      ("negative alpha", { base with E.Spec.interference_alpha = Some (-1.0) });
+      ( "non-positive buffer bandwidth",
+        { base with multilevel = Some { Config.levels = [ buffer ~bandwidth:0.0 ~survival:1.0 ] } }
+      );
+      ( "buffer survival above 1",
+        { base with multilevel = Some { Config.levels = [ buffer ~bandwidth:10.0 ~survival:1.5 ] } }
+      );
+      ( "snapshot survival above 1",
+        {
+          base with
+          multilevel =
+            Some
+              (Config.local_level ~period_s:600.0 ~cost_s:5.0 ~recovery_s:10.0
+                 ~soft_fraction:1.5);
+        } );
+    ]
+  in
+  List.iter
+    (fun (what, (spec : E.Spec.t)) ->
+      (match E.Spec.of_json (E.Spec.to_json spec) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: the spec must not decode" what
+      | exception e -> Alcotest.failf "%s: decoder raised %s" what (Printexc.to_string e));
+      Alcotest.(check bool) (what ^ ": Spec.make raises") true
+        (match
+           E.Spec.make ~platform:spec.platform ?classes:spec.classes
+             ~strategies:spec.strategies ~reps:1 ~days:1.0
+             ?interference_alpha:spec.interference_alpha ?multilevel:spec.multilevel ()
+         with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    cases
+
+let test_empty_levels_are_no_hierarchy () =
+  let config multilevel =
+    let spec =
+      E.Spec.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+        ~strategies:[ Strategy.Least_waste ] ~reps:1 ~days:1.0 ?multilevel ()
+    in
+    E.Spec.config spec ~cell:(List.hd (E.Spec.cells spec)) ~strategy:Strategy.Least_waste
+      ~rep:0
+  in
+  Alcotest.(check bool) "same config as no multilevel" true
+    (config (Some { Config.levels = [] }) = config None)
+
+(* A single run is a one-cell, one-replication spec: replication 0 runs at
+   the root seed, so its configs (Baseline included) are the ones
+   Config.make builds from the same flags. *)
+let test_single_run_config () =
+  let platform = Platform.cielo ~bandwidth_gbs:40.0 () in
+  let multilevel =
+    Config.local_level ~period_s:600.0 ~cost_s:5.0 ~recovery_s:10.0 ~soft_fraction:0.6
+  in
+  let spec =
+    E.Spec.make ~name:"run" ~platform ~strategies:[ Strategy.Least_waste ] ~reps:1 ~seed:7
+      ~days:2.0 ~interference_alpha:0.5 ~multilevel ()
+  in
+  let cell = List.hd (E.Spec.cells spec) in
+  List.iter
+    (fun strategy ->
+      Alcotest.(check bool) (Strategy.name strategy) true
+        (E.Spec.config spec ~cell ~strategy ~rep:0
+        = Config.make ~platform ~strategy ~seed:7 ~days:2.0 ~interference_alpha:0.5
+            ~multilevel ()))
+    [ Strategy.Least_waste; Strategy.Baseline ]
+
 (* ------------------------------------------------------------------ *)
 (* Digests                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -805,6 +890,10 @@ let () =
             Alcotest.test_case "name strings accepted" `Quick
               test_spec_name_strings_accepted;
             Alcotest.test_case "validation" `Quick test_spec_validate;
+            Alcotest.test_case "invalid knobs rejected" `Quick test_spec_rejects_invalid_knobs;
+            Alcotest.test_case "empty level list is no hierarchy" `Quick
+              test_empty_levels_are_no_hierarchy;
+            Alcotest.test_case "single run config" `Quick test_single_run_config;
           ] );
       ( "digest",
         [

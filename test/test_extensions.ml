@@ -293,9 +293,10 @@ let tiny_platform =
 let bb_spec = { Config.capacity_gb = 64.0; bandwidth_gbs = 8.0 }
 
 let run_tiny ?burst_buffer strategy =
+  let multilevel = Option.map (fun bb -> Config.with_burst_buffer bb None) burst_buffer in
   let cfg s =
     Config.make ~platform:tiny_platform ~classes:[ tiny_class ] ~strategy:s ~seed:4
-      ~days:1.0 ~with_failures:false ?burst_buffer ()
+      ~days:1.0 ~with_failures:false ?multilevel ()
   in
   let specs = Simulator.generate_specs (cfg Strategy.Baseline) in
   let baseline = Simulator.run ~specs (cfg Strategy.Baseline) in
@@ -485,22 +486,21 @@ let test_multilevel_validation () =
        });
   Alcotest.(check bool) "burst_buffer rejected beside a buffer level" true
     (match
-       Config.make ~platform ~classes:[ tiny_class ] ~strategy:Strategy.Least_waste
-         ~burst_buffer:{ Config.capacity_gb = 64.0; bandwidth_gbs = 8.0 }
-         ~multilevel:
-           {
-             Config.levels =
-               [
-                 Config.Buffer
-                   {
-                     Config.bl_capacity_gb = 100.0;
-                     bl_bandwidth_gbs = 10.0;
-                     bl_flush_gbs = None;
-                     bl_survival = 1.0;
-                   };
-               ];
-           }
-         ()
+       Config.with_burst_buffer
+         { Config.capacity_gb = 64.0; bandwidth_gbs = 8.0 }
+         (Some
+            {
+              Config.levels =
+                [
+                  Config.Buffer
+                    {
+                      Config.bl_capacity_gb = 100.0;
+                      bl_bandwidth_gbs = 10.0;
+                      bl_flush_gbs = None;
+                      bl_survival = 1.0;
+                    };
+                ];
+            })
      with
     | exception Invalid_argument _ -> true
     | _ -> false)

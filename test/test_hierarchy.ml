@@ -480,16 +480,16 @@ let test_burst_buffer_desugars_to_buffer_level () =
       { Config.sl_period_s = 600.0; sl_cost_s = 5.0; sl_recovery_s = 30.0; sl_survival = 0.6 }
   in
   let buffer = Config.Buffer (lvl 30.0 10.0) in
-  let mk ?burst_buffer ?multilevel () =
+  let mk multilevel =
     Config.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
-      ~strategy:Strategy.Least_waste ~seed:3 ~days:1.0 ?burst_buffer ?multilevel ()
+      ~strategy:Strategy.Least_waste ~seed:3 ~days:1.0 ~multilevel ()
   in
   let bb = { Config.capacity_gb = 30.0; bandwidth_gbs = 10.0 } in
   checkb "alone: one buffer level" true
-    (mk ~burst_buffer:bb () = mk ~multilevel:{ Config.levels = [ buffer ] } ());
+    (mk (Config.with_burst_buffer bb None) = mk { Config.levels = [ buffer ] });
   checkb "after the snapshot levels" true
-    (mk ~burst_buffer:bb ~multilevel:{ Config.levels = [ snapshot ] } ()
-    = mk ~multilevel:{ Config.levels = [ snapshot; buffer ] } ())
+    (mk (Config.with_burst_buffer bb (Some { Config.levels = [ snapshot ] }))
+    = mk { Config.levels = [ snapshot; buffer ] })
 
 (* Storage-level differential: random write / abort / advance histories,
    with foreground PFS traffic for the drains to contend with, run through

@@ -327,10 +327,12 @@ let exotic_cfg () =
     ~fill_factor:1.25
     ~failure_dist:(Cocheck_sim.Failure_trace.Weibull { shape = 0.7 })
     ~interference_alpha:0.3
-    ~burst_buffer:{ Cocheck_sim.Config.capacity_gb = 1000.0; bandwidth_gbs = 2000.0 }
     ~multilevel:
-      (Config.local_level ~period_s:600.0 ~cost_s:5.0 ~recovery_s:30.0
-         ~soft_fraction:0.6)
+      (Config.with_burst_buffer
+         { Cocheck_sim.Config.capacity_gb = 1000.0; bandwidth_gbs = 2000.0 }
+         (Some
+            (Config.local_level ~period_s:600.0 ~cost_s:5.0 ~recovery_s:30.0
+               ~soft_fraction:0.6)))
     ()
 
 let test_manifest_config_roundtrip () =

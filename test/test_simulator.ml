@@ -462,9 +462,13 @@ let test_random_scenario_invariants =
                ~soft_fraction:0.5)
         else None
       in
+      let multilevel =
+        match burst_buffer with
+        | None -> multilevel
+        | Some bb -> Some (Config.with_burst_buffer bb multilevel)
+      in
       let cfg =
-        Config.make ~platform ~classes:[ klass ] ~strategy ~seed ~days:0.5
-          ?burst_buffer ?multilevel ()
+        Config.make ~platform ~classes:[ klass ] ~strategy ~seed ~days:0.5 ?multilevel ()
       in
       let a = Simulator.run cfg in
       let b = Simulator.run cfg in
