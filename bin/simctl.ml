@@ -504,10 +504,15 @@ let strategies_t =
                  arbitration policy against the paper's curves.")
 
 let fig2_cmd =
-  let action reps seed days bandwidth out domains manifest_dir strategies =
+  (* Unset leaves Fig2.run's own default, the paper's 40 GB/s, in force. *)
+  let bandwidth_t =
+    Arg.(value & opt (some float) None & info [ "bandwidth"; "b" ] ~docv:"GB_S"
+           ~doc:"Aggregate filesystem bandwidth in GB/s (default 40, as in the paper's Figure 2).")
+  in
+  let action reps seed days bandwidth_gbs out domains manifest_dir strategies =
     with_pool domains (fun pool ->
         finish_figure out
-          (E.Fig2.run ~pool ~bandwidth_gbs:bandwidth ?strategies ~reps ~seed ~days
+          (E.Fig2.run ~pool ?bandwidth_gbs ?strategies ~reps ~seed ~days
              ?manifest_dir ()))
   in
   Cmd.v (Cmd.info "fig2" ~doc:"Waste ratio vs node MTBF (paper Figure 2).")

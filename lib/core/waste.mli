@@ -1,8 +1,23 @@
 (** Analytic waste expressions of Section 4.
 
-    The waste of a job is the ratio of time spent on resilience operations
-    (checkpoints; and after each failure, recovery plus lost-work
-    re-execution) to the time spent doing useful work. *)
+    Waste is a fraction of wall time: of the time a job (or the platform)
+    is enrolled, the share spent on resilience operations — checkpoints,
+    and after each failure, recovery plus lost-work re-execution — rather
+    than on useful work. Efficiency is [1 − waste].
+
+    Equation (3) ({!job_waste}) is the first-order expansion of that
+    fraction, and {!platform_waste} and the Theorem 1 bound inherit its
+    meaning. Resilience time over useful time is a different quantity,
+    [W / (1 − W)], equal to the fraction only to first order. The
+    simulator measures the fraction: [Cocheck_sim.Simulator.waste_ratio]
+    divides wasted node-seconds by the useful node-seconds of a
+    failure-free, checkpoint-free Baseline run, which are its enrolled
+    node-seconds.
+
+    Example: one class, [C = R = 179 s], [µ_i = 35 259 s], period
+    [P = √(2 µ_i C)], exponential failures. The exact time fraction is
+    0.1020, Equation (3) gives 0.1058, and resilience over useful time is
+    0.1136. *)
 
 val job_waste : ckpt_s:float -> period_s:float -> recovery_s:float -> mtbf_s:float -> float
 (** Equation (3) in per-job-MTBF form:

@@ -99,7 +99,7 @@ let kill_inst w inst =
   in
   let remaining = Float.max 0.0 (inst.total_work -. base) in
   w.restarts <- w.restarts + 1;
-  w.queue <-
+  Submit_queue.push_front w.queue
     {
       e_spec = inst.spec;
       e_remaining = remaining;
@@ -110,8 +110,7 @@ let kill_inst w inst =
            | Some h -> Ckpt_hierarchy.has_any_copy h ~owner:inst.spec.Jobgen.id
            | None -> true);
       e_restarts = inst.restarts + 1;
-    }
-    :: w.queue;
+    };
   (* All events cancelled, flows aborted, requests withdrawn, and the
      requeue entry copied out: the record can host the next start — often
      the restart [try_start] is about to launch on the just-freed nodes. *)

@@ -5,44 +5,19 @@ module Io = Io_subsystem
 module Interval_ledger = Cocheck_util.Interval_ledger
 
 let rec try_start w =
-  (* Greedy first-fit over the priority-ordered queue: start every entry
-     that fits in the currently free nodes. Explicit recursion fixes the
-     left-to-right evaluation the allocation side effects rely on.
-
-     [alloc] succeeds exactly when the count fits the free total (grants
-     need not be contiguous), which licenses two allocation-free fast
-     paths: the startable head prefix is consumed by popping — the common
-     shape after a kill, where the requeued head restarts on the nodes it
-     just released — and the tail is rebuilt cons by cons only when a
-     side-effect-free scan finds a deeper entry that fits. *)
-  match w.queue with
-  | entry :: rest when entry.e_spec.Jobgen.nodes <= Node_pool.free_count w.pool -> (
+  (* Greedy first-fit over the priority-ordered queue: start, one at a
+     time, the highest-priority entry that fits in the currently free
+     nodes. Starting only shrinks the free count, so this is one pass over
+     the queue in priority order. [alloc] succeeds exactly when the count
+     fits the free total (grants need not be contiguous). *)
+  match Submit_queue.pop_first_fit w.queue ~free:(Node_pool.free_count w.pool) with
+  | None -> ()
+  | Some entry -> (
       match Node_pool.alloc w.pool ~job:(live_peek w.live) ~count:entry.e_spec.Jobgen.nodes with
       | None -> assert false
       | Some nodes ->
-          w.queue <- rest;
           start_instance w entry nodes;
           try_start w)
-  | [] | _ :: _ ->
-      let rec fits free = function
-        | [] -> false
-        | entry :: rest -> entry.e_spec.Jobgen.nodes <= free || fits free rest
-      in
-      let backfill = match w.queue with [] -> false | _ :: rest -> fits (Node_pool.free_count w.pool) rest in
-      if backfill then begin
-        let rec go acc = function
-          | [] -> List.rev acc
-          | entry :: rest -> (
-              match
-                Node_pool.alloc w.pool ~job:(live_peek w.live) ~count:entry.e_spec.Jobgen.nodes
-              with
-              | None -> go (entry :: acc) rest
-              | Some nodes ->
-                  start_instance w entry nodes;
-                  go acc rest)
-        in
-        w.queue <- go [] w.queue
-      end
 
 and start_instance w entry nodes =
 

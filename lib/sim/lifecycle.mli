@@ -3,8 +3,11 @@
     the compute clock, and completion. *)
 
 val try_start : Sim_types.w -> unit
-(** Greedy first-fit pass over the priority-ordered submission queue:
-    start every entry that fits in the currently free nodes. *)
+(** Greedy first-fit pass over the submission queue: start every entry
+    that fits in the currently free nodes, in priority order. Each step
+    pops the highest-priority entry among the per-node-count stacks of
+    {!Submit_queue} that fit, so a pass costs O(distinct job sizes) per
+    start plus one final miss, independent of the queue's depth. *)
 
 val start_compute : Sim_types.w -> Sim_types.inst -> unit
 (** (Re)enter the computing state and arm the work-completion event for

@@ -163,9 +163,9 @@ type live_slots = {
 let live_slots_create () = { lv = [||]; lv_free = [||]; lv_free_n = 0; lv_next = 0 }
 
 (* The slot id the next [live_commit] will assign. Peek and commit are
-   split because the id must be known at [Node_pool.alloc] time, yet the
-   allocation can still fail (the backfill scan) — a failed alloc must not
-   consume the slot. No allocate-or-free runs between the two. *)
+   split because the id must be known at [Node_pool.alloc] time, before
+   {!Lifecycle.start_instance} has built the instance record the slot
+   holds. No allocate-or-free runs between the two. *)
 let[@inline] live_peek p = if p.lv_free_n > 0 then p.lv_free.(p.lv_free_n - 1) else p.lv_next
 
 let live_commit p (i : inst) =
@@ -283,7 +283,7 @@ type w = {
   arbiter : arbiter;
   req_free : req_free;  (* retired request records, shared with [arbiter] *)
   inst_free : inst_free;  (* retired instance records *)
-  mutable queue : entry list;  (* priority order: restarts first *)
+  queue : entry Submit_queue.t;  (* restarts ahead of every earlier entry *)
   insts : (int, inst) Hashtbl.t;
   live : live_slots;  (* node-holding instances by grant slot, for failure lookup *)
   hier : Ckpt_hierarchy.t option;  (* buffer levels of [cfg.multilevel] *)

@@ -99,7 +99,7 @@ let snapshot_of w =
     snap_time = now w;
     free_nodes = Node_pool.free_count w.pool;
     used_nodes = Node_pool.used_count w.pool;
-    queued_jobs = List.length w.queue;
+    queued_jobs = Submit_queue.length w.queue;
     running_insts = Hashtbl.length w.insts;
     computing = !computing;
     in_io = !in_io;
@@ -249,7 +249,8 @@ let run ?specs ?trace ?hooks ?sample ?on_engine (cfg : Config.t) =
       inst_free = inst_free_create ();
       live = live_slots_create ();
       queue =
-        Array.to_list
+        Submit_queue.of_array
+          ~nodes:(fun e -> e.e_spec.Jobgen.nodes)
           (Array.map
              (fun s ->
                {

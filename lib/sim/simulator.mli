@@ -109,8 +109,15 @@ val run :
     the same engine calendar. *)
 
 val waste_ratio : strategy:result -> baseline:result -> float
-(** Section 6's headline metric: strategy waste over baseline useful work,
-    both within the measurement segment. *)
+(** Section 6's headline metric: the strategy's wasted node-seconds over
+    the Baseline's useful node-seconds, both within the measurement
+    segment. The Baseline runs without failures or checkpoints and its
+    transfers are unshared, so all its enrolled node-seconds are useful:
+    the denominator is the machine time the jobs occupy, and the ratio
+    is a fraction of wall time (1 − efficiency). That is the quantity
+    {!Cocheck_core.Waste}'s Equation (3), its platform form and the
+    Theorem 1 bound approximate to first order. It is not resilience time
+    over useful time, which would be [W / (1 − W)]. *)
 
 val efficiency : strategy:result -> baseline:result -> float
 (** [1 − waste_ratio] (the 80 %-efficiency target of Figure 3 is in these
