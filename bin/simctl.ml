@@ -285,18 +285,40 @@ let perfetto_out_t =
    0..n-1, so the orchestrator sits on a high track id. *)
 let main_track = 1000
 
-let write_out path contents =
-  match path with
-  | None -> ()
-  | Some p ->
-      let oc = open_out p in
+(* An output file that cannot be written is an error message and exit 1,
+   not an uncaught [Sys_error]. *)
+let writing path f =
+  try f ()
+  with Sys_error msg ->
+    (* The message reads "PATH: reason" when the path is at fault. *)
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    in
+    Format.eprintf "error: cannot write %s: %s@." path reason;
+    exit 1
+
+(* Open every requested output once before any simulation runs, so a bad
+   path fails fast. Appending leaves an existing file as it is. *)
+let check_writable paths =
+  List.iter
+    (Option.iter (fun p ->
+         writing p (fun () ->
+             close_out (open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 p))))
+    paths
+
+let write_file path contents =
+  writing path (fun () ->
+      let oc = open_out path in
       output_string oc contents;
-      close_out oc;
-      Format.printf "wrote %s@." p
+      close_out oc);
+  Format.printf "wrote %s@." path
 
 let finish_figure out fig =
   print_string (E.Figures.render fig);
-  write_out out (E.Figures.to_csv fig)
+  Option.iter (fun path -> write_file path (E.Figures.to_csv fig)) out
 
 type outputs = {
   trace_out : string option;
@@ -310,6 +332,8 @@ let outputs_t =
     { trace_out; series_out; manifest_out; sample_dt }
   in
   Term.(const make $ trace_out_t $ series_out_t $ manifest_out_t $ sample_dt_t)
+
+let output_paths o = [ o.trace_out; o.series_out; o.manifest_out ]
 
 (* What a run records beside its result: only what an output asks for,
    unless [always] (the dashboard shows the series and histograms). *)
@@ -343,18 +367,20 @@ let recorders ~always o cfg =
 let write_outputs o recs ~cfg ~timer ~result ?extra () =
   Option.iter
     (fun path ->
-      let oc = open_out path in
-      Obs.Export.write_jsonl oc (Option.get recs.trace);
-      close_out oc;
+      writing path (fun () ->
+          let oc = open_out path in
+          Obs.Export.write_jsonl oc (Option.get recs.trace);
+          close_out oc);
       Format.printf "wrote %s@." path)
     o.trace_out;
   Option.iter
-    (fun path -> write_out (Some path) (Obs.Series.to_csv (Option.get recs.series)))
+    (fun path -> write_file path (Obs.Series.to_csv (Option.get recs.series)))
     o.series_out;
   Option.iter
     (fun path ->
-      Obs.Manifest.write ~path
-        (Obs.Manifest.make ~cfg ~timer ~result ?registry:recs.registry ?extra ());
+      writing path (fun () ->
+          Obs.Manifest.write ~path
+            (Obs.Manifest.make ~cfg ~timer ~result ?registry:recs.registry ?extra ()));
       Format.printf "wrote %s@." path)
     o.manifest_out
 
@@ -366,6 +392,7 @@ let run_cmd =
   let action strategy scenario seed days outputs perfetto_out =
     let config = single_run ~strategy ~seed ~days scenario in
     let cfg = config strategy in
+    check_writable (perfetto_out :: output_paths outputs);
     Format.printf "%a@." Platform.pp cfg.Config.platform;
     let timer = Obs.Timer.create () in
     let recs = recorders ~always:false outputs cfg in
@@ -462,7 +489,7 @@ let run_cmd =
       ();
     Option.iter
       (fun path ->
-        Obs.Tracing.write ~path ~process_name:"simctl run" tracer;
+        writing path (fun () -> Obs.Tracing.write ~path ~process_name:"simctl run" tracer);
         let dropped = Obs.Tracing.dropped tracer in
         Format.printf "wrote %s (%d events%s)@." path (Obs.Tracing.length tracer)
           (if dropped > 0 then Printf.sprintf ", %d dropped" dropped else ""))
@@ -486,6 +513,7 @@ let manifest_dir_t =
 
 let fig1_cmd =
   let action reps seed days mtbf_years out domains manifest_dir =
+    check_writable [ out ];
     with_pool domains (fun pool ->
         finish_figure out
           (E.Fig1.run ~pool ~node_mtbf_years:mtbf_years ~reps ~seed ~days
@@ -510,6 +538,7 @@ let fig2_cmd =
            ~doc:"Aggregate filesystem bandwidth in GB/s (default 40, as in the paper's Figure 2).")
   in
   let action reps seed days bandwidth_gbs out domains manifest_dir strategies =
+    check_writable [ out ];
     with_pool domains (fun pool ->
         finish_figure out
           (E.Fig2.run ~pool ?bandwidth_gbs ?strategies ~reps ~seed ~days
@@ -520,12 +549,17 @@ let fig2_cmd =
           $ manifest_dir_t $ strategies_t)
 
 let fig3_cmd =
-  let action reps seed days out domains =
+  let iters_t =
+    Arg.(value & opt int 9 & info [ "iters" ] ~docv:"N"
+           ~doc:"Bisection iterations per simulated bandwidth search.")
+  in
+  let action reps seed days iters out domains =
+    check_writable [ out ];
     with_pool domains (fun pool ->
-        finish_figure out (E.Fig3.run ~pool ~reps ~seed ~days ()))
+        finish_figure out (E.Fig3.run ~pool ~reps ~seed ~days ~iters ()))
   in
   Cmd.v (Cmd.info "fig3" ~doc:"Min bandwidth for 80% efficiency (paper Figure 3).")
-    Term.(const action $ reps_t 5 $ seed_t $ days_t 20.0 $ out_t $ domains_t)
+    Term.(const action $ reps_t 5 $ seed_t $ days_t 20.0 $ iters_t $ out_t $ domains_t)
 
 let table1_cmd =
   let action () = print_string (E.Table1.render ()) in
@@ -664,16 +698,11 @@ let check_cmd =
 
 let report_cmd =
   let action full seed out domains =
+    check_writable [ out ];
     with_pool domains (fun pool ->
         let depth = if full then E.Report.full else E.Report.quick in
         let md = E.Report.generate ~pool ~depth ~seed () in
-        match out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc md;
-            close_out oc;
-            Format.printf "wrote %s@." path
-        | None -> print_string md)
+        match out with Some path -> write_file path md | None -> print_string md)
   in
   Cmd.v
     (Cmd.info "report"
@@ -685,6 +714,7 @@ let report_cmd =
 let observe_cmd =
   let action strategy scenario seed days outputs =
     let cfg = single_run ~strategy ~seed ~days scenario strategy in
+    check_writable (output_paths outputs);
     let timer = Obs.Timer.create () in
     let recs = recorders ~always:true outputs cfg in
     let r =
@@ -703,137 +733,6 @@ let observe_cmd =
        ~doc:"Run one instrumented simulation and render an ASCII dashboard: headline \
              metrics, waste breakdown, platform sparklines, latency histograms.")
     Term.(const action $ strategy_t $ scenario_t $ seed_t $ days_t 10.0 $ outputs_t)
-
-(* ------------------------------------------------------------------ *)
-(* bench-diff                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Compare two BENCH_*.json trajectory files (written by bench/main.exe)
-   per benchmark, so perf moves between commits are one command away —
-   CI runs this informationally against the committed baseline. *)
-let bench_diff_cmd =
-  let module J = Obs.Json in
-  let old_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD.json"
-           ~doc:"Baseline BENCH file.")
-  in
-  let new_t =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW.json"
-           ~doc:"Candidate BENCH file.")
-  in
-  let threshold_t =
-    Arg.(value & opt float 0.0 & info [ "threshold" ] ~docv:"PCT"
-           ~doc:"Only report benchmarks whose delta exceeds $(docv) percent in \
-                 either direction (default 0: report everything).")
-  in
-  let fail_above_t =
-    Arg.(value & opt (some float) None & info [ "fail-above" ] ~docv:"PCT"
-           ~doc:"Regression gate: exit 1 if any benchmark slowed down by more than \
-                 $(docv) percent vs the baseline. Without it the diff is purely \
-                 informational (always exits 0).")
-  in
-  let allow_t =
-    Arg.(value & opt (list ~sep:',' string) [] & info [ "allow" ] ~docv:"NAME1,NAME2"
-           ~doc:"Benchmarks exempt from --fail-above (known-noisy or intentionally \
-                 slowed; still reported in the diff).")
-  in
-  let load path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match J.of_string s with
-    | Ok j -> j
-    | Error e ->
-        Format.eprintf "error: %s: %s@." path e;
-        exit 1
-  in
-  let micro_rows j =
-    match Option.bind (J.member "micro" j) J.to_list_opt with
-    | None -> []
-    | Some rows ->
-        List.filter_map
-          (fun row ->
-            match
-              ( Option.bind (J.member "name" row) J.to_string_opt,
-                Option.bind (J.member "ns_per_run" row) J.to_float_opt )
-            with
-            | Some name, Some ns -> Some (name, ns)
-            | _ -> None)
-          rows
-  in
-  let e2e_rows j =
-    match J.member "end_to_end" j with
-    | Some (J.Obj kvs) ->
-        List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (J.to_float_opt v)) kvs
-    | _ -> []
-  in
-  let diff_section ~title ~unit ~threshold old_rows new_rows =
-    let names =
-      List.sort_uniq String.compare (List.map fst old_rows @ List.map fst new_rows)
-    in
-    if names <> [] then begin
-      Format.printf "@.%s@." title;
-      Format.printf "  %-42s %14s %14s %9s %9s@." "benchmark" ("old " ^ unit)
-        ("new " ^ unit) "delta" "speedup";
-      List.iter
-        (fun name ->
-          match (List.assoc_opt name old_rows, List.assoc_opt name new_rows) with
-          | Some o, Some n ->
-              let delta = if o = 0.0 then Float.nan else (n -. o) /. o *. 100.0 in
-              if Float.is_nan delta || Float.abs delta >= threshold then
-                Format.printf "  %-42s %14.1f %14.1f %8.1f%% %8.2fx@." name o n delta
-                  (if n = 0.0 then Float.nan else o /. n)
-          | None, Some n -> Format.printf "  %-42s %14s %14.1f      (new)@." name "-" n
-          | Some o, None -> Format.printf "  %-42s %14.1f %14s     (gone)@." name o "-"
-          | None, None -> ())
-        names
-    end
-  in
-  (* Benchmarks present in both files, slowed by more than [pct] percent
-     and not allowlisted. New/vanished benchmarks never gate: adding a
-     bench must not break CI. *)
-  let regressions ~pct ~allow old_rows new_rows =
-    List.filter_map
-      (fun (name, o) ->
-        if List.mem name allow then None
-        else
-          match List.assoc_opt name new_rows with
-          | Some n when o > 0.0 ->
-              let delta = (n -. o) /. o *. 100.0 in
-              if delta > pct then Some (name, delta) else None
-          | _ -> None)
-      old_rows
-  in
-  let action old_path new_path threshold fail_above allow =
-    let jo = load old_path and jn = load new_path in
-    Format.printf "bench-diff: %s -> %s@." old_path new_path;
-    diff_section ~title:"micro (Bechamel OLS estimate)" ~unit:"ns/run" ~threshold
-      (micro_rows jo) (micro_rows jn);
-    diff_section ~title:"end-to-end (one shot)" ~unit:"s" ~threshold (e2e_rows jo)
-      (e2e_rows jn);
-    match fail_above with
-    | None -> ()
-    | Some pct ->
-        let bad =
-          regressions ~pct ~allow (micro_rows jo) (micro_rows jn)
-          @ regressions ~pct ~allow (e2e_rows jo) (e2e_rows jn)
-        in
-        if bad = [] then Format.printf "@.gate: no benchmark slowed by more than %g%%@." pct
-        else begin
-          Format.printf "@.gate: FAIL — slower than baseline by more than %g%%:@." pct;
-          List.iter
-            (fun (name, delta) -> Format.printf "  %-42s +%.1f%%@." name delta)
-            bad;
-          exit 1
-        end
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:"Report per-benchmark deltas between two BENCH_*.json files written by \
-             bench/main.exe. Informational by default; with --fail-above it becomes \
-             a CI regression gate (exit 1 on any benchmark slower than the baseline \
-             by more than the given percentage, minus the --allow list).")
-    Term.(const action $ old_t $ new_t $ threshold_t $ fail_above_t $ allow_t)
 
 (* ------------------------------------------------------------------ *)
 (* campaign                                                             *)
@@ -918,9 +817,10 @@ let campaign_run_cmd =
           let strategies = Option.value strategies ~default:Strategy.paper_seven in
           scenario_spec ~what:"campaign" ~name ~axis ~strategies ~reps ~seed ~days scenario
     in
+    check_writable [ save_spec; out; progress; trace_out ];
     Option.iter
       (fun path ->
-        E.Spec.save ~path spec;
+        writing path (fun () -> E.Spec.save ~path spec);
         Format.printf "wrote %s@." path)
       save_spec;
     let tracer =
@@ -928,7 +828,7 @@ let campaign_run_cmd =
       | None -> Obs.Tracing.disabled
       | Some _ -> Obs.Tracing.create ()
     in
-    let progress_oc = Option.map open_out progress in
+    let progress_oc = Option.map (fun p -> writing p (fun () -> open_out p)) progress in
     let on_progress =
       Option.map
         (fun oc ev ->
@@ -961,7 +861,7 @@ let campaign_run_cmd =
     Option.iter (fun path -> Format.printf "wrote %s@." path) progress;
     Option.iter
       (fun path ->
-        Obs.Tracing.write ~path ~process_name:"simctl campaign" tracer;
+        writing path (fun () -> Obs.Tracing.write ~path ~process_name:"simctl campaign" tracer);
         Format.printf "wrote %s (%d events)@." path (Obs.Tracing.length tracer))
       trace_out
   in
@@ -1260,7 +1160,7 @@ let main =
     [
       run_cmd; observe_cmd; campaign_cmd; serve_cmd; query_cmd; fig1_cmd; fig2_cmd;
       fig3_cmd; table1_cmd; bound_cmd; trace_cmd; ablation_cmd; check_cmd; timeline_cmd;
-      report_cmd; bench_diff_cmd;
+      report_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -8,15 +8,15 @@
    roll back minutes instead of a full checkpoint period, and never touch
    the contended file system.
 
-   This study prints the analytic optimum of Cocheck_core.Two_level next
-   to a simulation of the full APEX workload under Least-Waste, sweeping
+   This study prints the analytic optimum of Cocheck_core.Multilevel at
+   L = 2 next to a simulation of the full APEX workload under Least-Waste, sweeping
    the soft-failure fraction. *)
 
 module Platform = Cocheck_model.Platform
 module App_class = Cocheck_model.App_class
 module Apex = Cocheck_model.Apex
 module Strategy = Cocheck_core.Strategy
-module Two_level = Cocheck_core.Two_level
+module Multilevel = Cocheck_core.Multilevel
 module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
 module Metrics = Cocheck_sim.Metrics
@@ -32,12 +32,16 @@ let () =
   let eap = List.hd Apex.lanl_workload in
   let params soft_fraction =
     {
-      Two_level.local_cost_s = 10.0;
-      local_recovery_s = 30.0;
-      global_cost_s = App_class.ckpt_time eap ~platform;
-      global_recovery_s = App_class.recovery_time eap ~platform;
+      Multilevel.levels =
+        [
+          { cost_s = 10.0; recovery_s = 30.0; fraction = soft_fraction };
+          {
+            cost_s = App_class.ckpt_time eap ~platform;
+            recovery_s = App_class.recovery_time eap ~platform;
+            fraction = 1.0 -. soft_fraction;
+          };
+        ];
       mtbf_s = App_class.mtbf eap ~platform;
-      soft_fraction;
     }
   in
   let ml soft_fraction =
@@ -71,8 +75,8 @@ let () =
           Printf.sprintf "%.3f" w;
           Printf.sprintf "%+.3f" (w -. single);
           Printf.sprintf "%.3g" (List.assoc Metrics.Lost_work r.by_kind);
-          Printf.sprintf "%.3f" (Two_level.optimal_waste p);
-          (if Two_level.worthwhile p then "yes" else "no");
+          Printf.sprintf "%.3f" (Multilevel.optimal_waste p);
+          (if Multilevel.worthwhile p then "yes" else "no");
         ])
     [ 0.0; 0.25; 0.5; 0.75; 0.95 ];
   Format.printf "Least-Waste without a local level: waste %.3f@.@." single;

@@ -1,17 +1,16 @@
 (* L-level generalization of the two-level waste model. Levels are listed
    shallow → deep; [fraction] is the probability that a failure's recovery
    is served {e at} that level (the deepest level absorbs whatever the
-   shallower ones cannot). The float expressions mirror {!Two_level}
-   exactly so the L = 2 instance bit-matches the old model, which is kept
-   as the test oracle. *)
+   shallower ones cannot). The float expressions mirror the two-level
+   closed form exactly, so the L = 2 instance bit-matches the test suite's
+   two-level oracle. *)
 
 type level = { cost_s : float; recovery_s : float; fraction : float }
 type params = { levels : level list; mtbf_s : float }
 
 (* The one validator every level-shaped knob goes through: the analytic
-   params here, {!Two_level.validate} and the simulator's
-   [Config.multilevel] all call it instead of re-implementing the range
-   checks inline. *)
+   params here and the simulator's [Config.multilevel] both call it
+   instead of re-implementing the range checks inline. *)
 let validate_level ~what ~cost_s ~recovery_s ~fraction =
   if cost_s < 0.0 then invalid_arg (what ^ ": negative checkpoint cost");
   if recovery_s < 0.0 then invalid_arg (what ^ ": negative recovery cost");
@@ -35,7 +34,7 @@ let validate p =
     invalid_arg "Multilevel: level fractions must sum to 1"
 
 (* A term x/P vanishes (not NaNs) at P = infinity — same convention as
-   {!Two_level.over}. *)
+   the two-level oracle. *)
 let over x p = if Float.is_finite p then x /. p else 0.0
 
 (* The waste expression, allowing infinite periods (a level whose period is
@@ -71,8 +70,9 @@ let waste p ~periods =
     invalid_arg "Multilevel.waste: periods must be positive";
   waste_at p ~periods
 
-(* Separable Young/Daly-shaped optima, exactly as in {!Two_level}: a level
-   that serves no failures (or costs nothing) is never checkpointed. *)
+(* Separable Young/Daly-shaped optima, exactly as in the two-level model:
+   a level that serves no failures (or costs nothing) is never
+   checkpointed. *)
 let optimal_periods p =
   validate p;
   List.map

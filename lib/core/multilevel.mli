@@ -9,9 +9,10 @@
                    + (1/µ)·Σ_k f_k·(R_k + min_{j≥k} P_j / 2)]
 
     Differentiating the separable approximation gives per-level Young/Daly
-    optima [P_k = sqrt (2 µ C_k / f_k)]. The L = 2 instance is bit-identical
-    to {!Two_level} (kept as the test oracle); {!Two_level.to_multilevel}
-    embeds the old parameter record. *)
+    optima [P_k = sqrt (2 µ C_k / f_k)]. The L = 2 instance, levels
+    [[local; global]] with fractions [p] and [1 − p], is the two-level
+    (SCR-style) model; the test suite checks it bit for bit against that
+    model's closed form. *)
 
 type level = {
   cost_s : float;  (** C_k: time to write one checkpoint at this level *)
@@ -28,8 +29,8 @@ val validate_level :
   what:string -> cost_s:float -> recovery_s:float -> fraction:float -> unit
 (** The shared range validator for one level spec (costs non-negative,
     fraction in [0, 1]); raises [Invalid_argument] prefixed with [what].
-    {!Two_level.validate} and [Cocheck_sim.Config.validate] both delegate
-    here instead of re-implementing the checks. *)
+    [Cocheck_sim.Config.validate] delegates here instead of
+    re-implementing the checks. *)
 
 val validate : params -> unit
 (** Per-level checks plus: at least one level, positive MTBF, positive

@@ -201,15 +201,21 @@ let two_level ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
       ~soft_fraction
   in
   let eap = List.hd Apex.lanl_workload in
+  (* The L = 2 model: local snapshots serve the soft failures, global
+     checkpoints the rest. *)
   let analytic soft_fraction =
-    Cocheck_core.Two_level.optimal_waste
+    Cocheck_core.Multilevel.optimal_waste
       {
-        Cocheck_core.Two_level.local_cost_s = 10.0;
-        local_recovery_s = 30.0;
-        global_cost_s = App_class.ckpt_time eap ~platform;
-        global_recovery_s = App_class.recovery_time eap ~platform;
+        Cocheck_core.Multilevel.levels =
+          [
+            { cost_s = 10.0; recovery_s = 30.0; fraction = soft_fraction };
+            {
+              cost_s = App_class.ckpt_time eap ~platform;
+              recovery_s = App_class.recovery_time eap ~platform;
+              fraction = 1.0 -. soft_fraction;
+            };
+          ];
         mtbf_s = App_class.mtbf eap ~platform;
-        soft_fraction;
       }
   in
   let mean_waste ?multilevel () =

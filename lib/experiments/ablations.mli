@@ -80,8 +80,8 @@ val two_level :
   study
 (** SCR-style two-level checkpointing (references [9][15]): sweep the
     soft-failure fraction and compare single-level against two-level waste
-    under the cooperative scheduler, next to the {!Cocheck_core.Two_level}
-    analytic prediction for the EAP class. *)
+    under the cooperative scheduler, next to the analytic prediction of
+    {!Cocheck_core.Multilevel} at L = 2 for the EAP class. *)
 
 val flush_bandwidth :
   pool:Cocheck_parallel.Pool.t ->

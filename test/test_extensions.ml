@@ -333,8 +333,6 @@ let test_bb_conservation_still_holds () =
 (* Two-level checkpointing                                              *)
 (* ------------------------------------------------------------------ *)
 
-module Two_level = Cocheck_core.Two_level
-
 let tl_params ?(p = 0.5) () =
   {
     Two_level.local_cost_s = 2.0;

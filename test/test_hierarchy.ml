@@ -11,7 +11,6 @@ module App_class = Cocheck_model.App_class
 module Apex = Cocheck_model.Apex
 module Waste = Cocheck_core.Waste
 module Strategy = Cocheck_core.Strategy
-module Two_level = Cocheck_core.Two_level
 module Multilevel = Cocheck_core.Multilevel
 module Lower_bound = Cocheck_core.Lower_bound
 module Least_waste = Cocheck_core.Least_waste

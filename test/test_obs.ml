@@ -317,6 +317,44 @@ let test_sampler_does_not_perturb () =
     sampled.Simulator.ckpts_committed
 
 (* ------------------------------------------------------------------ *)
+(* Standard instrumentation hooks                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Each hook's sample count matches the event log of the same run, and
+   observing changes nothing. *)
+let test_instrument_standard_hooks () =
+  let cfg =
+    Config.make
+      ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ())
+      ~strategy:(Strategy.Ordered_nb Strategy.Daly) ~seed:3 ~days:2.0 ()
+  in
+  let reg = Histogram.registry () in
+  let trace = Trace.create ~capacity:1_000_000 () in
+  let r = Simulator.run ~trace ~hooks:(Cocheck_obs.Instrument.standard reg) cfg in
+  Alcotest.(check int) "event log complete" 0 (Trace.dropped trace);
+  let hist name = List.find (fun h -> Histogram.name h = name) (Histogram.hists reg) in
+  let logged f = List.length (Trace.of_kind trace ~f) in
+  let grants = logged (function Trace.Token_granted -> true | _ -> false) in
+  let kills = logged (function Trace.Job_killed _ -> true | _ -> false) in
+  Alcotest.(check bool) "the run grants, commits and kills" true
+    (grants > 0 && r.Simulator.ckpts_committed > 0 && kills > 0);
+  Alcotest.(check int) "token_wait_s = Token_granted events" grants
+    (Histogram.count (hist "token_wait_s"));
+  Alcotest.(check int) "ckpt_io_s = ckpts_committed" r.Simulator.ckpts_committed
+    (Histogram.count (hist "ckpt_io_s"));
+  Alcotest.(check int) "lost_work_s = Job_killed events" kills
+    (Histogram.count (hist "lost_work_s"));
+  checkf "kills counter = Job_killed events" (float_of_int kills)
+    (Option.value ~default:0.0 (List.assoc_opt "kills" (Histogram.counters reg)));
+  let dilation = hist "io_dilation_x" in
+  Alcotest.(check bool) "regular transfers observed" true (Histogram.count dilation > 0);
+  Alcotest.(check bool) "no transfer beats its nominal time" true
+    (Histogram.min_value dilation >= 1.0 -. 1e-9);
+  (* [compare], not [=]: NaN fields compare equal to themselves. *)
+  Alcotest.(check bool) "result bit-identical to a bare run" true
+    (compare (Simulator.run cfg) r = 0)
+
+(* ------------------------------------------------------------------ *)
 (* Manifest                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -679,6 +717,9 @@ let () =
           Alcotest.test_case "segment clipping" `Quick test_sampler_segment_clipping;
           Alcotest.test_case "read-only probes" `Quick test_sampler_does_not_perturb;
         ] );
+      ( "instrument",
+        [ Alcotest.test_case "standard hooks match the event log" `Quick
+            test_instrument_standard_hooks ] );
       ( "manifest",
         [
           Alcotest.test_case "config round-trip" `Quick test_manifest_config_roundtrip;

@@ -1,3 +1,7 @@
+module Multilevel = Cocheck_core.Multilevel
+module Daly = Cocheck_core.Daly
+module Waste = Cocheck_core.Waste
+
 type params = {
   local_cost_s : float;
   local_recovery_s : float;

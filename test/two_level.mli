@@ -1,7 +1,8 @@
 (** Two-level checkpointing (SCR / FTI-style, the paper's references [9],
-    [15]): frequent cheap {e local} checkpoints to node-local storage that
-    survive only {e soft} failures (process crashes, transient faults), plus
-    the usual global checkpoints to the shared PFS that survive everything.
+    [15]), the test oracle of {!Cocheck_core.Multilevel} at L = 2:
+    frequent cheap {e local} checkpoints to node-local storage that survive
+    only {e soft} failures (process crashes, transient faults), plus the
+    usual global checkpoints to the shared PFS that survive everything.
 
     First-order waste model for a job with MTBF µ, a fraction [p] of whose
     failures are soft:
@@ -15,8 +16,8 @@
 
     With [p = 0] the model collapses to single-level Daly (local
     checkpoints are pure overhead, Pl_opt → ∞); with [p → 1] global
-    checkpoints become vanishingly rare. The simulator's runtime
-    counterpart is configured through {!Cocheck_sim.Config}. *)
+    checkpoints become vanishingly rare. The shipped model is
+    {!Cocheck_core.Multilevel}; this closed form is kept to check it. *)
 
 type params = {
   local_cost_s : float;  (** C_l: time to take a local snapshot (no PFS traffic) *)
@@ -29,9 +30,9 @@ type params = {
 
 val validate : params -> unit
 
-val to_multilevel : params -> Multilevel.params
-(** Embed as the L = 2 instance of {!Multilevel}: levels
-    [[local; global]] with fractions [p] and [1 − p]. {!Multilevel.waste},
+val to_multilevel : params -> Cocheck_core.Multilevel.params
+(** Embed as the L = 2 instance of {!Cocheck_core.Multilevel}: levels
+    [[local; global]] with fractions [p] and [1 − p]. [Multilevel.waste],
     [optimal_periods], [optimal_waste] and [worthwhile] on the image are
     bit-identical to the functions here (property-tested). *)
 
