@@ -11,7 +11,8 @@
    - serve: a fully warm pass of the campaign service runs zero
      simulations under 16 and 256 concurrent clients.
    - counters: events scheduled, fired, cancelled and rescheduled, and
-     result counts, of five fixed runs. `dune runtest` diffs them against
+     result counts, of five fixed runs, and the store and pool traffic of
+     the served workload's campaigns. `dune runtest` diffs them against
      bench/counters.expected; `dune promote` accepts an intended change.
 
    With no mode, all three run. Any failed assertion raises. *)
@@ -112,12 +113,16 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-(* N simultaneous connections each run their own single-cell campaign:
-   cold first (simulated server-side, fair-queued across per-connection
-   tenants), then fully warm, answered from the sharded store with zero
-   simulations. *)
-let run_serve pool =
-  section "Campaign service (concurrent clients, cold then warm)";
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  dir
+
+(* Client [i]'s single-cell campaign. One distinct campaign per client,
+   so a cold pass exercises admission, fair queueing and concurrent store
+   writes, not same-key dedup. *)
+let serve_spec =
   let platform =
     Platform.make ~name:"tiny" ~nodes:64 ~mem_per_node_gb:1.0 ~bandwidth_gbs:1.0
       ~node_mtbf_s:(Cocheck_util.Units.years 0.1)
@@ -127,17 +132,18 @@ let run_serve pool =
       ~walltime_s:(Cocheck_util.Units.hours 2.0) ~nodes:16 ~input_pct:10.0
       ~output_pct:10.0 ~ckpt_pct:50.0 ()
   in
-  (* One distinct campaign per client, so the cold pass exercises
-     admission, fair queueing and concurrent store writes, not same-key
-     dedup. *)
-  let spec_of i =
+  fun i ->
     E.Spec.make ~name:(Printf.sprintf "bench-serve-%d" i) ~platform ~classes:[ tiny_class ]
       ~strategies:[ Strategy.Least_waste ] ~reps:2 ~seed:(42 + i) ~days:0.25 ()
-  in
+
+(* N simultaneous connections each run their own single-cell campaign:
+   cold first (simulated server-side, fair-queued across per-connection
+   tenants), then fully warm, answered from the sharded store with zero
+   simulations. *)
+let run_serve pool =
+  section "Campaign service (concurrent clients, cold then warm)";
   let serve n =
-    let dir = Filename.temp_file "cocheck-bench-serve" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
+    let dir = temp_dir "cocheck-bench-serve" in
     let sock = Filename.temp_file "cocheck" ".sock" in
     Sys.remove sock;
     let srv = E.Service.create ~pool ~store:(E.Store.open_ dir) (E.Service.listen_unix sock) in
@@ -158,7 +164,7 @@ let run_serve pool =
             let conn = E.Service.Client.connect_unix sock in
             (match
                E.Service.Client.request conn
-                 (E.Protocol.Campaign { spec = spec_of i; progress = false })
+                 (E.Protocol.Campaign { spec = serve_spec i; progress = false })
              with
             | E.Protocol.Campaign_result r -> simulated.(i) <- r.simulated + r.baselines
             | _ -> ());
@@ -247,13 +253,57 @@ let ml3 =
       ];
   }
 
+(* The served workload's store traffic. The 16 clients' campaigns run
+   through the campaign engine on a sequential pool: cold into an empty
+   store, warm from its index, and warm again through a fresh handle on
+   the same directory, as a restarted daemon reads it. Each pass prints
+   the store's hits, misses, disk loads and writes, the pool tasks
+   (counted by the pool's telemetry) and the points simulated and
+   loaded. *)
+let count_served () =
+  let tasks = ref 0 in
+  let telemetry =
+    {
+      Pool.on_task = (fun ~worker:_ ~queued_s:_ ~ran_s:_ -> incr tasks);
+      on_idle = (fun ~worker:_ ~idle_s:_ -> ());
+    }
+  in
+  let dir = temp_dir "cocheck-bench-counters" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      Pool.with_pool ~num_domains:0 ~telemetry (fun pool ->
+          let pass name store =
+            let before = E.Store.stats store and tasks_before = !tasks in
+            let simulated = ref 0 and baselines = ref 0 and loaded = ref 0 in
+            for i = 0 to 15 do
+              let o = E.Runner.run ~pool ~store (serve_spec i) in
+              simulated := !simulated + o.E.Runner.simulated;
+              baselines := !baselines + o.baselines;
+              loaded := !loaded + o.loaded
+            done;
+            let after = E.Store.stats store in
+            Printf.printf
+              "served-16-%s store hits=%d misses=%d loads=%d writes=%d pool_tasks=%d\n" name
+              (after.E.Store.hits - before.E.Store.hits)
+              (after.misses - before.misses) (after.loads - before.loads)
+              (after.writes - before.writes) (!tasks - tasks_before);
+            Printf.printf "served-16-%s runner simulated=%d baselines=%d loaded=%d\n" name
+              !simulated !baselines !loaded
+          in
+          let store = E.Store.open_ dir in
+          pass "cold" store;
+          pass "warm" store;
+          pass "reopened" (E.Store.open_ dir)))
+
 let run_counters () =
   count_run "lw-cielo-60d" (cielo_60day Strategy.Least_waste);
   (* Oblivious strategies run concurrent PFS flows. *)
   count_run "oblivious-daly-cielo-60d" (cielo_60day (Strategy.Oblivious Strategy.Daly));
   count_run "lw-ml3-cielo-60d" (cielo_60day ~multilevel:ml3 Strategy.Least_waste);
   count_run "lw-prospective-1y" (year_50k ());
-  count_io_rebalance 1024
+  count_io_rebalance 1024;
+  count_served ()
 
 let () =
   let modes = ref [] in

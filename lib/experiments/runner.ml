@@ -193,28 +193,34 @@ let run ~pool ?store ?tenant ?(tracer = Tracing.disabled) ?on_progress spec =
   let task idx =
     let ci = idx / reps in
     let cell = cells.(ci) and rep = idx mod reps in
-    let keys =
-      Array.map (fun strategy -> Spec.cell_key spec ~cell ~strategy ~rep) strategies
-    in
-    let cached =
+    (* Keys exist only to address the store: without one, no digest. *)
+    let keys, cached =
       match store with
-      | None -> Array.make n_s None
-      | Some store -> Array.map (Store.find store) keys
+      | None -> ([||], Array.make n_s None)
+      | Some store ->
+          let keys =
+            Array.map (fun strategy -> Spec.cell_key spec ~cell ~strategy ~rep) strategies
+          in
+          (keys, Array.map (Store.find store) keys)
     in
     let hits = Array.fold_left (fun n c -> if c = None then n else n + 1) 0 cached in
     if hits > 0 then ignore (Atomic.fetch_and_add loaded hits);
     let track = Pool.current_worker () in
-    let span_args =
-      [
-        ("cell", Span.Num (float_of_int ci));
-        ("rep", Span.Num (float_of_int rep));
-        ( "source",
-          Span.Str (if hits = n_s then "cached" else "simulated") );
-      ]
+    let cell_span body =
+      if not (Tracing.is_enabled tracer) then body ()
+      else
+        let span_args =
+          [
+            ("cell", Span.Num (float_of_int ci));
+            ("rep", Span.Num (float_of_int rep));
+            ("source", Span.Str (if hits = n_s then "cached" else "simulated"));
+          ]
+        in
+        Tracing.span tracer ~cat:"campaign" ~track ~args:span_args
+          (Printf.sprintf "cell %d rep %d" ci rep)
+          body
     in
-    Tracing.span tracer ~cat:"campaign" ~track ~args:span_args
-      (Printf.sprintf "cell %d rep %d" ci rep)
-      (fun () ->
+    cell_span (fun () ->
         if hits = n_s then begin
           Array.iter
             (fun strategy -> emit_point ~ci ~x:cell.Spec.x ~rep ~strategy ~source:`Cached)

@@ -7,7 +7,12 @@
     recursive-descent parser, and accessor helpers. Numbers are kept as
     floats ([Int] is a printing convenience preserving integer rendering);
     non-finite floats serialize as the strings ["nan"], ["inf"], ["-inf"]
-    (JSON has no literals for them) and parse back. *)
+    (JSON has no literals for them) and parse back.
+
+    The bytes are a contract: store cell keys are MD5 digests of
+    {!to_string}, and stores, traces and manifests already written must
+    keep matching. Every rendering and every parse result (tree or error
+    string) is checked against the original codec in the test suite. *)
 
 type t =
   | Null
@@ -44,6 +49,9 @@ val to_float_opt : t -> float option
 (** Numbers, plus the non-finite encodings produced by {!to_string}. *)
 
 val to_int_opt : t -> int option
+(** Ints, and integral floats inside OCaml's int range; [None] for any
+    other value, so an out-of-range number is refused, not wrapped. *)
+
 val to_bool_opt : t -> bool option
 val to_string_opt : t -> string option
 val to_list_opt : t -> t list option

@@ -223,6 +223,29 @@ let test_spec_validate () =
 (* The knobs are checked by Config's own rules, so a spec that no run
    could use is refused when it is decoded or made, not inside a pool
    task. *)
+(* A seed outside OCaml's int range is refused, not run as seed 0. *)
+let test_spec_rejects_out_of_range_seed () =
+  let spec =
+    E.Spec.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+      ~strategies:[ Strategy.Least_waste ] ~reps:1 ~days:1.0 ()
+  in
+  let with_seed seed =
+    match E.Spec.to_json spec with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map (function "seed", _ -> ("seed", Json.Float seed) | f -> f) fields)
+    | j -> j
+  in
+  (match E.Spec.of_json (with_seed 7.0) with
+  | Ok s -> Alcotest.(check int) "integral float seed" 7 s.E.Spec.seed
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun seed ->
+      match E.Spec.of_json (with_seed seed) with
+      | Error _ -> ()
+      | Ok s -> Alcotest.failf "seed %g decoded as %d" seed s.E.Spec.seed)
+    [ 1e300; 9.3e18; -1e300 ]
+
 let test_spec_rejects_invalid_knobs () =
   let base =
     E.Spec.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
@@ -891,6 +914,8 @@ let () =
               test_spec_name_strings_accepted;
             Alcotest.test_case "validation" `Quick test_spec_validate;
             Alcotest.test_case "invalid knobs rejected" `Quick test_spec_rejects_invalid_knobs;
+            Alcotest.test_case "out-of-range seed rejected" `Quick
+              test_spec_rejects_out_of_range_seed;
             Alcotest.test_case "empty level list is no hierarchy" `Quick
               test_empty_levels_are_no_hierarchy;
             Alcotest.test_case "single run config" `Quick test_single_run_config;

@@ -97,6 +97,23 @@ let test_json_parse_errors () =
       | Ok _ -> Alcotest.failf "expected parse failure on %S" s)
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2" ]
 
+(* Integral floats convert only inside OCaml's int range; beyond it
+   int_of_float is unspecified (1e300 used to read as 0). *)
+let test_json_to_int_range () =
+  let check what expected v = Alcotest.(check (option int)) what expected (Json.to_int_opt v) in
+  check "int" (Some 7) (Json.Int 7);
+  check "integral float" (Some (-3)) (Json.Float (-3.0));
+  check "fraction" None (Json.Float 2.5);
+  check "1e300" None (Json.Float 1e300);
+  check "9.3e18" None (Json.Float 9.3e18);
+  check "-1e300" None (Json.Float (-1e300));
+  check "2^62" None (Json.Float 4611686018427387904.0);
+  check "-2^62 is min_int" (Some min_int) (Json.Float (-4611686018427387904.0));
+  check "largest float below 2^62" (Some 4611686018427387392)
+    (Json.Float (Float.pred 4611686018427387904.0));
+  check "nan" None (Json.Float Float.nan);
+  check "inf" None (Json.Float Float.infinity)
+
 (* ------------------------------------------------------------------ *)
 (* Timer                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -689,6 +706,7 @@ let () =
           Alcotest.test_case "parse round-trip" `Quick test_json_parse_roundtrip;
           Alcotest.test_case "non-finite floats" `Quick test_json_nonfinite;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+          Alcotest.test_case "to_int_opt range" `Quick test_json_to_int_range;
         ]
         @ qsuite [ test_json_float_precision ] );
       ( "timer",
