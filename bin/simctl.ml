@@ -340,7 +340,8 @@ let output_paths o = [ o.trace_out; o.series_out; o.manifest_out ]
 type recorders = {
   trace : Cocheck_sim.Trace.t option;
   registry : Obs.Histogram.registry option;
-  hooks : Simulator.hooks option;
+  observe : (Cocheck_sim.Trace.event -> unit) option;
+      (* the one event observer feeding [trace] and [registry] *)
   series : Obs.Series.t option;
   sample : (float * (Simulator.snapshot -> unit)) option;
 }
@@ -356,13 +357,22 @@ let recorders ~always o cfg =
       (Some s, Some (dt, observe))
     else (None, None)
   in
-  {
-    trace = Option.map (fun _ -> Cocheck_sim.Trace.create ~capacity:2_000_000 ()) o.trace_out;
-    registry;
-    hooks = Option.map Obs.Instrument.standard registry;
-    series;
-    sample;
-  }
+  let trace =
+    Option.map (fun _ -> Cocheck_sim.Trace.create ~capacity:2_000_000 ()) o.trace_out
+  in
+  let observe =
+    match
+      (Option.map Cocheck_sim.Trace.record trace, Option.map Obs.Instrument.standard registry)
+    with
+    | None, None -> None
+    | Some f, None | None, Some f -> Some f
+    | Some f, Some g ->
+        Some
+          (fun e ->
+            f e;
+            g e)
+  in
+  { trace; registry; observe; series; sample }
 
 let write_outputs o recs ~cfg ~timer ~result ?extra () =
   Option.iter
@@ -444,8 +454,8 @@ let run_cmd =
             Pool.async pool (fun () ->
                 timed "simulate" (fun () ->
                     instrumented (Strategy.name strategy) (fun ~on_engine ->
-                        Simulator.run ~specs ?trace:recs.trace ?hooks:recs.hooks
-                          ?sample:recs.sample ~on_engine cfg)))
+                        Simulator.run ~specs ?observe:recs.observe ?sample:recs.sample
+                          ~on_engine cfg)))
           in
           let b = Pool.await fb in
           let r = Pool.await fr in
@@ -589,7 +599,7 @@ let trace_cmd =
   let action strategy platform seed days limit job =
     let cfg = single_run ~strategy ~seed ~days platform strategy in
     let trace = Cocheck_sim.Trace.create () in
-    let r = Simulator.run ~trace cfg in
+    let r = Simulator.run ~observe:(Cocheck_sim.Trace.record trace) cfg in
     Format.printf
       "%d events traced (%d retained); jobs started %d, completed %d, restarts %d@.@."
       (Cocheck_sim.Trace.length trace + Cocheck_sim.Trace.dropped trace)
@@ -611,51 +621,21 @@ let trace_cmd =
                    ~doc:"Only print events of this job id."))
 
 let ablation_cmd =
+  let names = List.map fst E.Ablations.studies @ [ "all" ] in
   let which_t =
     Arg.(value
-         & pos 0 (enum
-                    [ ("failures", `Failures); ("interference", `Interference);
-                      ("burst-buffer", `Bb); ("period", `Period);
-                      ("optimal-periods", `Optimal); ("two-level", `Two_level);
-                      ("flush", `Flush); ("fixed-period", `Fixed_period);
-                      ("all", `All) ])
-             `All
-         & info [] ~docv:"STUDY"
-             ~doc:"One of failures, interference, burst-buffer, period, \
-                   optimal-periods, two-level, flush, fixed-period, all.")
+         & pos 0 (enum (List.map (fun n -> (n, n)) names)) "all"
+         & info [] ~docv:"STUDY" ~doc:("One of " ^ String.concat ", " names ^ "."))
   in
   let action which reps seed days domains =
     with_pool domains (fun pool ->
-        let show (s : E.Ablations.study) =
-          Format.printf "@.%s@.%s" s.E.Ablations.title
-            (Cocheck_util.Table.render s.table)
-        in
-        let run_failures () = show (E.Ablations.failure_distribution ~pool ~reps ~seed ~days ()) in
-        let run_interference () = show (E.Ablations.interference_model ~pool ~reps ~seed ~days ()) in
-        let run_bb () = show (E.Ablations.burst_buffer ~pool ~reps ~seed ~days ()) in
-        let run_period () = show (E.Ablations.period_scaling ()) in
-        let run_optimal () = show (E.Ablations.optimal_periods ~pool ~reps ~seed ~days ()) in
-        let run_two_level () = show (E.Ablations.two_level ~pool ~reps ~seed ~days ()) in
-        let run_flush () = show (E.Ablations.flush_bandwidth ~pool ~reps ~seed ~days ()) in
-        let run_fixed () = show (E.Ablations.fixed_period ~pool ~reps ~seed ~days ()) in
-        match which with
-        | `Failures -> run_failures ()
-        | `Interference -> run_interference ()
-        | `Bb -> run_bb ()
-        | `Period -> run_period ()
-        | `Optimal -> run_optimal ()
-        | `Two_level -> run_two_level ()
-        | `Flush -> run_flush ()
-        | `Fixed_period -> run_fixed ()
-        | `All ->
-            run_failures ();
-            run_interference ();
-            run_bb ();
-            run_period ();
-            run_optimal ();
-            run_two_level ();
-            run_flush ();
-            run_fixed ())
+        List.iter
+          (fun (name, run) ->
+            if which = "all" || which = name then begin
+              let s : E.Ablations.study = run ~pool ~reps ~seed ~days in
+              Format.printf "@.%s@.%s" s.title (Cocheck_util.Table.render s.table)
+            end)
+          E.Ablations.studies)
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Ablation studies: failure law, interference model, \
@@ -666,7 +646,7 @@ let timeline_cmd =
   let action strategy platform seed days buckets =
     let cfg = single_run ~strategy ~seed ~days platform strategy in
     let trace = Cocheck_sim.Trace.create ~capacity:2_000_000 () in
-    let r = Simulator.run ~trace cfg in
+    let r = Simulator.run ~observe:(Cocheck_sim.Trace.record trace) cfg in
     let tl =
       E.Timeline.build ~trace ~total_nodes:cfg.platform.Platform.nodes ~horizon:cfg.horizon
         ~buckets ()
@@ -719,7 +699,7 @@ let observe_cmd =
     let recs = recorders ~always:true outputs cfg in
     let r =
       Obs.Timer.time timer ~name:"simulate" (fun () ->
-          Simulator.run ?trace:recs.trace ?hooks:recs.hooks ?sample:recs.sample cfg)
+          Simulator.run ?observe:recs.observe ?sample:recs.sample cfg)
     in
     print_string
       (Obs.Dashboard.render ~cfg ~result:r ~series:(Option.get recs.series)
@@ -737,6 +717,15 @@ let observe_cmd =
 (* ------------------------------------------------------------------ *)
 (* campaign                                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* The per-point progress line, shared by `campaign status --progress` and
+   `query campaign --progress`. *)
+let render_progress = function
+  | E.Runner.Point { done_points; total_points; elapsed_s; cell; rep; strategy; source; _ } ->
+      Format.printf "[%4d/%d] %8.1fs  cell %-3d rep %-3d %-20s %s@." done_points total_points
+        elapsed_s cell rep strategy
+        (match source with `Cached -> "cached" | `Simulated -> "simulated")
+  | E.Runner.Finished _ -> ()
 
 let store_t =
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR"
@@ -892,15 +881,6 @@ let campaign_status_cmd =
            ~doc:"With --progress: keep tailing (waiting for the file to appear if \
                  necessary) until the campaign's end event arrives.")
   in
-  let render_event = function
-    | E.Runner.Point p ->
-        Format.printf "[%4d/%d] %8.1fs  cell %-3d rep %-3d %-20s %s@." p.done_points
-          p.total_points p.elapsed_s p.cell p.rep p.strategy
-          (match p.source with `Cached -> "cached" | `Simulated -> "simulated")
-    | E.Runner.Finished f ->
-        Format.printf "done: %d points in %.1fs (%d simulated, %d baselines, %d cached)@."
-          f.total_points f.elapsed_s f.simulated f.baselines f.loaded
-  in
   (* Tail the JSONL stream byte-wise: [input_line] would swallow a
      half-written final line, losing bytes on the next poll. A channel at
      EOF on a regular file retries the read on the next call, so polling
@@ -931,10 +911,14 @@ let campaign_status_cmd =
           | Ok j -> (
               match E.Runner.progress_of_json j with
               | None -> ()
-              | Some ev ->
-                  render_event ev;
-                  (match ev with
-                  | E.Runner.Finished _ -> finished := true
+              | Some ev -> (
+                  render_progress ev;
+                  match ev with
+                  | E.Runner.Finished f ->
+                      Format.printf
+                        "done: %d points in %.1fs (%d simulated, %d baselines, %d cached)@."
+                        f.total_points f.elapsed_s f.simulated f.baselines f.loaded;
+                      finished := true
                   | E.Runner.Point _ -> ()))
         in
         let rec loop () =
@@ -1052,13 +1036,6 @@ let query_connect ~socket ~port =
   | Some path, None -> E.Service.Client.connect_unix path
   | None, Some port -> E.Service.Client.connect_tcp port
   | _ -> endpoint_error ()
-
-let render_progress = function
-  | E.Runner.Point { done_points; total_points; elapsed_s; cell; rep; strategy; source; _ } ->
-      Format.printf "[%4d/%d] %8.1fs  cell %-3d rep %-3d %-20s %s@." done_points total_points
-        elapsed_s cell rep strategy
-        (match source with `Cached -> "cached" | `Simulated -> "simulated")
-  | E.Runner.Finished _ -> ()
 
 let print_response = function
   | E.Protocol.Pong -> Format.printf "pong@."

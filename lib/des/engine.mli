@@ -75,7 +75,7 @@ val queue_length : t -> int
     dominate scheduling, firing and cancellation. When no stats are
     attached (the default) the event loop pays exactly one [None] branch
     per operation and allocates nothing — the zero-cost-when-off pattern
-    of the simulator hooks. *)
+    of the simulator's event observer. *)
 
 type stats
 

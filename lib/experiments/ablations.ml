@@ -347,3 +347,18 @@ let fixed_period ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
       [ "Oblivious-Fixed"; "Ordered-NB-Fixed"; "Oblivious-Daly (ref)";
         "Ordered-NB-Daly (ref)" ]
     ~rows
+
+let studies =
+  [
+    ( "failures",
+      fun ~pool ~reps ~seed ~days -> failure_distribution ~pool ~reps ~seed ~days () );
+    ( "interference",
+      fun ~pool ~reps ~seed ~days -> interference_model ~pool ~reps ~seed ~days () );
+    ("burst-buffer", fun ~pool ~reps ~seed ~days -> burst_buffer ~pool ~reps ~seed ~days ());
+    ("period", fun ~pool:_ ~reps:_ ~seed:_ ~days:_ -> period_scaling ());
+    ( "optimal-periods",
+      fun ~pool ~reps ~seed ~days -> optimal_periods ~pool ~reps ~seed ~days () );
+    ("two-level", fun ~pool ~reps ~seed ~days -> two_level ~pool ~reps ~seed ~days ());
+    ("flush", fun ~pool ~reps ~seed ~days -> flush_bandwidth ~pool ~reps ~seed ~days ());
+    ("fixed-period", fun ~pool ~reps ~seed ~days -> fixed_period ~pool ~reps ~seed ~days ());
+  ]

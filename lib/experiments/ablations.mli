@@ -112,3 +112,12 @@ val fixed_period :
     heuristic is "one or a few hours"): sweep the application-defined
     period and compare the blocking and non-blocking Fixed strategies
     against the Daly-period reference. *)
+
+val studies :
+  (string
+  * (pool:Cocheck_parallel.Pool.t -> reps:int -> seed:int -> days:float -> study))
+  list
+(** Every study above at its default sweep, in report order, keyed by its
+    [simctl ablation] selector. [simctl ablation all] and
+    {!Report.generate} both walk this list; {!period_scaling} is analytic
+    and ignores the Monte Carlo arguments. *)

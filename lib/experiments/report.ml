@@ -26,7 +26,7 @@ let full =
     fig3_reps = 3;
     fig3_days = 20.0;
     fig3_iters = 8;
-    ablation_reps = 10;
+    ablation_reps = 20;
     check_reps = 10;
   }
 
@@ -71,14 +71,8 @@ let generate ~pool ?(depth = quick) ?(seed = 42) () =
     out "### %s@.@." s.Ablations.title;
     fence (Cocheck_util.Table.render s.table)
   in
-  let r = depth.ablation_reps and d = Float.min depth.days 20.0 in
-  study (Ablations.failure_distribution ~pool ~reps:r ~seed ~days:d ());
-  study (Ablations.interference_model ~pool ~reps:r ~seed ~days:d ());
-  study (Ablations.burst_buffer ~pool ~reps:r ~seed ~days:d ());
-  study (Ablations.period_scaling ());
-  study (Ablations.optimal_periods ~pool ~reps:r ~seed ~days:d ());
-  study (Ablations.two_level ~pool ~reps:r ~seed ~days:d ());
-  study (Ablations.fixed_period ~pool ~reps:r ~seed ~days:d ());
+  let reps = depth.ablation_reps and days = Float.min depth.days 20.0 in
+  List.iter (fun (_, run) -> study (run ~pool ~reps ~seed ~days)) Ablations.studies;
 
   progress "report: shape checks ...";
   out "## Shape checks — the paper's qualitative claims@.@.";

@@ -17,8 +17,11 @@ val quick : depth
 (** Minutes-scale settings (reps 8, 15-day segments). *)
 
 val full : depth
-(** The EXPERIMENTS.md protocol (reps 40, 60-day segments) — expect a
+(** The EXPERIMENTS.md protocol: Figures 1–2 at reps 40 over 60-day
+    segments, Figure 3 at reps 3 over 20 days with 8 bisection steps, and
+    every {!Ablations.studies} entry at reps 20 over 20 days — expect a
     substantial fraction of an hour on one core. *)
 
 val generate : pool:Cocheck_parallel.Pool.t -> ?depth:depth -> ?seed:int -> unit -> string
-(** The markdown report. Progress notes go to [stderr]. *)
+(** The markdown report. Ablations run over 20-day segments at most
+    ([min days 20]). Progress notes go to [stderr]. *)

@@ -1,7 +1,7 @@
 module Trace = Cocheck_sim.Trace
 
 let schema = "cocheck.trace"
-let version = 1
+let version = 2
 
 let payload_fields (kind : Trace.kind) =
   match kind with
@@ -10,8 +10,10 @@ let payload_fields (kind : Trace.kind) =
   | Trace.Ckpt_committed { work } -> [ ("work", Json.Float work) ]
   | Trace.Job_killed { lost_work } -> [ ("lost_work", Json.Float lost_work) ]
   | Trace.Node_failure { node } -> [ ("node", Json.Int node) ]
+  | Trace.Token_granted { wait } -> [ ("wait", Json.Float wait) ]
+  | Trace.Io_done { dilation } -> [ ("dilation", Json.Float dilation) ]
   | Trace.Input_done | Trace.Ckpt_requested | Trace.Ckpt_started | Trace.Ckpt_aborted
-  | Trace.Token_granted | Trace.Work_completed | Trace.Job_completed ->
+  | Trace.Work_completed | Trace.Job_completed ->
       []
 
 let event_to_json (e : Trace.event) =
@@ -35,17 +37,6 @@ let header trace =
       ("dropped", Json.Int (Trace.dropped trace));
     ]
 
-let jsonl_of_trace trace =
-  let buf = Buffer.create 65536 in
-  Json.to_buffer buf (header trace);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun e ->
-      Json.to_buffer buf (event_to_json e);
-      Buffer.add_char buf '\n')
-    (Trace.events trace);
-  Buffer.contents buf
-
 let write_jsonl oc trace =
   output_string oc (Json.to_string (header trace));
   output_char oc '\n';
@@ -54,24 +45,3 @@ let write_jsonl oc trace =
       output_string oc (Json.to_string (event_to_json e));
       output_char oc '\n')
     (Trace.events trace)
-
-let csv_of_trace trace =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "time,job,inst,kind,nodes,restarts,work,lost_work,node\n";
-  List.iter
-    (fun (e : Trace.event) ->
-      let nodes, restarts, work, lost, node =
-        match e.Trace.kind with
-        | Trace.Job_started { restarts; nodes } ->
-            (string_of_int nodes, string_of_int restarts, "", "", "")
-        | Trace.Ckpt_committed { work } -> ("", "", Printf.sprintf "%.6g" work, "", "")
-        | Trace.Job_killed { lost_work } ->
-            ("", "", "", Printf.sprintf "%.6g" lost_work, "")
-        | Trace.Node_failure { node } -> ("", "", "", "", string_of_int node)
-        | _ -> ("", "", "", "", "")
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%.6g,%d,%d,%s,%s,%s,%s,%s,%s\n" e.time e.job e.inst
-           (Trace.kind_name e.kind) nodes restarts work lost node))
-    (Trace.events trace);
-  Buffer.contents buf

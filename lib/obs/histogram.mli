@@ -56,8 +56,8 @@ val render : ?max_rows:int -> t -> string
 val to_json : t -> Json.t
 
 (** {2 Registry} — named histograms and monotone counters, in creation
-    order, so the simulator's instrumentation hooks and the dashboard can
-    share one handle. *)
+    order, so the simulator's standard observer ({!Instrument}) and the
+    dashboard can share one handle. *)
 
 type registry
 

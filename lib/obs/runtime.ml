@@ -45,62 +45,3 @@ let gc_delta_values d =
     ("minor_collections", float_of_int d.minor_collections);
     ("major_collections", float_of_int d.major_collections);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Process metrics registry                                             *)
-(* ------------------------------------------------------------------ *)
-
-type metric = { m_name : string; kind : [ `Counter | `Gauge ]; mutable value : float }
-type registry = { mutex : Mutex.t; mutable metrics : metric list (* reversed *) }
-
-type counter = metric
-type gauge = metric
-
-let registry () = { mutex = Mutex.create (); metrics = [] }
-
-let find_or_add reg name kind =
-  Mutex.lock reg.mutex;
-  let m =
-    match List.find_opt (fun m -> m.m_name = name) reg.metrics with
-    | Some m ->
-        if m.kind <> kind then begin
-          Mutex.unlock reg.mutex;
-          invalid_arg
-            (Printf.sprintf "Runtime: metric %S already registered with another kind" name)
-        end;
-        m
-    | None ->
-        let m = { m_name = name; kind; value = 0.0 } in
-        reg.metrics <- m :: reg.metrics;
-        m
-  in
-  Mutex.unlock reg.mutex;
-  m
-
-let counter reg name = find_or_add reg name `Counter
-let gauge reg name = find_or_add reg name `Gauge
-
-(* Mutation races (two domains bumping one counter) are resolved by the
-   registry mutex; reads during snapshot take it too. *)
-let incr reg (c : counter) ?(by = 1.0) () =
-  Mutex.lock reg.mutex;
-  c.value <- c.value +. by;
-  Mutex.unlock reg.mutex
-
-let set reg (g : gauge) v =
-  Mutex.lock reg.mutex;
-  g.value <- v;
-  Mutex.unlock reg.mutex
-
-let value (m : metric) = m.value
-let gauge_value = value
-let metric_name (m : metric) = m.m_name
-
-let snapshot reg =
-  Mutex.lock reg.mutex;
-  let r = List.rev_map (fun m -> (m.m_name, m.value)) reg.metrics in
-  Mutex.unlock reg.mutex;
-  r
-
-let to_json reg =
-  Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) (snapshot reg))

@@ -1,5 +1,4 @@
-(** Runtime self-observation: GC delta probes and a process-level metrics
-    registry.
+(** Runtime self-observation: GC delta probes.
 
     The exascale kernel work needs to attribute event-churn cost — how many
     minor words the engine allocates per million events, whether promotions
@@ -33,36 +32,3 @@ val gc_sample : gc_probe -> gc_delta
 val gc_delta_values : gc_delta -> (string * float) list
 (** The delta as counter-track series (allocation and collection fields),
     ready for {!Span.Counter}. *)
-
-(** {2 Metrics registry} — named monotone counters and gauges, mutex
-    protected so pool workers can bump them concurrently. Distinct from
-    {!Histogram}'s registry: these are single scalar process metrics
-    (events fired, cells simulated, store hits), not distributions. *)
-
-type registry
-type counter
-type gauge
-
-val registry : unit -> registry
-
-val counter : registry -> string -> counter
-(** Find-or-create. Raises [Invalid_argument] if the name is already a
-    gauge. *)
-
-val gauge : registry -> string -> gauge
-(** Find-or-create. Raises [Invalid_argument] if the name is already a
-    counter. *)
-
-val incr : registry -> counter -> ?by:float -> unit -> unit
-val set : registry -> gauge -> float -> unit
-
-val value : counter -> float
-(** Unsynchronised read (exact once writers are quiescent). *)
-
-val gauge_value : gauge -> float
-val metric_name : counter -> string
-
-val snapshot : registry -> (string * float) list
-(** All metrics in creation order, read under the registry lock. *)
-
-val to_json : registry -> Json.t

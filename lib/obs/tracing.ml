@@ -12,7 +12,7 @@ type t = {
 
 (* The sentinel: every recording entry point first checks physical
    equality against [disabled] and returns — the same
-   zero-cost-when-off contract as [Simulator.no_hooks] and
+   zero-cost-when-off contract as the simulator's absent [?observe] and
    [Pool.no_telemetry]. The sentinel is never mutated. *)
 let disabled =
   {

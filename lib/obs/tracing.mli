@@ -5,7 +5,7 @@
     timestamps relative to it. The {!disabled} sentinel makes tracing free
     when off: every entry point checks physical equality first, so
     instrumented code can call unconditionally — the same pattern as
-    [Simulator.no_hooks] and [Pool.no_telemetry].
+    [Pool.no_telemetry] (and as the simulator's absent [?observe]).
 
     Load an exported file in {{:https://ui.perfetto.dev}ui.perfetto.dev}
     or [chrome://tracing]. *)

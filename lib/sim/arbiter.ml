@@ -305,10 +305,8 @@ let try_grant w =
         w.token_busy <- true;
         let inst = req.r_inst in
         inst.holds_token <- true;
-        emit_inst w inst Trace.Token_granted;
-        (match w.hooks with
-        | Some h -> h.on_token_wait (now w -. req.r_at)
-        | None -> ());
+        if tracing w then
+          emit_inst w inst (Trace.Token_granted { wait = now w -. req.r_at });
         (match req.r_kind with
         | Req_io _ -> w.h_grant_io req
         | Req_ckpt -> w.h_grant_ckpt req);

@@ -75,21 +75,12 @@ and on_ckpt_request w inst =
          snapshotting). *)
       assert false
 
-and ckpt_complete w inst =
-  match w.hooks with
-  | Some h ->
-      let t0 = now w in
-      fun () ->
-        h.on_ckpt_duration (now w -. t0);
-        on_ckpt_done w inst
-  | None -> fun () -> on_ckpt_done w inst
-
 and start_ckpt_flow w inst =
   emit_inst w inst Trace.Ckpt_started;
   inst.ckpt_content <- inst.work_done;
   let flow =
     Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind:Io.Ckpt
-      ~volume_gb:inst.spec.Jobgen.ckpt_gb ~on_complete:(ckpt_complete w inst)
+      ~volume_gb:inst.spec.Jobgen.ckpt_gb ~on_complete:(fun () -> on_ckpt_done w inst)
   in
   inst.activity <- Doing_io (w.io, flow, Io.Ckpt)
 
@@ -98,7 +89,7 @@ and try_hier_ckpt w h inst =
   match
     Ckpt_hierarchy.write h ~owner:inst.spec.Jobgen.id ~job:inst.idx
       ~nodes:inst.spec.Jobgen.nodes ~volume_gb:inst.spec.Jobgen.ckpt_gb
-      ~content ~at:(now w) ~on_complete:(ckpt_complete w inst)
+      ~content ~at:(now w) ~on_complete:(fun () -> on_ckpt_done w inst)
   with
   | None -> false
   | Some (pool, flow) ->

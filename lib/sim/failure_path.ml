@@ -68,7 +68,6 @@ let kill_inst w inst =
   w.restarts_by_class.(ci) <- w.restarts_by_class.(ci) + 1;
   w.lost_ns_by_class.(ci) <-
     w.lost_ns_by_class.(ci) +. (float_of_int inst.spec.Jobgen.nodes *. lost_s);
-  (match w.hooks with Some h -> h.on_lost_work lost_s | None -> ());
   if tracing w then emit_inst w inst (Trace.Job_killed { lost_work = lost_s });
 
   flush_partition w inst ~safe;

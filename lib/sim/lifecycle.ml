@@ -83,6 +83,7 @@ and start_instance w entry nodes =
           ckpt_request_ev = Engine.none;
           work_done_ev = Engine.none;
           wait_start = now w;
+          io_start = now w;
           ckpt_content = 0.0;
           holds_token = false;
           (* Zero-length arrays are shared atoms: legacy (snapshot-free)
@@ -190,27 +191,31 @@ and begin_blocking_io w inst kind volume =
     Arbiter.try_grant w
   end
   else begin
+    inst.io_start <- now w;
     let flow =
       Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind ~volume_gb:volume
-        ~on_complete:(blocking_complete w inst kind ~volume)
+        ~on_complete:(fun () -> on_blocking_io_done w inst kind)
     in
     inst.activity <- Doing_io (w.io, flow, kind)
   end
 
-(* Completion continuation for a blocking transfer; when instrumentation is
-   on, regular input/output transfers additionally report their dilation
-   factor (actual over nominal full-bandwidth duration). *)
-and blocking_complete w inst kind ~volume =
-  match w.hooks with
-  | Some h when (kind = Io.Input || kind = Io.Output) && volume > 0.0 ->
-      let t0 = now w in
-      let nominal = volume /. bandwidth w in
-      fun () ->
-        h.on_io_dilation ((now w -. t0) /. nominal);
-        on_blocking_io_done w inst kind
-  | _ -> fun () -> on_blocking_io_done w inst kind
+(* Regular input/output transfers report their dilation factor: actual
+   over nominal (full-bandwidth) duration, timed from [io_start]. Their
+   volume is the spec's, so zero-volume transfers (and recovery reads)
+   report nothing. *)
+and emit_io_done w inst kind =
+  let volume =
+    match kind with
+    | Io.Input -> inst.spec.Jobgen.input_gb
+    | Io.Output -> inst.spec.Jobgen.output_gb
+    | Io.Ckpt | Io.Recovery | Io.Drain -> 0.0
+  in
+  if volume > 0.0 then
+    emit_inst w inst
+      (Trace.Io_done { dilation = (now w -. inst.io_start) /. (volume /. bandwidth w) })
 
 and on_blocking_io_done w inst kind =
+  if tracing w then emit_io_done w inst kind;
   release_token w inst;
   (match kind with
   | Io.Input | Io.Recovery ->
@@ -263,9 +268,10 @@ let grant_io w (req : request) =
   let inst = req.r_inst in
   let kind = match req.r_kind with Req_io k -> k | Req_ckpt -> assert false in
   record_wait w inst ~from:inst.wait_start;
+  inst.io_start <- now w;
   let flow =
     Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind
       ~volume_gb:req.r_volume
-      ~on_complete:(blocking_complete w inst kind ~volume:req.r_volume)
+      ~on_complete:(fun () -> on_blocking_io_done w inst kind)
   in
   inst.activity <- Doing_io (w.io, flow, kind)

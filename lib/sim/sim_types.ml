@@ -71,6 +71,7 @@ type inst = {
   mutable ckpt_request_ev : Engine.handle;
   mutable work_done_ev : Engine.handle;
   mutable wait_start : float;
+  mutable io_start : float;  (* start of the blocking transfer in flight *)
   mutable ckpt_content : float;  (* work level a commit in flight captures *)
   mutable holds_token : bool;
   (* Multilevel (snapshot-level) checkpointing state, one slot per
@@ -262,13 +263,6 @@ end
 
 type arbiter = (module ARBITER)
 
-type hooks = {
-  on_token_wait : float -> unit;
-  on_ckpt_duration : float -> unit;
-  on_io_dilation : float -> unit;
-  on_lost_work : float -> unit;
-}
-
 type w = {
   cfg : Config.t;
   classes : App_class.t array;
@@ -288,8 +282,7 @@ type w = {
   live : live_slots;  (* node-holding instances by grant slot, for failure lookup *)
   hier : Ckpt_hierarchy.t option;  (* buffer levels of [cfg.multilevel] *)
   snap : Config.snapshot_level array;  (* snapshot levels, shallow → deep *)
-  trace : Trace.t option;
-  hooks : hooks option;  (* None keeps the hot path allocation-free *)
+  observe : (Trace.event -> unit) option;  (* None keeps the hot path allocation-free *)
   soft_rng : Rng.t;  (* classifies failures soft/hard under two-level CR *)
   mutable token_busy : bool;
   mutable next_inst : int;
@@ -392,16 +385,16 @@ let record_wait w inst ~from =
   Metrics.record w.metrics ~t0:from ~t1:(now w) ~nodes:inst.spec.nodes Metrics.Wait
 
 let emit w ~job ~inst kind =
-  match w.trace with
-  | Some t -> Trace.record t { Trace.time = now w; job; inst; kind }
+  match w.observe with
+  | Some f -> f { Trace.time = now w; job; inst; kind }
   | None -> ()
 
 let emit_inst w (inst : inst) kind = emit w ~job:inst.spec.Jobgen.id ~inst:inst.idx kind
 
 (* Payload-carrying trace constructors ([Job_started {…}], [Job_killed {…}],
-   …) allocate at the call site even when tracing is off; emit sites guard
-   them with this so the untraced hot path builds nothing. *)
-let[@inline] tracing w = match w.trace with Some _ -> true | None -> false
+   …) allocate at the call site even when no one observes; emit sites guard
+   them with this so the unobserved hot path builds nothing. *)
+let[@inline] tracing w = match w.observe with Some _ -> true | None -> false
 
 let release_token w inst =
   if inst.holds_token then begin

@@ -58,21 +58,6 @@ type snapshot = {
   waste_by_kind : (Metrics.kind * float) list;
 }
 
-type hooks = Sim_types.hooks = {
-  on_token_wait : float -> unit;
-  on_ckpt_duration : float -> unit;
-  on_io_dilation : float -> unit;
-  on_lost_work : float -> unit;
-}
-
-let no_hooks =
-  {
-    on_token_wait = ignore;
-    on_ckpt_duration = ignore;
-    on_io_dilation = ignore;
-    on_lost_work = ignore;
-  }
-
 let generate_specs (cfg : Config.t) =
   let rng = Rng.substream (Rng.create ~seed:cfg.seed) "jobs" in
   Jobgen.generate ~rng ~platform:cfg.platform ~classes:cfg.classes
@@ -178,7 +163,7 @@ let period_of w_cfg ~optimal (c : App_class.t) =
       | Strategy.Optimal -> List.assoc c.App_class.name (Lazy.force optimal))
   | Strategy.Least_waste | Strategy.Greedy_exposure -> Daly.period_for c ~platform
 
-let run ?specs ?trace ?hooks ?sample ?on_engine (cfg : Config.t) =
+let run ?specs ?observe ?sample ?on_engine (cfg : Config.t) =
   Config.validate cfg;
   let specs = match specs with Some s -> s | None -> generate_specs cfg in
   let classes = Array.of_list cfg.classes in
@@ -262,8 +247,7 @@ let run ?specs ?trace ?hooks ?sample ?on_engine (cfg : Config.t) =
                })
              specs);
       insts = Hashtbl.create 64;
-      trace;
-      hooks;
+      observe;
       soft_rng = Rng.substream (Rng.create ~seed:cfg.seed) "failure-type";
       hier;
       snap;

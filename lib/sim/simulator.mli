@@ -67,40 +67,25 @@ type snapshot = {
 }
 (** Platform state at a probe instant, for time-series sampling. *)
 
-type hooks = {
-  on_token_wait : float -> unit;
-      (** request-to-grant latency of every token grant (checkpoint and
-          blocking I/O), in seconds *)
-  on_ckpt_duration : float -> unit;
-      (** wall-clock duration of each committed checkpoint transfer *)
-  on_io_dilation : float -> unit;
-      (** actual over nominal (full-bandwidth) duration of each completed
-          regular input/output transfer; 1.0 = no interference *)
-  on_lost_work : float -> unit;  (** work seconds rolled back per kill *)
-}
-(** Instrumentation callbacks. All optional ({!no_hooks} is the default);
-    when absent the simulator's hot path allocates nothing for them. *)
-
-val no_hooks : hooks
-
 val generate_specs : Config.t -> Cocheck_model.Jobgen.spec array
 (** The job list a config's seed induces (substream ["jobs"]); exposed so
     experiments can share one list across strategies within a replication. *)
 
 val run :
   ?specs:Cocheck_model.Jobgen.spec array ->
-  ?trace:Trace.t ->
-  ?hooks:hooks ->
+  ?observe:(Trace.event -> unit) ->
   ?sample:float * (snapshot -> unit) ->
   ?on_engine:(Cocheck_des.Engine.t -> unit) ->
   Config.t ->
   result
 (** Simulate. When [specs] is omitted they are generated from the config
     seed; failures always come from the seed's ["failures"] substream, so
-    two runs of the same config are identical. Pass [trace] to collect a
-    structured event log of the run, [hooks] to stream instrumentation
-    samples, and [sample:(dt, f)] to have [f] observe a {!snapshot} every
-    [dt] simulated seconds (requires [dt > 0]). [on_engine] runs once on
+    two runs of the same config are identical. Pass [observe] to receive
+    the run's event stream, every {!Trace.event} in simulation order:
+    [Trace.record t] keeps a bounded log, [Instrument.standard] feeds
+    histograms. Pass [sample:(dt, f)] to have [f] observe a {!snapshot}
+    every [dt] simulated seconds (requires [dt > 0]); probes read world
+    state no event carries. [on_engine] runs once on
     the freshly created engine before any event is scheduled — the hook
     the tracing layer uses to attach per-kind event-churn counters
     ({!Cocheck_des.Engine.attach_stats} with {!Ev_kind.names}) and

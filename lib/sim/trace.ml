@@ -5,7 +5,8 @@ type kind =
   | Ckpt_started
   | Ckpt_committed of { work : float }
   | Ckpt_aborted
-  | Token_granted
+  | Token_granted of { wait : float }
+  | Io_done of { dilation : float }
   | Work_completed
   | Job_completed
   | Job_killed of { lost_work : float }
@@ -50,7 +51,8 @@ let kind_name = function
   | Ckpt_started -> "ckpt-started"
   | Ckpt_committed _ -> "ckpt-committed"
   | Ckpt_aborted -> "ckpt-aborted"
-  | Token_granted -> "token-granted"
+  | Token_granted _ -> "token-granted"
+  | Io_done _ -> "io-done"
   | Work_completed -> "work-completed"
   | Job_completed -> "job-completed"
   | Job_killed _ -> "job-killed"
@@ -63,10 +65,12 @@ let pp_event ppf e =
       Format.fprintf ppf " (%d nodes%s)" nodes
         (if restarts > 0 then Printf.sprintf ", restart #%d" restarts else "")
   | Ckpt_committed { work } -> Format.fprintf ppf " (work %.0f s)" work
+  | Token_granted { wait } -> Format.fprintf ppf " (waited %.0f s)" wait
+  | Io_done { dilation } -> Format.fprintf ppf " (dilation %.3g)" dilation
   | Job_killed { lost_work } -> Format.fprintf ppf " (lost %.0f s)" lost_work
   | Node_failure { node } -> Format.fprintf ppf " (node %d)" node
-  | Input_done | Ckpt_requested | Ckpt_started | Ckpt_aborted | Token_granted
-  | Work_completed | Job_completed ->
+  | Input_done | Ckpt_requested | Ckpt_started | Ckpt_aborted | Work_completed
+  | Job_completed ->
       ()
 
 let dump ?limit t =

@@ -1,7 +1,8 @@
 (** Structured event tracing for simulations.
 
-    A bounded in-memory event log the simulator can emit into (pass
-    [?trace] to {!Simulator.run}). Used for debugging, for the
+    The simulator's one observation stream: {!Simulator.run} hands every
+    {!event} to its [?observe] callback, and [record t] is the observer
+    that keeps them in a bounded in-memory ring. Used for debugging, for the
     protocol-invariant tests (a commit must follow a start, a job holds at
     most one activity, ...), and by the [simctl trace] command for
     eyeballing a schedule. *)
@@ -12,9 +13,17 @@ type kind =
   | Input_done  (** initial input or recovery read finished; work begins *)
   | Ckpt_requested
   | Ckpt_started  (** commit transfer begins (PFS or burst buffer) *)
-  | Ckpt_committed of { work : float }  (** committed progress level *)
+  | Ckpt_committed of { work : float }
+      (** committed progress level; the commit took this event's time
+          minus that of the instance's last [Ckpt_started] *)
   | Ckpt_aborted  (** a failure destroyed the commit in flight *)
-  | Token_granted
+  | Token_granted of { wait : float }
+      (** [wait]: request-to-grant latency in seconds (checkpoint and
+          blocking I/O requests alike) *)
+  | Io_done of { dilation : float }
+      (** a regular input or output transfer of non-zero volume finished;
+          [dilation] is its actual over nominal (full-bandwidth) duration,
+          1.0 = no interference *)
   | Work_completed
   | Job_completed
   | Job_killed of { lost_work : float }
@@ -37,6 +46,7 @@ val create : ?capacity:int -> unit -> t
     100 000). *)
 
 val record : t -> event -> unit
+(** The ring's observer: [Simulator.run ~observe:(record t)]. *)
 
 val events : t -> event list
 (** Retained events, oldest first. *)

@@ -53,6 +53,7 @@ let mk_inst ~pool ~idx ~nodes ~last_commit_end ~ckpt_gb ~bandwidth_gbs =
     ckpt_request_ev = T.Engine.none;
     work_done_ev = T.Engine.none;
     wait_start = 0.0;
+    io_start = 0.0;
     ckpt_content = 0.0;
     holds_token = false;
     committed_local = [||];

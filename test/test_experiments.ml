@@ -335,7 +335,7 @@ let test_timeline_from_simulation () =
       ~strategy:Cocheck_core.Strategy.Least_waste ~seed:2 ~days:1.0 ~with_failures:false ()
   in
   let trace = Cocheck_sim.Trace.create () in
-  let r = Cocheck_sim.Simulator.run ~trace cfg in
+  let r = Cocheck_sim.Simulator.run ~observe:(Cocheck_sim.Trace.record trace) cfg in
   let tl =
     E.Timeline.build ~trace ~total_nodes:64 ~horizon:cfg.Cocheck_sim.Config.horizon ()
   in

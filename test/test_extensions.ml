@@ -528,7 +528,7 @@ let trace_of_run ?(strategy = Strategy.Ordered_nb (Strategy.Fixed 600.0))
       ~with_failures ()
   in
   let trace = Trace.create () in
-  let r = Simulator.run ~trace cfg in
+  let r = Simulator.run ~observe:(Trace.record trace) cfg in
   (r, trace)
 
 let test_trace_counts_match_result () =

@@ -251,8 +251,18 @@ let test_export_jsonl () =
     { Trace.time = 5.0; job = 1; inst = 2; kind = Trace.Ckpt_committed { work = 60.0 } };
   Trace.record t
     { Trace.time = 9.0; job = -1; inst = -1; kind = Trace.Node_failure { node = 7 } };
-  let lines = String.split_on_char '\n' (String.trim (Export.jsonl_of_trace t)) in
-  Alcotest.(check int) "header + one line per event" 4 (List.length lines);
+  Trace.record t
+    { Trace.time = 12.0; job = 1; inst = 2; kind = Trace.Token_granted { wait = 3.5 } };
+  let path = Filename.temp_file "trace" ".jsonl" in
+  let oc = open_out path in
+  Export.write_jsonl oc t;
+  close_out oc;
+  let ic = open_in path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  let lines = String.split_on_char '\n' (String.trim text) in
+  Alcotest.(check int) "header + one line per event" 5 (List.length lines);
   List.iter
     (fun line ->
       match Json.of_string line with
@@ -262,25 +272,18 @@ let test_export_jsonl () =
   let header = Result.get_ok (Json.of_string (List.hd lines)) in
   Alcotest.(check (option string)) "schema" (Some Export.schema)
     (Option.bind (Json.member "schema" header) Json.to_string_opt);
-  Alcotest.(check (option (float 0.0))) "events" (Some 3.0)
+  Alcotest.(check (option (float 0.0))) "version" (Some 2.0)
+    (Option.bind (Json.member "version" header) Json.to_float_opt);
+  Alcotest.(check (option (float 0.0))) "events" (Some 4.0)
     (Option.bind (Json.member "events" header) Json.to_float_opt);
   let failure = Result.get_ok (Json.of_string (List.nth lines 3)) in
   Alcotest.(check (option (float 0.0))) "idle-node failure job -1" (Some (-1.0))
     (Option.bind (Json.member "job" failure) Json.to_float_opt);
   Alcotest.(check (option (float 0.0))) "node payload" (Some 7.0)
-    (Option.bind (Json.member "node" failure) Json.to_float_opt)
-
-let test_export_csv () =
-  let t = Trace.create ~capacity:10 () in
-  Trace.record t
-    { Trace.time = 1.0; job = 3; inst = 4; kind = Trace.Job_killed { lost_work = 42.0 } };
-  let csv = Export.csv_of_trace t in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check string) "header" "time,job,inst,kind,nodes,restarts,work,lost_work,node"
-    (List.hd lines);
-  Alcotest.(check bool) "lost_work column populated" true
-    (match lines with [ _; row ] -> String.length row > 0 &&
-        List.nth (String.split_on_char ',' row) 7 = "42" | _ -> false)
+    (Option.bind (Json.member "node" failure) Json.to_float_opt);
+  let grant = Result.get_ok (Json.of_string (List.nth lines 4)) in
+  Alcotest.(check (option (float 0.0))) "token wait payload" (Some 3.5)
+    (Option.bind (Json.member "wait" grant) Json.to_float_opt)
 
 (* ------------------------------------------------------------------ *)
 (* Sampler on a real simulation                                         *)
@@ -334,25 +337,34 @@ let test_sampler_does_not_perturb () =
     sampled.Simulator.ckpts_committed
 
 (* ------------------------------------------------------------------ *)
-(* Standard instrumentation hooks                                       *)
+(* Standard instrumentation over the event stream                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Each hook's sample count matches the event log of the same run, and
-   observing changes nothing. *)
-let test_instrument_standard_hooks () =
-  let cfg =
-    Config.make
-      ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ())
-      ~strategy:(Strategy.Ordered_nb Strategy.Daly) ~seed:3 ~days:2.0 ()
-  in
+let cielo40 ?multilevel strategy =
+  Config.make
+    ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ())
+    ~strategy ~seed:3 ~days:2.0 ?multilevel ()
+
+(* Each histogram's sample count matches the event log of the same run,
+   and observing changes nothing. *)
+let test_instrument_standard_stream () =
+  let cfg = cielo40 (Strategy.Ordered_nb Strategy.Daly) in
   let reg = Histogram.registry () in
   let trace = Trace.create ~capacity:1_000_000 () in
-  let r = Simulator.run ~trace ~hooks:(Cocheck_obs.Instrument.standard reg) cfg in
+  let standard = Cocheck_obs.Instrument.standard reg in
+  let r =
+    Simulator.run
+      ~observe:(fun e ->
+        Trace.record trace e;
+        standard e)
+      cfg
+  in
   Alcotest.(check int) "event log complete" 0 (Trace.dropped trace);
   let hist name = List.find (fun h -> Histogram.name h = name) (Histogram.hists reg) in
   let logged f = List.length (Trace.of_kind trace ~f) in
-  let grants = logged (function Trace.Token_granted -> true | _ -> false) in
+  let grants = logged (function Trace.Token_granted _ -> true | _ -> false) in
   let kills = logged (function Trace.Job_killed _ -> true | _ -> false) in
+  let io_done = logged (function Trace.Io_done _ -> true | _ -> false) in
   Alcotest.(check bool) "the run grants, commits and kills" true
     (grants > 0 && r.Simulator.ckpts_committed > 0 && kills > 0);
   Alcotest.(check int) "token_wait_s = Token_granted events" grants
@@ -364,12 +376,57 @@ let test_instrument_standard_hooks () =
   checkf "kills counter = Job_killed events" (float_of_int kills)
     (Option.value ~default:0.0 (List.assoc_opt "kills" (Histogram.counters reg)));
   let dilation = hist "io_dilation_x" in
-  Alcotest.(check bool) "regular transfers observed" true (Histogram.count dilation > 0);
+  Alcotest.(check bool) "regular transfers observed" true (io_done > 0);
+  Alcotest.(check int) "io_dilation_x = Io_done events" io_done (Histogram.count dilation);
   Alcotest.(check bool) "no transfer beats its nominal time" true
     (Histogram.min_value dilation >= 1.0 -. 1e-9);
   (* [compare], not [=]: NaN fields compare equal to themselves. *)
   Alcotest.(check bool) "result bit-identical to a bare run" true
     (compare (Simulator.run cfg) r = 0)
+
+(* The registry [Instrument.standard] fills, pinned byte for byte to the
+   one the simulator's former per-quantity callbacks filled on the same
+   runs: the event stream carries every value they reported, at the same
+   instants and in the same order. *)
+let pinned_registries =
+  [
+    ( "ordered-nb-daly",
+      cielo40 (Strategy.Ordered_nb Strategy.Daly),
+      {|{"counters":{"kills":81},"histograms":[{"name":"token_wait_s","unit":"s","count":295,"underflow":2,"overflow":0,"sum":1533785.0630590932,"mean":5199.2714002003158,"min":0,"max":11883.90714851858,"p50":4963.1531707317081,"p90":9079.4666666666672,"p95":11093.333333333334,"p99":11883.90714851858,"buckets":[{"lo":102.4,"hi":204.8,"count":1},{"lo":409.6,"hi":819.2,"count":3},{"lo":819.2,"hi":1638.4,"count":19},{"lo":1638.4,"hi":3276.8,"count":17},{"lo":3276.8,"hi":6553.6,"count":205},{"lo":6553.6,"hi":13107.2,"count":48}]},{"name":"ckpt_io_s","unit":"s","count":192,"underflow":0,"overflow":0,"sum":185342.32558139513,"mean":965.32461240309965,"min":378.60465116277919,"max":5730.2325581395562,"p50":481.46788990825689,"p90":1895.0826666666667,"p95":2026.1546666666663,"p99":5730.2325581395562,"buckets":[{"lo":256,"hi":512,"count":109},{"lo":1024,"hi":2048,"count":75},{"lo":4096,"hi":8192,"count":8}]},{"name":"io_dilation_x","unit":"x","count":24,"underflow":11,"overflow":0,"sum":24.000000000003993,"mean":1.0000000000001663,"min":0.99999999999999478,"max":1.0000000000006615,"p50":1.0000000000006615,"p90":1.0000000000006615,"p95":1.0000000000006615,"p99":1.0000000000006615,"buckets":[{"lo":1,"hi":1.25,"count":13}]},{"name":"lost_work_s","unit":"s","count":81,"underflow":14,"overflow":0,"sum":518211.03678307036,"mean":6397.6671207786467,"min":0,"max":15688.785086857475,"p50":7404.3076923076924,"p90":14637.81052631579,"p95":15510.905263157896,"p99":15688.785086857475,"buckets":[{"lo":256,"hi":512,"count":4},{"lo":1024,"hi":2048,"count":5},{"lo":2048,"hi":4096,"count":7},{"lo":4096,"hi":8192,"count":13},{"lo":8192,"hi":16384,"count":38}]}]}|} );
+    ( "ordered-daly (blocking I/O through the token)",
+      cielo40 (Strategy.Ordered Strategy.Daly),
+      {|{"counters":{"kills":81},"histograms":[{"name":"token_wait_s","unit":"s","count":290,"underflow":2,"overflow":0,"sum":1519764.515665875,"mean":5240.567295399569,"min":0,"max":11883.90714851858,"p50":4994.733980582525,"p90":9063.489361702128,"p95":11085.344680851063,"p99":11883.90714851858,"buckets":[{"lo":12.8,"hi":25.6,"count":1},{"lo":102.4,"hi":204.8,"count":1},{"lo":204.8,"hi":409.6,"count":1},{"lo":409.6,"hi":819.2,"count":2},{"lo":819.2,"hi":1638.4,"count":18},{"lo":1638.4,"hi":3276.8,"count":12},{"lo":3276.8,"hi":6553.6,"count":206},{"lo":6553.6,"hi":13107.2,"count":47}]},{"name":"ckpt_io_s","unit":"s","count":199,"underflow":0,"overflow":0,"sum":187992.55813953473,"mean":944.68622180670718,"min":378.60465116277919,"max":5730.2325581395562,"p50":475.58620689655174,"p90":1885.5253333333333,"p95":2021.3759999999997,"p99":5730.2325581395562,"buckets":[{"lo":256,"hi":512,"count":116},{"lo":1024,"hi":2048,"count":75},{"lo":4096,"hi":8192,"count":8}]},{"name":"io_dilation_x","unit":"x","count":12,"underflow":11,"overflow":0,"sum":11.999999999999941,"mean":0.99999999999999512,"min":0.99999999999999478,"max":1,"p50":0.99999999999999478,"p90":0.99999999999999478,"p95":1,"p99":1,"buckets":[{"lo":1,"hi":1.25,"count":1}]},{"name":"lost_work_s","unit":"s","count":81,"underflow":13,"overflow":0,"sum":423667.57048165123,"mean":5230.4638331068054,"min":0,"max":9279.4863056584727,"p50":5171.2,"p90":9279.4863056584727,"p95":9279.4863056584727,"p99":9279.4863056584727,"buckets":[{"lo":16,"hi":32,"count":1},{"lo":128,"hi":256,"count":1},{"lo":256,"hi":512,"count":3},{"lo":1024,"hi":2048,"count":5},{"lo":2048,"hi":4096,"count":7},{"lo":4096,"hi":8192,"count":40},{"lo":8192,"hi":16384,"count":11}]}]}|} );
+    ( "least-waste, one buffer level",
+      cielo40 Strategy.Least_waste
+        ~multilevel:
+          {
+            Config.levels =
+              [
+                Config.Buffer
+                  {
+                    Config.bl_capacity_gb = 250000.0;
+                    bl_bandwidth_gbs = 1000.0;
+                    bl_flush_gbs = Some 20.0;
+                    bl_survival = 1.0;
+                  };
+              ];
+          },
+      {|{"counters":{"kills":81},"histograms":[{"name":"token_wait_s","unit":"s","count":198,"underflow":63,"overflow":0,"sum":392376.74153403577,"mean":1981.7007148183625,"min":0,"max":13058.756956040539,"p50":996.32432432432438,"p90":5959.6800000000021,"p95":8472.8685714285693,"p99":12180.33371428572,"buckets":[{"lo":12.8,"hi":25.6,"count":1},{"lo":25.6,"hi":51.2,"count":1},{"lo":102.4,"hi":204.8,"count":1},{"lo":204.8,"hi":409.6,"count":13},{"lo":409.6,"hi":819.2,"count":12},{"lo":819.2,"hi":1638.4,"count":37},{"lo":1638.4,"hi":3276.8,"count":24},{"lo":3276.8,"hi":6553.6,"count":32},{"lo":6553.6,"hi":13107.2,"count":14}]},{"name":"ckpt_io_s","unit":"s","count":351,"underflow":0,"overflow":0,"sum":170632.99274139214,"mean":486.13388245410869,"min":15.144186046498362,"max":5730.2325581395562,"p50":41.89473684210526,"p90":1680.8228571428576,"p95":1937.5542857142855,"p99":5730.2325581395562,"buckets":[{"lo":8,"hi":16,"count":152},{"lo":32,"hi":64,"count":76},{"lo":64,"hi":128,"count":2},{"lo":128,"hi":256,"count":2},{"lo":256,"hi":512,"count":39},{"lo":1024,"hi":2048,"count":70},{"lo":4096,"hi":8192,"count":10}]},{"name":"io_dilation_x","unit":"x","count":24,"underflow":6,"overflow":0,"sum":24.000000000004036,"mean":1.0000000000001681,"min":0.99999999999999478,"max":1.0000000000006615,"p50":1.0000000000006615,"p90":1.0000000000006615,"p95":1.0000000000006615,"p99":1.0000000000006615,"buckets":[{"lo":1,"hi":1.25,"count":18}]},{"name":"lost_work_s","unit":"s","count":81,"underflow":5,"overflow":0,"sum":372547.18221116537,"mean":4599.3479285329058,"min":0,"max":10769.431236284734,"p50":4530.424242424242,"p90":10351.709090909095,"p95":10769.431236284734,"p99":10769.431236284734,"buckets":[{"lo":8,"hi":16,"count":1},{"lo":128,"hi":256,"count":2},{"lo":512,"hi":1024,"count":7},{"lo":1024,"hi":2048,"count":8},{"lo":2048,"hi":4096,"count":14},{"lo":4096,"hi":8192,"count":33},{"lo":8192,"hi":16384,"count":11}]}]}|} );
+  ]
+
+let test_instrument_standard_pinned () =
+  List.iter
+    (fun (name, cfg, expected) ->
+      let reg = Histogram.registry () in
+      let r = Simulator.run ~observe:(Cocheck_obs.Instrument.standard reg) cfg in
+      Alcotest.(check string)
+        (name ^ ": registry") expected
+        (Json.to_string (Histogram.registry_to_json reg));
+      Alcotest.(check bool)
+        (name ^ ": result bit-identical to a bare run")
+        true
+        (compare (Simulator.run cfg) r = 0))
+    pinned_registries
 
 (* ------------------------------------------------------------------ *)
 (* Manifest                                                             *)
@@ -619,22 +676,6 @@ let test_instrument_engine_emits_counters () =
   Alcotest.(check bool) "gc track present" true
     (List.exists (fun (n, _) -> n = "eng/gc") counters)
 
-let test_runtime_registry () =
-  let reg = Runtime.registry () in
-  let c = Runtime.counter reg "sims" in
-  let g = Runtime.gauge reg "queue_depth" in
-  Runtime.incr reg c ();
-  Runtime.incr reg c ~by:2.5 ();
-  Runtime.set reg g 7.0;
-  checkf "counter accumulates" 3.5 (Runtime.value c);
-  checkf "gauge holds last" 7.0 (Runtime.gauge_value g);
-  Alcotest.(check bool) "kind clash rejected" true
-    (match Runtime.gauge reg "sims" with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "snapshot in creation order" true
-    (Runtime.snapshot reg = [ ("sims", 3.5); ("queue_depth", 7.0) ])
-
 let test_runtime_gc_probe () =
   let p = Runtime.gc_probe () in
   let junk = ref [] in
@@ -727,7 +768,6 @@ let () =
       ( "export",
         [
           Alcotest.test_case "jsonl" `Quick test_export_jsonl;
-          Alcotest.test_case "csv" `Quick test_export_csv;
         ] );
       ( "sampler",
         [
@@ -736,8 +776,12 @@ let () =
           Alcotest.test_case "read-only probes" `Quick test_sampler_does_not_perturb;
         ] );
       ( "instrument",
-        [ Alcotest.test_case "standard hooks match the event log" `Quick
-            test_instrument_standard_hooks ] );
+        [
+          Alcotest.test_case "standard observer matches the event log" `Quick
+            test_instrument_standard_stream;
+          Alcotest.test_case "standard observer pinned registries" `Quick
+            test_instrument_standard_pinned;
+        ] );
       ( "manifest",
         [
           Alcotest.test_case "config round-trip" `Quick test_manifest_config_roundtrip;
@@ -764,7 +808,6 @@ let () =
         @ qsuite [ test_span_nesting_qcheck ] );
       ( "runtime",
         [
-          Alcotest.test_case "metrics registry" `Quick test_runtime_registry;
           Alcotest.test_case "gc probe" `Quick test_runtime_gc_probe;
         ] );
     ]
