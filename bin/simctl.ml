@@ -2,17 +2,15 @@
    simulator and the paper's experiments.
 
      simctl run --strategy least-waste --bandwidth 40 --mtbf-years 2
-     simctl fig1 --reps 100 --out fig1.csv
-     simctl fig2 --reps 100
-     simctl fig3 --reps 5
+     simctl fig1 --out fig1.csv
+     simctl fig2 --reps 40 --store results/
+     simctl fig3
      simctl table1
      simctl bound --bandwidth 40 --mtbf-years 2 *)
 
 open Cmdliner
 module Platform = Cocheck_model.Platform
-module Apex = Cocheck_model.Apex
 module Strategy = Cocheck_core.Strategy
-module Waste = Cocheck_core.Waste
 module Lower_bound = Cocheck_core.Lower_bound
 module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
@@ -25,23 +23,31 @@ module Obs = Cocheck_obs
 (* Shared options                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Flags whose unset value is the preset's (or, outside the figure and
+   campaign commands, the stock Cielo's; see [defaults]) are options. *)
 let bandwidth_t =
-  Arg.(value & opt float 160.0 & info [ "bandwidth"; "b" ] ~docv:"GB_S"
+  Arg.(value & opt (some float) None & info [ "bandwidth"; "b" ] ~docv:"GB_S"
+         ~absent:"the preset's, else the platform's"
          ~doc:"Aggregate filesystem bandwidth in GB/s.")
 
 let mtbf_years_t =
-  Arg.(value & opt float 2.0 & info [ "mtbf-years"; "m" ] ~docv:"YEARS"
-         ~doc:"Individual node MTBF in years.")
+  Arg.(value & opt (some float) None & info [ "mtbf-years"; "m" ] ~docv:"YEARS"
+         ~absent:"the preset's, else the platform's" ~doc:"Individual node MTBF in years.")
 
 let seed_t =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Root random seed.")
+  Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~absent:"the preset's"
+         ~doc:"Root random seed.")
+
+let days_doc = "Measurement segment length in days (one excluded day is added on each side)."
 
 let days_t default =
-  Arg.(value & opt float default & info [ "days" ] ~docv:"DAYS"
-         ~doc:"Measurement segment length in days (one excluded day is added on each side).")
+  Arg.(value & opt float default & info [ "days" ] ~docv:"DAYS" ~doc:days_doc)
 
-let reps_t default =
-  Arg.(value & opt int default & info [ "reps" ] ~docv:"N"
+let preset_days_t ?(absent = "the preset's") () =
+  Arg.(value & opt (some float) None & info [ "days" ] ~docv:"DAYS" ~absent ~doc:days_doc)
+
+let preset_reps_t ?(absent = "the preset's") () =
+  Arg.(value & opt (some int) None & info [ "reps" ] ~docv:"N" ~absent
          ~doc:"Monte Carlo replications.")
 
 let out_t =
@@ -194,21 +200,38 @@ let ml_of multilevel hierarchy =
   | None, Some bufs -> Some { Config.levels = bufs }
   | Some m, Some bufs -> Some { Config.levels = m.Config.levels @ bufs }
 
-(* The scenario flags: the platform and its modelling knobs. A knob left
-   unset stays [None] in the Spec, so the run takes Config's default. *)
+(* The scenario flags: the platform and its modelling knobs. A flag left
+   unset keeps the base spec's value; a knob unset there too stays [None],
+   so the run takes Config's default. *)
 type scenario = {
-  bandwidth : float;
-  mtbf_years : float;
+  bandwidth : float option;
+  mtbf_years : float option;
   prospective : bool;
   failure_dist : Cocheck_sim.Failure_trace.distribution option;
   alpha : float option;
   multilevel : Config.multilevel option;
 }
 
-let platform_of sc =
-  if sc.prospective then
-    Platform.prospective ~bandwidth_gbs:sc.bandwidth ~node_mtbf_years:sc.mtbf_years ()
-  else Platform.cielo ~bandwidth_gbs:sc.bandwidth ~node_mtbf_years:sc.mtbf_years ()
+(* What unset flags mean outside the figure presets: Figure 1's protocol
+   (the paper's seven strategies, replications, seed and segment days) on
+   one cell of the stock Cielo. *)
+let defaults =
+  {
+    E.Fig1.spec with
+    E.Spec.name = "campaign";
+    platform = Platform.cielo ();
+    axis = E.Spec.No_sweep;
+  }
+
+(* [--prospective] swaps the machine and keeps the base's bandwidth and
+   MTBF; [-b] and [-m] then override those. Raises [Invalid_argument] on
+   a non-positive value. *)
+let platform_of ?(base = defaults.E.Spec.platform) sc =
+  let p = if sc.prospective then Platform.prospective () else base in
+  Platform.make ~name:p.Platform.name ~nodes:p.nodes ~mem_per_node_gb:p.mem_per_node_gb
+    ~bandwidth_gbs:(Option.value sc.bandwidth ~default:base.Platform.bandwidth_gbs)
+    ~node_mtbf_s:
+      (Option.fold sc.mtbf_years ~none:base.Platform.node_mtbf_s ~some:Cocheck_util.Units.years)
 
 (* The platform flags alone, for the commands that take no knobs. *)
 let platform_flags_t =
@@ -217,7 +240,7 @@ let platform_flags_t =
   in
   Term.(const make $ bandwidth_t $ mtbf_years_t $ prospective_t)
 
-let platform_t = Term.(const platform_of $ platform_flags_t)
+let platform_t = Term.(const (fun sc -> platform_of sc) $ platform_flags_t)
 
 let scenario_t =
   let with_knobs sc failure_dist alpha multilevel hierarchy =
@@ -226,13 +249,17 @@ let scenario_t =
   Term.(const with_knobs $ platform_flags_t $ failure_dist_t $ alpha_t $ multilevel_t
         $ hierarchy_t)
 
-(* The Spec the scenario flags describe. An invalid one is an error
+(* [base] with the set flags applied. An invalid result is an error
    message and exit 1, not an uncaught exception. *)
-let scenario_spec ~what ?name ?axis ~strategies ~reps ~seed ~days sc =
+let override ~what ?name ?axis ?strategies ?reps ?seed ?days sc (base : E.Spec.t) =
+  let pick o d = Option.value o ~default:d and keep o d = if o = None then d else o in
   try
-    E.Spec.make ?name ~platform:(platform_of sc) ~strategies ?axis ~reps ~seed ~days
-      ?failure_dist:sc.failure_dist ?interference_alpha:sc.alpha ?multilevel:sc.multilevel
-      ()
+    E.Spec.make ~name:(pick name base.name) ~platform:(platform_of ~base:base.platform sc)
+      ?classes:base.classes ~strategies:(pick strategies base.strategies)
+      ~axis:(pick axis base.axis) ~reps:(pick reps base.reps) ~seed:(pick seed base.seed)
+      ~days:(pick days base.days) ?failure_dist:(keep sc.failure_dist base.failure_dist)
+      ?interference_alpha:(keep sc.alpha base.interference_alpha)
+      ?burst_buffer:base.burst_buffer ?multilevel:(keep sc.multilevel base.multilevel) ()
   with Invalid_argument m ->
     Format.eprintf "error: invalid %s: %s@." what m;
     exit 1
@@ -240,9 +267,9 @@ let scenario_spec ~what ?name ?axis ~strategies ~reps ~seed ~days sc =
 (* A single run is a one-cell, one-strategy, one-replication Spec.
    Replication 0 runs at the root seed; [single_run ... s] is the run's
    configuration under strategy [s], Baseline included. *)
-let single_run ~strategy ~seed ~days sc =
+let single_run ~strategy ?seed ?days sc =
   let spec =
-    scenario_spec ~what:"run" ~name:"run" ~strategies:[ strategy ] ~reps:1 ~seed ~days sc
+    override ~what:"run" ~name:"run" ~strategies:[ strategy ] ~reps:1 ?seed ?days sc defaults
   in
   let cell = List.hd (E.Spec.cells spec) in
   fun s -> E.Spec.config spec ~cell ~strategy:s ~rep:0
@@ -400,7 +427,7 @@ let write_outputs o recs ~cfg ~timer ~result ?extra () =
 
 let run_cmd =
   let action strategy scenario seed days outputs perfetto_out =
-    let config = single_run ~strategy ~seed ~days scenario in
+    let config = single_run ~strategy ?seed ?days scenario in
     let cfg = config strategy in
     check_writable (perfetto_out :: output_paths outputs);
     Format.printf "%a@." Platform.pp cfg.Config.platform;
@@ -506,7 +533,7 @@ let run_cmd =
       perfetto_out
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a single simulation and print its waste breakdown.")
-    Term.(const action $ strategy_t $ scenario_t $ seed_t $ days_t 60.0 $ outputs_t
+    Term.(const action $ strategy_t $ scenario_t $ seed_t $ preset_days_t () $ outputs_t
           $ perfetto_out_t)
 
 (* ------------------------------------------------------------------ *)
@@ -515,61 +542,19 @@ let run_cmd =
 
 let with_pool ?telemetry domains f = Pool.with_pool ?num_domains:domains ?telemetry f
 
-let manifest_dir_t =
-  Arg.(value & opt (some string) None & info [ "manifest-dir" ] ~docv:"DIR"
-         ~doc:"Write one run manifest JSON per (sweep point, replication, strategy) \
-               under $(docv) — every campaign data point becomes individually \
-               reproducible.")
-
-let fig1_cmd =
-  let action reps seed days mtbf_years out domains manifest_dir =
-    check_writable [ out ];
-    with_pool domains (fun pool ->
-        finish_figure out
-          (E.Fig1.run ~pool ~node_mtbf_years:mtbf_years ~reps ~seed ~days
-             ?manifest_dir ()))
-  in
-  Cmd.v (Cmd.info "fig1" ~doc:"Waste ratio vs bandwidth (paper Figure 1).")
-    Term.(const action $ reps_t 100 $ seed_t $ days_t 60.0 $ mtbf_years_t $ out_t $ domains_t
-          $ manifest_dir_t)
-
-let strategies_t =
-  Arg.(value
-       & opt (some (list ~sep:',' strategy_conv)) None
-       & info [ "strategies" ] ~docv:"S1,S2,..."
-           ~doc:"Sweep these strategies instead of the paper's seven — e.g. \
-                 least-waste,greedy-exposure,ordered-nb-daly to pit an added \
-                 arbitration policy against the paper's curves.")
-
-let fig2_cmd =
-  (* Unset leaves Fig2.run's own default, the paper's 40 GB/s, in force. *)
-  let bandwidth_t =
-    Arg.(value & opt (some float) None & info [ "bandwidth"; "b" ] ~docv:"GB_S"
-           ~doc:"Aggregate filesystem bandwidth in GB/s (default 40, as in the paper's Figure 2).")
-  in
-  let action reps seed days bandwidth_gbs out domains manifest_dir strategies =
-    check_writable [ out ];
-    with_pool domains (fun pool ->
-        finish_figure out
-          (E.Fig2.run ~pool ?bandwidth_gbs ?strategies ~reps ~seed ~days
-             ?manifest_dir ()))
-  in
-  Cmd.v (Cmd.info "fig2" ~doc:"Waste ratio vs node MTBF (paper Figure 2).")
-    Term.(const action $ reps_t 100 $ seed_t $ days_t 60.0 $ bandwidth_t $ out_t $ domains_t
-          $ manifest_dir_t $ strategies_t)
-
 let fig3_cmd =
   let iters_t =
-    Arg.(value & opt int 9 & info [ "iters" ] ~docv:"N"
+    Arg.(value & opt (some int) None & info [ "iters" ] ~docv:"N" ~absent:"the figure's"
            ~doc:"Bisection iterations per simulated bandwidth search.")
   in
   let action reps seed days iters out domains =
     check_writable [ out ];
     with_pool domains (fun pool ->
-        finish_figure out (E.Fig3.run ~pool ~reps ~seed ~days ~iters ()))
+        finish_figure out (E.Fig3.run ~pool ?reps ?seed ?days ?iters ()))
   in
   Cmd.v (Cmd.info "fig3" ~doc:"Min bandwidth for 80% efficiency (paper Figure 3).")
-    Term.(const action $ reps_t 5 $ seed_t $ days_t 20.0 $ iters_t $ out_t $ domains_t)
+    Term.(const action $ preset_reps_t () $ seed_t $ preset_days_t () $ iters_t $ out_t
+          $ domains_t)
 
 let table1_cmd =
   let action () = print_string (E.Table1.render ()) in
@@ -578,9 +563,7 @@ let table1_cmd =
 
 let bound_cmd =
   let action platform =
-    let classes = Apex.default_workload platform in
-    let counts = Waste.steady_state_counts ~classes ~platform in
-    let r = Lower_bound.solve_model ~classes:counts ~platform () in
+    let counts, r = E.Runner.bound platform in
     Format.printf "%a@." Platform.pp platform;
     Format.printf "lambda: %.6g@." r.Lower_bound.lambda;
     Format.printf "I/O fraction F: %.4f@." r.io_fraction;
@@ -597,7 +580,7 @@ let bound_cmd =
 
 let trace_cmd =
   let action strategy platform seed days limit job =
-    let cfg = single_run ~strategy ~seed ~days platform strategy in
+    let cfg = single_run ~strategy ?seed ~days platform strategy in
     let trace = Cocheck_sim.Trace.create () in
     let r = Simulator.run ~observe:(Cocheck_sim.Trace.record trace) cfg in
     Format.printf
@@ -629,6 +612,7 @@ let ablation_cmd =
   in
   let action which reps seed days domains =
     with_pool domains (fun pool ->
+        let seed = Option.value seed ~default:defaults.E.Spec.seed in
         List.iter
           (fun (name, run) ->
             if which = "all" || which = name then begin
@@ -640,11 +624,13 @@ let ablation_cmd =
   Cmd.v
     (Cmd.info "ablation" ~doc:"Ablation studies: failure law, interference model, \
                                burst buffer, period scaling.")
-    Term.(const action $ which_t $ reps_t 8 $ seed_t $ days_t 20.0 $ domains_t)
+    Term.(const action $ which_t
+          $ Arg.(value & opt int 8 & info [ "reps" ] ~docv:"N" ~doc:"Monte Carlo replications.")
+          $ seed_t $ days_t 20.0 $ domains_t)
 
 let timeline_cmd =
   let action strategy platform seed days buckets =
-    let cfg = single_run ~strategy ~seed ~days platform strategy in
+    let cfg = single_run ~strategy ?seed ~days platform strategy in
     let trace = Cocheck_sim.Trace.create ~capacity:2_000_000 () in
     let r = Simulator.run ~observe:(Cocheck_sim.Trace.record trace) cfg in
     let tl =
@@ -666,7 +652,7 @@ let timeline_cmd =
 let check_cmd =
   let action reps seed days domains =
     with_pool domains (fun pool ->
-        let checks = E.Shape_checks.run ~pool ~reps ~seed ~days () in
+        let checks = E.Shape_checks.run ~pool ?reps ?seed ?days () in
         print_string (E.Shape_checks.render checks);
         if not (E.Shape_checks.all_passed checks) then exit 1)
   in
@@ -674,14 +660,15 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Verify the paper's qualitative claims (strategy orderings, crossovers, \
              bound tracking) against a reduced Monte Carlo. Exits non-zero on failure.")
-    Term.(const action $ reps_t 8 $ seed_t $ days_t 15.0 $ domains_t)
+    Term.(const action $ preset_reps_t ~absent:"reduced" () $ seed_t
+          $ preset_days_t ~absent:"reduced" () $ domains_t)
 
 let report_cmd =
   let action full seed out domains =
     check_writable [ out ];
     with_pool domains (fun pool ->
         let depth = if full then E.Report.full else E.Report.quick in
-        let md = E.Report.generate ~pool ~depth ~seed () in
+        let md = E.Report.generate ~pool ~depth ?seed () in
         match out with Some path -> write_file path md | None -> print_string md)
   in
   Cmd.v
@@ -693,7 +680,7 @@ let report_cmd =
 
 let observe_cmd =
   let action strategy scenario seed days outputs =
-    let cfg = single_run ~strategy ~seed ~days scenario strategy in
+    let cfg = single_run ~strategy ?seed ~days scenario strategy in
     check_writable (output_paths outputs);
     let timer = Obs.Timer.create () in
     let recs = recorders ~always:true outputs cfg in
@@ -729,9 +716,11 @@ let render_progress = function
 
 let store_t =
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR"
-         ~doc:"Results store: one digest-keyed JSON record per (cell, strategy, \
-               replication). A re-run loads cached records instead of re-simulating, \
-               so an interrupted campaign resumes where it stopped.")
+         ~doc:"Results store: one digest-keyed cocheck.cell-result JSON record per \
+               (cell, strategy, replication), holding that point's waste ratio. A \
+               re-run loads cached records instead of re-simulating, so an \
+               interrupted campaign resumes where it stopped; stores are shared \
+               between campaigns and figures.")
 
 let spec_file_t =
   Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE"
@@ -750,26 +739,43 @@ let campaign_counts spec =
   let strategies = List.length spec.E.Spec.strategies in
   (cells, strategies, spec.E.Spec.reps)
 
-let campaign_run_cmd =
+(* The axis --axis (else [base]'s) over --values; [None] when both are
+   unset. *)
+let axis_of (base : E.Spec.t) axis values =
+  match (axis, values) with
+  | None, [] -> None
+  | kind, vs -> Some (E.Spec.with_values (Option.value kind ~default:base.E.Spec.axis) vs)
+
+let strategies_t =
+  Arg.(value
+       & opt (some (list ~sep:',' strategy_conv)) None
+       & info [ "strategies" ] ~docv:"S1,S2,..." ~absent:"the preset's"
+           ~doc:"Sweep these strategies instead of the preset's (the paper's seven) — \
+                 e.g. least-waste,greedy-exposure,ordered-nb-daly to pit an added \
+                 arbitration policy against the paper's curves.")
+
+(* `campaign run` over [preset]: the spec is the --spec file, or [preset]
+   with the set flags applied. A swept campaign renders as a figure. *)
+let campaign_run preset =
   let name_t =
-    Arg.(value & opt string "campaign" & info [ "name" ] ~docv:"NAME"
+    Arg.(value & opt (some string) None & info [ "name" ] ~docv:"NAME" ~absent:"the preset's"
            ~doc:"Campaign name (figure id / spec label).")
   in
   let axis_t =
     Arg.(value
-         & opt (enum
-                  [ ("none", `None); ("mtbf", `Mtbf); ("bandwidth", `Bandwidth);
-                    ("flush", `Flush) ])
-             `None
-         & info [ "axis" ] ~docv:"AXIS"
-             ~doc:"Swept parameter: none (default, a single cell), mtbf, bandwidth, \
-                   or flush (background-flush bandwidth of the --hierarchy buffer \
-                   levels, GB/s).")
+         & opt (some (enum
+                        [ ("none", E.Spec.No_sweep); ("mtbf", E.Spec.Mtbf_years []);
+                          ("bandwidth", E.Spec.Bandwidth_gbs []); ("flush", E.Spec.Flush_gbs []) ]))
+             None
+         & info [ "axis" ] ~docv:"AXIS" ~absent:"the preset's"
+             ~doc:"Swept parameter: none (a single cell), mtbf, bandwidth, or flush \
+                   (background-flush bandwidth of the --hierarchy buffer levels, GB/s).")
   in
   let values_t =
     Arg.(value & opt (list ~sep:',' float) [] & info [ "values" ] ~docv:"V1,V2,..."
            ~doc:"Axis values (years for --axis mtbf, GB/s for --axis bandwidth and \
-                 --axis flush).")
+                 --axis flush). Without --axis they replace the values of the preset's \
+                 own axis.")
   in
   let save_spec_t =
     Arg.(value & opt (some string) None & info [ "save-spec" ] ~docv:"FILE"
@@ -796,16 +802,15 @@ let campaign_run_cmd =
       match spec_file with
       | Some path -> load_spec path
       | None ->
-          let axis =
-            match axis with
-            | `None -> E.Spec.No_sweep
-            | `Mtbf -> E.Spec.Mtbf_years values
-            | `Bandwidth -> E.Spec.Bandwidth_gbs values
-            | `Flush -> E.Spec.Flush_gbs values
-          in
-          let strategies = Option.value strategies ~default:Strategy.paper_seven in
-          scenario_spec ~what:"campaign" ~name ~axis ~strategies ~reps ~seed ~days scenario
+          override ~what:"campaign" ?name ?axis:(axis_of preset axis values) ?strategies
+            ?reps ?seed ?days scenario preset
     in
+    if out <> None && spec.E.Spec.axis = E.Spec.No_sweep then begin
+      Format.eprintf
+        "error: --out needs a swept axis (--axis); an unswept campaign prints one mean \
+         per strategy@.";
+      exit 1
+    end;
     check_writable [ save_spec; out; progress; trace_out ];
     Option.iter
       (fun path ->
@@ -845,7 +850,7 @@ let campaign_run_cmd =
                   (Strategy.name r.E.Runner.strategy)
                   r.E.Runner.stats.Cocheck_util.Stats.mean)
               o.E.Runner.results
-        | _ -> finish_figure out (E.Runner.to_figure ~id:spec.E.Spec.name o));
+        | _ -> finish_figure out (E.Runner.to_figure o));
     Option.iter close_out progress_oc;
     Option.iter (fun path -> Format.printf "wrote %s@." path) progress;
     Option.iter
@@ -854,13 +859,20 @@ let campaign_run_cmd =
         Format.printf "wrote %s (%d events)@." path (Obs.Tracing.length tracer))
       trace_out
   in
+  Term.(const action $ spec_file_t $ name_t $ axis_t $ values_t $ scenario_t $ strategies_t
+        $ preset_reps_t () $ seed_t $ preset_days_t () $ store_t $ save_spec_t $ out_t $ domains_t
+        $ progress_out_t $ campaign_trace_out_t)
+
+let campaign_run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Execute a declarative campaign (from --spec or from flags), resuming from \
              the results store when one is given.")
-    Term.(const action $ spec_file_t $ name_t $ axis_t $ values_t $ scenario_t
-          $ strategies_t $ reps_t 100 $ seed_t $ days_t 60.0 $ store_t $ save_spec_t $ out_t $ domains_t $ progress_out_t
-          $ campaign_trace_out_t)
+    (campaign_run defaults)
+
+(* A paper figure is `campaign run` on its preset. *)
+let figure_cmd name ~doc preset =
+  Cmd.v (Cmd.info name ~doc:(doc ^ ": `campaign run` on its preset.")) (campaign_run preset)
 
 let campaign_status_cmd =
   let spec_opt_t =
@@ -1135,7 +1147,9 @@ let main =
     (Cmd.info "simctl" ~version:"1.0.0"
        ~doc:"Cooperative checkpointing for shared HPC platforms — simulator and experiments.")
     [
-      run_cmd; observe_cmd; campaign_cmd; serve_cmd; query_cmd; fig1_cmd; fig2_cmd;
+      run_cmd; observe_cmd; campaign_cmd; serve_cmd; query_cmd;
+      figure_cmd "fig1" ~doc:"Waste ratio vs bandwidth (paper Figure 1)" E.Fig1.spec;
+      figure_cmd "fig2" ~doc:"Waste ratio vs node MTBF (paper Figure 2)" E.Fig2.spec;
       fig3_cmd; table1_cmd; bound_cmd; trace_cmd; ablation_cmd; check_cmd; timeline_cmd;
       report_cmd;
     ]

@@ -1,19 +1,12 @@
 module Platform = Cocheck_model.Platform
 module Strategy = Cocheck_core.Strategy
 
-let default_bandwidths_gbs = [ 40.0; 60.0; 80.0; 100.0; 120.0; 140.0; 160.0 ]
+let spec =
+  Spec.make ~name:"fig1"
+    ~platform:(Platform.cielo ~node_mtbf_years:2.0 ())
+    ~strategies:Strategy.paper_seven
+    ~axis:(Spec.Bandwidth_gbs [ 40.0; 60.0; 80.0; 100.0; 120.0; 140.0; 160.0 ])
+    ~reps:100 ~seed:42 ~days:60.0 ()
 
-let run ~pool ?(bandwidths_gbs = default_bandwidths_gbs) ?(node_mtbf_years = 2.0)
-    ?(reps = 100) ?(seed = 42) ?(days = 60.0) ?manifest_dir () =
-  let spec =
-    Spec.make ~name:"fig1"
-      ~platform:(Platform.cielo ~node_mtbf_years ())
-      ~strategies:Strategy.paper_seven
-      ~axis:(Spec.Bandwidth_gbs bandwidths_gbs) ~reps ~seed ~days ()
-  in
-  Runner.to_figure ~id:"fig1"
-    ~title:
-      (Printf.sprintf
-         "Waste ratio vs system bandwidth (Cielo, node MTBF %gy, %d reps, %gd segment)"
-         node_mtbf_years reps days)
-    (Runner.run ~pool ?store:(Option.map Store.open_ manifest_dir) spec)
+let run ~pool ?(reps = spec.reps) ?(seed = spec.seed) ?(days = spec.days) () =
+  Runner.to_figure (Runner.run ~pool { spec with reps; seed; days })

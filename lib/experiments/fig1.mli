@@ -2,21 +2,13 @@
     (40 → 160 GB/s) for the seven strategies and the theoretical model —
     LANL APEX workload on Cielo, node MTBF 2 years. *)
 
-val default_bandwidths_gbs : float list
-(** 40, 60, 80, 100, 120, 140, 160 — the paper's x axis. *)
+val spec : Spec.t
+(** The figure's preset, holding the paper's parameters: Cielo at a 2-year
+    node MTBF, the bandwidth axis 40, 60, …, 160 GB/s, the paper's seven
+    strategies, 100 replications, seed 42, 60-day segments. [simctl fig1]
+    runs it as a campaign; its flags override fields of it. *)
 
 val run :
-  pool:Cocheck_parallel.Pool.t ->
-  ?bandwidths_gbs:float list ->
-  ?node_mtbf_years:float ->
-  ?reps:int ->
-  ?seed:int ->
-  ?days:float ->
-  ?manifest_dir:string ->
-  unit ->
-  Figures.t
-(** Defaults: the paper's bandwidths, 2-year node MTBF, 100 replications,
-    seed 42, 60-day segment. Builds a single {!Spec.t} over the bandwidth
-    axis and delegates to {!Runner.run}; [manifest_dir] is a {!Runner}
-    results store, so interrupted figure campaigns resume and warm re-runs
-    simulate nothing. *)
+  pool:Cocheck_parallel.Pool.t -> ?reps:int -> ?seed:int -> ?days:float -> unit -> Figures.t
+(** {!spec} with the given replication protocol, run without a store and
+    assembled by {!Runner.to_figure}. *)

@@ -1,18 +1,12 @@
 module Platform = Cocheck_model.Platform
-module Strategy = Cocheck_core.Strategy
 
-let default_mtbf_years = [ 2.0; 3.0; 5.0; 10.0; 20.0; 35.0; 50.0 ]
+let spec =
+  {
+    Fig1.spec with
+    Spec.name = "fig2";
+    platform = Platform.cielo ~bandwidth_gbs:40.0 ();
+    axis = Spec.Mtbf_years [ 2.0; 3.0; 5.0; 10.0; 20.0; 35.0; 50.0 ];
+  }
 
-let run ~pool ?(mtbf_years = default_mtbf_years) ?(bandwidth_gbs = 40.0)
-    ?(strategies = Strategy.paper_seven) ?(reps = 100) ?(seed = 42) ?(days = 60.0)
-    ?manifest_dir () =
-  let spec =
-    Spec.make ~name:"fig2"
-      ~platform:(Platform.cielo ~bandwidth_gbs ())
-      ~strategies ~axis:(Spec.Mtbf_years mtbf_years) ~reps ~seed ~days ()
-  in
-  Runner.to_figure ~id:"fig2"
-    ~title:
-      (Printf.sprintf "Waste ratio vs node MTBF (Cielo, %g GB/s, %d reps, %gd segment)"
-         bandwidth_gbs reps days)
-    (Runner.run ~pool ?store:(Option.map Store.open_ manifest_dir) spec)
+let run ~pool ?(reps = spec.reps) ?(seed = spec.seed) ?(days = spec.days) () =
+  Runner.to_figure (Runner.run ~pool { spec with reps; seed; days })

@@ -2,23 +2,13 @@
     seven strategies and the theoretical model — LANL APEX workload on
     Cielo with a 40 GB/s filesystem. *)
 
-val default_mtbf_years : float list
-(** 2, 3, 5, 10, 20, 35, 50 years — spanning the paper's log-scale axis. *)
+val spec : Spec.t
+(** The figure's preset: Cielo at 40 GB/s and the node-MTBF axis 2, 3, 5,
+    10, 20, 35, 50 years (spanning the paper's log-scale axis); strategies
+    and replication protocol as {!Fig1.spec}. [simctl fig2] runs it as a
+    campaign; its flags override fields of it. *)
 
 val run :
-  pool:Cocheck_parallel.Pool.t ->
-  ?mtbf_years:float list ->
-  ?bandwidth_gbs:float ->
-  ?strategies:Cocheck_core.Strategy.t list ->
-  ?reps:int ->
-  ?seed:int ->
-  ?days:float ->
-  ?manifest_dir:string ->
-  unit ->
-  Figures.t
-(** [strategies] overrides the swept set (default: the paper's seven) — the
-    hook for comparing an added arbitration policy such as
-    [Greedy_exposure] against the paper's curves. Builds a single {!Spec.t}
-    over the MTBF axis and delegates to {!Runner.run}; [manifest_dir] is a
-    {!Runner} results store, so interrupted figure campaigns resume and
-    warm re-runs simulate nothing. *)
+  pool:Cocheck_parallel.Pool.t -> ?reps:int -> ?seed:int -> ?days:float -> unit -> Figures.t
+(** {!spec} with the given replication protocol, run without a store and
+    assembled by {!Runner.to_figure}. *)

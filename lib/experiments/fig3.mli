@@ -7,47 +7,38 @@
     probe replicates [reps] simulations, so this is by far the most
     expensive experiment — the defaults are deliberately modest. *)
 
-val default_mtbf_years : float list
-(** 5, 10, 15, 20, 25 years — the paper's x axis. *)
+val probe : Spec.t
+(** The per-probe preset: one unswept cell of the prospective system
+    under its scaled APEX mix, Least-Waste, 5 replications, seed 42,
+    20-day segments. Each bisection step of {!min_bandwidth} runs it with
+    the probed bandwidth and MTBF, the searched strategy and the caller's
+    replication protocol. *)
 
 val min_bandwidth_theoretical :
-  ?classes:Cocheck_model.App_class.t list ->
-  node_mtbf_years:float ->
-  target_efficiency:float ->
-  unit ->
-  float
-(** Smallest bandwidth (GB/s) at which the Theorem 1 bound allows the
-    target efficiency on the prospective system. *)
+  node_mtbf_years:float -> target_efficiency:float -> unit -> float
+(** Smallest bandwidth (GB/s) at which the Theorem 1 bound ({!Runner.bound}
+    at the probe's class mix) allows the target efficiency on the
+    prospective system. *)
 
 val min_bandwidth :
   pool:Cocheck_parallel.Pool.t ->
   strategy:Cocheck_core.Strategy.t ->
   node_mtbf_years:float ->
   target_efficiency:float ->
-  reps:int ->
-  seed:int ->
-  days:float ->
-  ?iters:int ->
-  ?manifest_dir:string ->
-  unit ->
-  float
-(** Simulated search probe for one strategy/MTBF point (GB/s). With
-    [manifest_dir], every Monte Carlo probe persists to (and reloads
-    from) the digest-keyed {!Runner} results store. *)
-
-val run :
-  pool:Cocheck_parallel.Pool.t ->
-  ?mtbf_years:float list ->
-  ?target_efficiency:float ->
   ?reps:int ->
   ?seed:int ->
   ?days:float ->
   ?iters:int ->
-  ?strategies:Cocheck_core.Strategy.t list ->
-  ?manifest_dir:string ->
   unit ->
+  float
+(** Simulated search for one strategy/MTBF point (GB/s): a log-space
+    bisection of [iters] (default 9) steps, each a {!probe} campaign.
+    [reps], [seed] and [days] default to the probe's. *)
+
+val run :
+  pool:Cocheck_parallel.Pool.t -> ?reps:int -> ?seed:int -> ?days:float -> ?iters:int -> unit ->
   Figures.t
-(** Defaults: the paper's MTBF axis, 80 % target, 5 replications per probe,
-    20-day segments, 9 bisection iterations. The y values are reported in
-    TB/s like the paper's axis. [manifest_dir] is threaded to every
-    bisection probe, so an interrupted search resumes from cache. *)
+(** The paper's figure: node MTBF 5, 10, 15, 20 and 25 years, 80 % target,
+    the seven strategies and the theoretical model. [reps], [seed], [days]
+    and [iters] default to {!min_bandwidth}'s. The y values are reported
+    in TB/s like the paper's axis. *)

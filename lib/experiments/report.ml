@@ -22,9 +22,9 @@ let quick =
 let full =
   {
     reps = 40;
-    days = 60.0;
+    days = Fig1.spec.Spec.days;
     fig3_reps = 3;
-    fig3_days = 20.0;
+    fig3_days = Fig3.probe.Spec.days;
     fig3_iters = 8;
     ablation_reps = 20;
     check_reps = 10;

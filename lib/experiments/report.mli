@@ -17,8 +17,9 @@ val quick : depth
 (** Minutes-scale settings (reps 8, 15-day segments). *)
 
 val full : depth
-(** The EXPERIMENTS.md protocol: Figures 1–2 at reps 40 over 60-day
-    segments, Figure 3 at reps 3 over 20 days with 8 bisection steps, and
+(** The EXPERIMENTS.md protocol: Figures 1–2 at reps 40 and Figure 3 at
+    reps 3 with 8 bisection steps, over the presets' segment lengths
+    ({!Fig1.spec}'s 60 days, {!Fig3.probe}'s 20), and
     every {!Ablations.studies} entry at reps 20 over 20 days — expect a
     substantial fraction of an hour on one core. *)
 

@@ -342,12 +342,12 @@ let strategy_series o =
       })
     o.spec.Spec.strategies
 
-let theoretical_waste ~platform ?classes () =
+let bound ?classes platform =
   let classes =
     match classes with Some cs -> cs | None -> Apex.default_workload platform
   in
   let counts = Waste.steady_state_counts ~classes ~platform in
-  (Lower_bound.solve_model ~classes:counts ~platform ()).Lower_bound.waste
+  (counts, Lower_bound.solve_model ~classes:counts ~platform ())
 
 let theory_series spec =
   {
@@ -357,20 +357,32 @@ let theory_series spec =
         (fun (cell : Spec.cell) ->
           Figures.analytic_point
             ~x:(Option.value cell.Spec.x ~default:0.0)
-            (theoretical_waste ~platform:cell.Spec.platform ?classes:spec.Spec.classes ()))
+            (snd (bound ?classes:spec.Spec.classes cell.Spec.platform)).Lower_bound.waste)
         (Spec.cells spec);
   }
 
-let to_figure ?id ?title ?(y_label = "Waste Ratio") o =
+(* The caption names what the axis sweeps and the platform parameters it
+   leaves fixed. *)
+let title (spec : Spec.t) =
+  let p = spec.Spec.platform in
+  let bandwidth = Printf.sprintf "%g GB/s" p.Platform.bandwidth_gbs
+  and mtbf = Printf.sprintf "node MTBF %gy" (Units.to_years p.Platform.node_mtbf_s) in
+  let swept, fixed =
+    match spec.Spec.axis with
+    | Spec.Bandwidth_gbs _ -> (" vs system bandwidth", mtbf)
+    | Spec.Mtbf_years _ -> (" vs node MTBF", bandwidth)
+    | Spec.Flush_gbs _ -> (" vs flush bandwidth", bandwidth ^ ", " ^ mtbf)
+    | Spec.No_sweep -> ("", bandwidth ^ ", " ^ mtbf)
+  in
+  Printf.sprintf "Waste ratio%s (%s, %s, %d reps, %gd segment)" swept p.Platform.name fixed
+    spec.Spec.reps spec.Spec.days
+
+let to_figure o =
   {
-    Figures.id = Option.value id ~default:o.spec.Spec.name;
-    title =
-      Option.value title
-        ~default:
-          (Printf.sprintf "%s (%d reps, %gd segment)" o.spec.Spec.name o.spec.Spec.reps
-             o.spec.Spec.days);
+    Figures.id = o.spec.Spec.name;
+    title = title o.spec;
     x_label = Spec.axis_label o.spec;
-    y_label;
+    y_label = "Waste Ratio";
     log_x = Spec.log_x o.spec;
     series = strategy_series o @ [ theory_series o.spec ];
   }

@@ -106,18 +106,21 @@ val strategy_series : outcome -> Figures.series list
     in axis order. Pairing is index-based — no name matching. Unswept
     cells plot at [x = 0]. *)
 
-val theoretical_waste :
-  platform:Cocheck_model.Platform.t ->
+val bound :
   ?classes:Cocheck_model.App_class.t list ->
-  unit ->
-  float
-(** The Theorem 1 bound for one cell's platform under its steady-state
-    APEX (or given) class mix — the analytic companion of every simulated
-    point. *)
+  Cocheck_model.Platform.t ->
+  (float * Cocheck_model.App_class.t) list * Cocheck_core.Lower_bound.result
+(** The Theorem 1 bound of one platform at the steady-state job counts of
+    [classes] (default {!Cocheck_model.Apex.default_workload}), returned
+    beside the solution. Behind the theory series, the service's
+    [bound]/[waste] replies and [simctl bound]. *)
 
 val theory_series : Spec.t -> Figures.series
 (** The "Theoretical Model" series over the spec's cells. *)
 
-val to_figure : ?id:string -> ?title:string -> ?y_label:string -> outcome -> Figures.t
-(** Generic figure assembly for swept campaigns: strategy series plus the
-    theoretical-model series, labelled from the spec's axis. *)
+val to_figure : outcome -> Figures.t
+(** Figure assembly: strategy series plus the theoretical-model series,
+    labelled from the spec's axis. The id is the spec's name and the title
+    is a function of the spec: what the axis sweeps, the platform and the
+    fixed platform parameter(s), reps and segment days — e.g. ["Waste ratio
+    vs node MTBF (Cielo, 40 GB/s, 100 reps, 60d segment)"]. *)

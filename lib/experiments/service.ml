@@ -1,10 +1,7 @@
 module Pool = Cocheck_parallel.Pool
 module Wire = Cocheck_obs.Wire
 module Strategy = Cocheck_core.Strategy
-module Waste = Cocheck_core.Waste
 module Lower_bound = Cocheck_core.Lower_bound
-module Platform = Cocheck_model.Platform
-module Apex = Cocheck_model.Apex
 module Stats = Cocheck_util.Stats
 
 type t = {
@@ -62,11 +59,6 @@ let rec admit t pts =
   if cur > 0 && cur + pts > t.max_inflight then false
   else if Atomic.compare_and_set t.inflight cur (cur + pts) then true
   else admit t pts
-
-let solve_bound platform =
-  let classes = Apex.default_workload platform in
-  let counts = Waste.steady_state_counts ~classes ~platform in
-  Lower_bound.solve_model ~classes:counts ~platform ()
 
 let stats_response t =
   Protocol.Stats_result
@@ -135,7 +127,7 @@ let dispatch t conn ~tenant ~id req =
         Protocol.Status_result
           { total = p.Runner.total; cached = p.Runner.cached; missing = p.Runner.missing }
     | Protocol.Bound { platform } ->
-        let r = solve_bound platform in
+        let _, r = Runner.bound platform in
         Protocol.Bound_result
           {
             waste = r.Lower_bound.waste;
@@ -143,7 +135,7 @@ let dispatch t conn ~tenant ~id req =
             io_fraction = r.Lower_bound.io_fraction;
           }
     | Protocol.Waste { platform } ->
-        Protocol.Waste_result { waste = (solve_bound platform).Lower_bound.waste }
+        Protocol.Waste_result { waste = (snd (Runner.bound platform)).Lower_bound.waste }
     | Protocol.Campaign { spec; progress } -> run_campaign t conn ~tenant ~id ~progress spec
   in
   Wire.send conn (Protocol.response_to_json ~id resp);

@@ -1,31 +1,27 @@
 module Strategy = Cocheck_core.Strategy
-module Platform = Cocheck_model.Platform
 
 type check = { id : string; claim : string; passed : bool; detail : string }
 
 let oblivious_fixed = Strategy.Oblivious (Strategy.Fixed Strategy.default_fixed_period_s)
 let ordered_fixed = Strategy.Ordered (Strategy.Fixed Strategy.default_fixed_period_s)
 
-let measure_map ~pool ~platform ~reps ~seed ~days =
-  let spec =
-    Spec.make ~name:"shape-checks" ~platform ~strategies:Strategy.paper_seven ~reps ~seed
-      ~days ()
-  in
-  let results = (Runner.run ~pool spec).Runner.results in
-  fun strategy ->
-    (List.find (fun (r : Runner.cell_result) -> r.strategy = strategy) results).stats
-      .Cocheck_util.Stats.mean
+(* The cells [xs] of a figure preset at the reduced protocol, as a pair
+   [(mean, bound)]: [mean x s] is strategy [s]'s mean waste at axis value
+   [x] and [bound x] the Theorem 1 bound there. *)
+let measure ~pool ~reps ~seed ~days (preset : Spec.t) xs =
+  let axis = Spec.with_values preset.axis xs in
+  let fig = Runner.to_figure (Runner.run ~pool { preset with axis; reps; seed; days }) in
+  let value label x = Option.get (Figures.series_value_at fig ~label ~x) in
+  ((fun x s -> value (Strategy.name s) x), value "Theoretical Model")
 
 let run ~pool ?(reps = 8) ?(seed = 42) ?(days = 15.0) () =
   let checks = ref [] in
   let add id claim passed detail = checks := { id; claim; passed; detail } :: !checks in
 
   (* --- Figure 1 regime: Cielo, node MTBF 2 years ------------------- *)
-  let cielo b = Platform.cielo ~bandwidth_gbs:b ~node_mtbf_years:2.0 () in
-  let at40 = measure_map ~pool ~platform:(cielo 40.0) ~reps ~seed ~days in
-  let at160 = measure_map ~pool ~platform:(cielo 160.0) ~reps ~seed ~days in
-  let bound40 = Runner.theoretical_waste ~platform:(cielo 40.0) () in
-  let bound160 = Runner.theoretical_waste ~platform:(cielo 160.0) () in
+  let fig1, fig1_bound = measure ~pool ~reps ~seed ~days Fig1.spec [ 40.0; 160.0 ] in
+  let at40 = fig1 40.0 and at160 = fig1 160.0 in
+  let bound40 = fig1_bound 40.0 and bound160 = fig1_bound 160.0 in
 
   let w_of_fixed = at40 oblivious_fixed and w_ordered_fixed = at40 ordered_fixed in
   add "fig1-fixed-saturated"
@@ -82,10 +78,9 @@ let run ~pool ?(reps = 8) ?(seed = 42) ?(days = 15.0) () =
        w_lw160 bound160);
 
   (* --- Figure 2 regime: Cielo at 40 GB/s, varying MTBF -------------- *)
-  let cielo_mtbf y = Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:y () in
-  let at50y = measure_map ~pool ~platform:(cielo_mtbf 50.0) ~reps ~seed ~days in
-  let at5y = measure_map ~pool ~platform:(cielo_mtbf 5.0) ~reps ~seed ~days in
-  let bound5 = Runner.theoretical_waste ~platform:(cielo_mtbf 5.0) () in
+  let fig2, fig2_bound = measure ~pool ~reps ~seed ~days Fig2.spec [ 5.0; 50.0 ] in
+  let at50y = fig2 50.0 and at5y = fig2 5.0 in
+  let bound5 = fig2_bound 5.0 in
 
   add "fig2-fixed-flat"
     "The blocking Fixed strategies stay saturated (~80 % waste) however reliable the \

@@ -46,6 +46,13 @@ let cells t =
       List.map (fun b -> { x = Some b; platform = Platform.with_bandwidth t.platform b }) bs
   | Flush_gbs fs -> List.map (fun f -> { x = Some f; platform = t.platform }) fs
 
+let with_values axis vs =
+  match axis with
+  | No_sweep -> No_sweep
+  | Mtbf_years _ -> Mtbf_years vs
+  | Bandwidth_gbs _ -> Bandwidth_gbs vs
+  | Flush_gbs _ -> Flush_gbs vs
+
 let axis_label t =
   match t.axis with
   | No_sweep -> ""
@@ -117,9 +124,8 @@ let validate t =
     (fun cell -> ignore (config t ~cell ~strategy:(List.hd t.strategies) ~rep:0))
     (cells t)
 
-let make ?(name = "campaign") ~platform ?classes ~strategies ?(axis = No_sweep)
-    ?(reps = 100) ?(seed = 42) ?(days = 60.0) ?failure_dist ?interference_alpha
-    ?burst_buffer ?multilevel () =
+let make ?(name = "campaign") ~platform ?classes ~strategies ?(axis = No_sweep) ~reps ~seed
+    ~days ?failure_dist ?interference_alpha ?burst_buffer ?multilevel () =
   let t =
     {
       name;

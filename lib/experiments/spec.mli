@@ -4,8 +4,10 @@
     A campaign is a platform, a strategy set, an optional swept axis, a
     replication protocol (reps, root seed, segment days) and the modelling
     knobs. Every figure/table frontend builds one of these and hands it to
-    {!Runner}; the spec round-trips exactly through JSON (floats included,
-    via {!Cocheck_obs.Json}'s lossless encoding), and each
+    {!Runner}: Figures 1 and 2 are the presets {!Fig1.spec} and
+    {!Fig2.spec}, and Figure 3 bisects over the per-probe preset
+    {!Fig3.probe}. The spec round-trips exactly through JSON (floats
+    included, via {!Cocheck_obs.Json}'s lossless encoding), and each
     (cell, strategy, replication) result carries a canonical-form digest
     that keys it in the {!Runner} results store. *)
 
@@ -45,18 +47,19 @@ val make :
   ?classes:Cocheck_model.App_class.t list ->
   strategies:Cocheck_core.Strategy.t list ->
   ?axis:axis ->
-  ?reps:int ->
-  ?seed:int ->
-  ?days:float ->
+  reps:int ->
+  seed:int ->
+  days:float ->
   ?failure_dist:Cocheck_sim.Failure_trace.distribution ->
   ?interference_alpha:float ->
   ?burst_buffer:Cocheck_sim.Config.burst_buffer ->
   ?multilevel:Cocheck_sim.Config.multilevel ->
   unit ->
   t
-(** Defaults: name ["campaign"], no sweep, 100 reps, seed 42, 60-day
-    segment, knobs unset (inheriting {!Cocheck_sim.Config.make}'s
-    defaults). Runs {!validate}. *)
+(** Defaults: name ["campaign"], no sweep, knobs unset (inheriting
+    {!Cocheck_sim.Config.make}'s defaults). The replication protocol has no
+    default: the paper's (100 reps, seed 42, 60-day segments) is held by
+    the figure presets ({!Fig1.spec}, {!Fig2.spec}). Runs {!validate}. *)
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on an empty strategy set, non-positive reps
@@ -77,6 +80,9 @@ type cell = {
 
 val cells : t -> cell list
 (** One cell per axis value, in axis order ([No_sweep] gives one cell). *)
+
+val with_values : axis -> float list -> axis
+(** The same swept parameter over other values ([No_sweep] stays). *)
 
 val axis_label : t -> string
 (** The paper's axis caption: ["Node MTBF (years)"],

@@ -189,7 +189,7 @@ let test_spec_name_strings_accepted () =
   let spec =
     E.Spec.make ~platform:(tiny_platform ())
       ~strategies:[ Strategy.Least_waste; Strategy.Ordered_nb Strategy.Daly ]
-      ~reps:1 ()
+      ~reps:1 ~seed:42 ~days:60.0 ()
   in
   let rewrite = function
     | Json.Obj fields ->
@@ -210,7 +210,7 @@ let test_spec_name_strings_accepted () =
 
 let test_spec_validate () =
   let make ?(strategies = [ Strategy.Least_waste ]) ?axis ?(reps = 1) ?(days = 1.0) () =
-    E.Spec.make ~platform:(tiny_platform ()) ~strategies ?axis ~reps ~days ()
+    E.Spec.make ~platform:(tiny_platform ()) ~strategies ?axis ~reps ~seed:42 ~days ()
   in
   let rejects msg f = Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ())) in
   rejects "Spec: empty strategy set" (fun () -> make ~strategies:[] ());
@@ -227,7 +227,7 @@ let test_spec_validate () =
 let test_spec_rejects_out_of_range_seed () =
   let spec =
     E.Spec.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
-      ~strategies:[ Strategy.Least_waste ] ~reps:1 ~days:1.0 ()
+      ~strategies:[ Strategy.Least_waste ] ~reps:1 ~seed:42 ~days:1.0 ()
   in
   let with_seed seed =
     match E.Spec.to_json spec with
@@ -249,7 +249,7 @@ let test_spec_rejects_out_of_range_seed () =
 let test_spec_rejects_invalid_knobs () =
   let base =
     E.Spec.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
-      ~strategies:[ Strategy.Least_waste ] ~reps:1 ~days:1.0 ()
+      ~strategies:[ Strategy.Least_waste ] ~reps:1 ~seed:42 ~days:1.0 ()
   in
   let buffer ~bandwidth ~survival =
     Config.Buffer
@@ -288,7 +288,7 @@ let test_spec_rejects_invalid_knobs () =
       Alcotest.(check bool) (what ^ ": Spec.make raises") true
         (match
            E.Spec.make ~platform:spec.platform ?classes:spec.classes
-             ~strategies:spec.strategies ~reps:1 ~days:1.0
+             ~strategies:spec.strategies ~reps:1 ~seed:42 ~days:1.0
              ?interference_alpha:spec.interference_alpha ?multilevel:spec.multilevel ()
          with
         | exception Invalid_argument _ -> true
@@ -299,7 +299,7 @@ let test_empty_levels_are_no_hierarchy () =
   let config multilevel =
     let spec =
       E.Spec.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
-        ~strategies:[ Strategy.Least_waste ] ~reps:1 ~days:1.0 ?multilevel ()
+        ~strategies:[ Strategy.Least_waste ] ~reps:1 ~seed:42 ~days:1.0 ?multilevel ()
     in
     E.Spec.config spec ~cell:(List.hd (E.Spec.cells spec)) ~strategy:Strategy.Least_waste
       ~rep:0
@@ -425,6 +425,17 @@ let pinned_spec () =
           ];
       }
     ()
+
+(* The figure presets at the paper's parameters: a drifted default moves
+   its digest. *)
+let test_preset_digests () =
+  List.iter
+    (fun (what, spec, digest) -> Alcotest.(check string) what digest (E.Spec.digest spec))
+    [
+      ("fig1", E.Fig1.spec, "109a9d8aaf3d4884e6045d4ff9770f1f");
+      ("fig2", E.Fig2.spec, "8114914191b6bd7d58f24e4222f0418d");
+      ("fig3 probe", E.Fig3.probe, "95eb1ad787c1ca3e42d16e619607da6b");
+    ]
 
 let pinned_bb = { Config.capacity_gb = 400_000.0; bandwidth_gbs = 1_000.0 }
 
@@ -604,7 +615,7 @@ let test_level_knobs_change_key () =
 let test_flush_axis () =
   (match
      E.Spec.make ~platform:(tiny_platform ()) ~strategies:[ Strategy.Least_waste ]
-       ~axis:(E.Spec.Flush_gbs [ 5.0 ]) ()
+       ~axis:(E.Spec.Flush_gbs [ 5.0 ]) ~reps:100 ~seed:42 ~days:60.0 ()
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "flush axis without a buffer level accepted");
@@ -613,7 +624,7 @@ let test_flush_axis () =
       ~classes:[ tiny_class ] ~strategies:[ Strategy.Least_waste ]
       ~axis:(E.Spec.Flush_gbs [ 2.0; 8.0 ])
       ~multilevel:{ Config.levels = [ buffer_level () ] }
-      ~reps:1 ~days:0.5 ()
+      ~reps:1 ~seed:42 ~days:0.5 ()
   in
   Alcotest.(check int) "one cell per flush value" 2 (List.length (E.Spec.cells spec));
   Alcotest.(check string) "axis label" "Flush Bandwidth (GB/s)" (E.Spec.axis_label spec);
@@ -935,6 +946,7 @@ let () =
             test_level_knobs_change_key;
           Alcotest.test_case "flush axis" `Quick test_flush_axis;
           Alcotest.test_case "pinned key stable" `Quick test_pinned_key_stable;
+          Alcotest.test_case "figure presets pinned" `Quick test_preset_digests;
           Alcotest.test_case "burst-buffer key moves" `Quick test_burst_buffer_key_moves;
           Alcotest.test_case "legacy burst_buffer manifest decodes" `Quick
             test_legacy_burst_buffer_manifest_decodes;

@@ -143,8 +143,10 @@ let test_series_value_at () =
 (* Theoretical model / Table1                                           *)
 (* ------------------------------------------------------------------ *)
 
+let bound_waste platform = (snd (E.Runner.bound platform)).Cocheck_core.Lower_bound.waste
+
 let test_theoretical_waste_decreases_with_bandwidth () =
-  let w b = E.Runner.theoretical_waste ~platform:(Platform.cielo ~bandwidth_gbs:b ()) () in
+  let w b = bound_waste (Platform.cielo ~bandwidth_gbs:b ()) in
   Alcotest.(check bool) "monotone" true (w 160.0 < w 40.0)
 
 let test_sweep_includes_theory_series () =
@@ -186,7 +188,7 @@ let test_fig3_theoretical_consistent_with_bound () =
   let b = E.Fig3.min_bandwidth_theoretical ~node_mtbf_years:y ~target_efficiency:target () in
   let waste_at beta =
     let platform = Platform.prospective ~bandwidth_gbs:beta ~node_mtbf_years:y () in
-    E.Runner.theoretical_waste ~platform ()
+    bound_waste platform
   in
   Alcotest.(check bool) "feasible at b" true (waste_at b <= (1.0 -. target) +. 1e-6);
   Alcotest.(check bool) "infeasible below b" true
@@ -268,11 +270,14 @@ let test_ablation_render () =
 (* End-to-end small figures                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A figure preset restricted to a small axis, at toy scale. *)
+let small_figure ~pool (preset : E.Spec.t) axis =
+  E.Runner.to_figure
+    (E.Runner.run ~pool { preset with E.Spec.axis; reps = 2; seed = 1; days = 3.0 })
+
 let test_fig1_small_end_to_end () =
   Pool.with_pool ~num_domains:0 (fun pool ->
-      let fig =
-        E.Fig1.run ~pool ~bandwidths_gbs:[ 40.0; 160.0 ] ~reps:2 ~seed:1 ~days:3.0 ()
-      in
+      let fig = small_figure ~pool E.Fig1.spec (E.Spec.Bandwidth_gbs [ 40.0; 160.0 ]) in
       Alcotest.(check int) "8 series (7 strategies + theory)" 8
         (List.length fig.E.Figures.series);
       (* The headline shape: at 160 GB/s, Least-Waste is no worse than
@@ -288,7 +293,7 @@ let test_fig1_small_end_to_end () =
 
 let test_fig2_small_end_to_end () =
   Pool.with_pool ~num_domains:0 (fun pool ->
-      let fig = E.Fig2.run ~pool ~mtbf_years:[ 2.0; 50.0 ] ~reps:2 ~seed:1 ~days:3.0 () in
+      let fig = small_figure ~pool E.Fig2.spec (E.Spec.Mtbf_years [ 2.0; 50.0 ]) in
       Alcotest.(check bool) "log x" true fig.E.Figures.log_x;
       (* Fixed blocking strategies stay saturated at high MTBF while Daly
          variants improve dramatically (the paper's central Figure 2
@@ -298,6 +303,22 @@ let test_fig2_small_end_to_end () =
         (v "Ordered-Fixed" 50.0 > 0.5);
       Alcotest.(check bool) "Ordered-Daly improves with MTBF" true
         (v "Ordered-Daly" 50.0 < v "Ordered-Daly" 2.0))
+
+(* A preset saved as JSON and run as a campaign renders the same figure
+   as the figure's own entry point. *)
+let test_preset_json_renders_as_run () =
+  Pool.with_pool ~num_domains:0 (fun pool ->
+      let via_json (preset : E.Spec.t) =
+        match E.Spec.of_json (E.Spec.to_json { preset with E.Spec.reps = 2; days = 3.0 }) with
+        | Ok spec -> E.Figures.render (E.Runner.to_figure (E.Runner.run ~pool spec))
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check string) "fig1"
+        (E.Figures.render (E.Fig1.run ~pool ~reps:2 ~days:3.0 ()))
+        (via_json E.Fig1.spec);
+      Alcotest.(check string) "fig2"
+        (E.Figures.render (E.Fig2.run ~pool ~reps:2 ~days:3.0 ()))
+        (via_json E.Fig2.spec))
 
 (* ------------------------------------------------------------------ *)
 (* Timeline                                                             *)
@@ -411,6 +432,8 @@ let () =
         [
           Alcotest.test_case "fig1 (toy scale)" `Slow test_fig1_small_end_to_end;
           Alcotest.test_case "fig2 (toy scale)" `Slow test_fig2_small_end_to_end;
+          Alcotest.test_case "preset via JSON renders as run" `Slow
+            test_preset_json_renders_as_run;
           Alcotest.test_case "shape checks (reduced)" `Slow test_shape_checks_reduced;
         ] );
     ]
