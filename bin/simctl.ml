@@ -56,7 +56,8 @@ let out_t =
 
 let prospective_t =
   Arg.(value & flag & info [ "prospective" ]
-         ~doc:"Use the prospective 50 000-node, 7 PB system instead of Cielo.")
+         ~doc:"Use the prospective 50 000-node, 7 PB system instead of Cielo, at its own \
+               1 TB/s and 15-year node MTBF unless --bandwidth or --mtbf-years is given.")
 
 let domains_t =
   Arg.(value & opt (some int) None & info [ "domains"; "j" ] ~docv:"N"
@@ -223,15 +224,14 @@ let defaults =
     axis = E.Spec.No_sweep;
   }
 
-(* [--prospective] swaps the machine and keeps the base's bandwidth and
-   MTBF; [-b] and [-m] then override those. Raises [Invalid_argument] on
-   a non-positive value. *)
+(* [--prospective] swaps the machine for the prospective system at its
+   own bandwidth and MTBF; [-b] and [-m] then override those. Raises
+   [Invalid_argument] on a non-positive value. *)
 let platform_of ?(base = defaults.E.Spec.platform) sc =
   let p = if sc.prospective then Platform.prospective () else base in
   Platform.make ~name:p.Platform.name ~nodes:p.nodes ~mem_per_node_gb:p.mem_per_node_gb
-    ~bandwidth_gbs:(Option.value sc.bandwidth ~default:base.Platform.bandwidth_gbs)
-    ~node_mtbf_s:
-      (Option.fold sc.mtbf_years ~none:base.Platform.node_mtbf_s ~some:Cocheck_util.Units.years)
+    ~bandwidth_gbs:(Option.value sc.bandwidth ~default:p.bandwidth_gbs)
+    ~node_mtbf_s:(Option.fold sc.mtbf_years ~none:p.node_mtbf_s ~some:Cocheck_util.Units.years)
 
 (* The platform flags alone, for the commands that take no knobs. *)
 let platform_flags_t =
@@ -259,20 +259,20 @@ let override ~what ?name ?axis ?strategies ?reps ?seed ?days sc (base : E.Spec.t
       ~axis:(pick axis base.axis) ~reps:(pick reps base.reps) ~seed:(pick seed base.seed)
       ~days:(pick days base.days) ?failure_dist:(keep sc.failure_dist base.failure_dist)
       ?interference_alpha:(keep sc.alpha base.interference_alpha)
-      ?burst_buffer:base.burst_buffer ?multilevel:(keep sc.multilevel base.multilevel) ()
+      ?multilevel:(keep sc.multilevel base.multilevel) ()
   with Invalid_argument m ->
     Format.eprintf "error: invalid %s: %s@." what m;
     exit 1
 
-(* A single run is a one-cell, one-strategy, one-replication Spec.
-   Replication 0 runs at the root seed; [single_run ... s] is the run's
-   configuration under strategy [s], Baseline included. *)
+(* A single run is a one-cell, one-strategy, one-replication Spec; its
+   manifest carries it, so `campaign run --spec` replays the run. *)
 let single_run ~strategy ?seed ?days sc =
-  let spec =
-    override ~what:"run" ~name:"run" ~strategies:[ strategy ] ~reps:1 ?seed ?days sc defaults
-  in
-  let cell = List.hd (E.Spec.cells spec) in
-  fun s -> E.Spec.config spec ~cell ~strategy:s ~rep:0
+  override ~what:"run" ~name:"run" ~strategies:[ strategy ] ~reps:1 ?seed ?days sc defaults
+
+(* The single run's configuration under strategy [s], Baseline included:
+   replication 0 runs at the root seed. *)
+let run_config spec s =
+  E.Spec.config spec ~cell:(List.hd (E.Spec.cells spec)) ~strategy:s ~rep:0
 
 (* Observability outputs, shared by `run` and `observe`. *)
 
@@ -287,8 +287,9 @@ let series_out_t =
 
 let manifest_out_t =
   Arg.(value & opt (some string) None & info [ "manifest-out" ] ~docv:"FILE"
-         ~doc:"Write a reproducible run manifest (config, phase timings, \
-               instrumentation, final metrics) as JSON to $(docv).")
+         ~doc:"Write the run manifest (its one-cell campaign spec, config, phase \
+               timings, instrumentation, final metrics) as JSON to $(docv); \
+               `simctl campaign run --spec $(docv)` replays the run.")
 
 let pos_float_conv =
   let parse s =
@@ -401,7 +402,7 @@ let recorders ~always o cfg =
   in
   { trace; registry; observe; series; sample }
 
-let write_outputs o recs ~cfg ~timer ~result ?extra () =
+let write_outputs o recs ~spec ~cfg ~timer ~result ?(extra = []) () =
   Option.iter
     (fun path ->
       writing path (fun () ->
@@ -417,7 +418,9 @@ let write_outputs o recs ~cfg ~timer ~result ?extra () =
     (fun path ->
       writing path (fun () ->
           Obs.Manifest.write ~path
-            (Obs.Manifest.make ~cfg ~timer ~result ?registry:recs.registry ?extra ()));
+            (Obs.Manifest.make ~cfg ~timer ~result ?registry:recs.registry
+               ~extra:(("spec", E.Spec.to_json spec) :: extra)
+               ()));
       Format.printf "wrote %s@." path)
     o.manifest_out
 
@@ -427,7 +430,8 @@ let write_outputs o recs ~cfg ~timer ~result ?extra () =
 
 let run_cmd =
   let action strategy scenario seed days outputs perfetto_out =
-    let config = single_run ~strategy ?seed ?days scenario in
+    let spec = single_run ~strategy ?seed ?days scenario in
+    let config = run_config spec in
     let cfg = config strategy in
     check_writable (perfetto_out :: output_paths outputs);
     Format.printf "%a@." Platform.pp cfg.Config.platform;
@@ -521,7 +525,7 @@ let run_cmd =
           Format.printf "%s: %d restarts, %.3g node-seconds rolled back@." name restarts
             lost)
       r.restarts_by_class r.lost_work_by_class;
-    write_outputs outputs recs ~cfg ~timer ~result:r
+    write_outputs outputs recs ~spec ~cfg ~timer ~result:r
       ~extra:[ ("waste_ratio", Obs.Json.Float waste_ratio) ]
       ();
     Option.iter
@@ -580,7 +584,7 @@ let bound_cmd =
 
 let trace_cmd =
   let action strategy platform seed days limit job =
-    let cfg = single_run ~strategy ?seed ~days platform strategy in
+    let cfg = run_config (single_run ~strategy ?seed ~days platform) strategy in
     let trace = Cocheck_sim.Trace.create () in
     let r = Simulator.run ~observe:(Cocheck_sim.Trace.record trace) cfg in
     Format.printf
@@ -630,7 +634,7 @@ let ablation_cmd =
 
 let timeline_cmd =
   let action strategy platform seed days buckets =
-    let cfg = single_run ~strategy ?seed ~days platform strategy in
+    let cfg = run_config (single_run ~strategy ?seed ~days platform) strategy in
     let trace = Cocheck_sim.Trace.create ~capacity:2_000_000 () in
     let r = Simulator.run ~observe:(Cocheck_sim.Trace.record trace) cfg in
     let tl =
@@ -680,7 +684,8 @@ let report_cmd =
 
 let observe_cmd =
   let action strategy scenario seed days outputs =
-    let cfg = single_run ~strategy ?seed ~days scenario strategy in
+    let spec = single_run ~strategy ?seed ~days scenario in
+    let cfg = run_config spec strategy in
     check_writable (output_paths outputs);
     let timer = Obs.Timer.create () in
     let recs = recorders ~always:true outputs cfg in
@@ -693,7 +698,7 @@ let observe_cmd =
          ~registry:(Option.get recs.registry) ());
     print_newline ();
     print_string (Obs.Timer.render timer);
-    write_outputs outputs recs ~cfg ~timer ~result:r ()
+    write_outputs outputs recs ~spec ~cfg ~timer ~result:r ()
   in
   Cmd.v
     (Cmd.info "observe"
@@ -725,7 +730,8 @@ let store_t =
 let spec_file_t =
   Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE"
          ~doc:"Load the campaign spec from a JSON file (written by --save-spec or by \
-               hand); the platform/axis/strategy flags are then ignored.")
+               hand, or a run manifest written by --manifest-out, which replays that \
+               run); the platform/axis/strategy flags are then ignored.")
 
 let load_spec path =
   match E.Spec.load ~path with
@@ -1038,7 +1044,7 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Long-running campaign service: concurrent campaign/bound/waste queries as \
+       ~doc:"Long-running campaign service: concurrent campaign/status/bound queries as \
              JSONL over a socket, fair-queued across clients, warm queries answered \
              from the store with zero simulations.")
     Term.(const action $ socket_t $ port_t $ store_req_t $ domains_t $ max_inflight_t)
@@ -1075,7 +1081,6 @@ let print_response = function
       Format.printf "lambda: %.6g@." r.lambda;
       Format.printf "I/O fraction F: %.4f@." r.io_fraction;
       Format.printf "waste lower bound: %.4f (efficiency %.4f)@." r.waste (1.0 -. r.waste)
-  | E.Protocol.Waste_result r -> Format.printf "analytic waste: %.4f@." r.waste
   | E.Protocol.Stats_result r ->
       Format.printf
         "store: hits=%d misses=%d loads=%d writes=%d evictions=%d migrated=%d indexed=%d@."
@@ -1121,21 +1126,19 @@ let query_cmd =
     Cmd.v (Cmd.info "status" ~doc:"Ask the service how much of a campaign its store covers.")
       Term.(const action $ socket_t $ port_t $ query_spec_req_t)
   in
-  let platform_q name ~doc mk =
-    let action socket port platform = query_one ~socket ~port (mk platform) in
-    Cmd.v (Cmd.info name ~doc) Term.(const action $ socket_t $ port_t $ platform_t)
+  let bound_q =
+    let action socket port platform = query_one ~socket ~port (E.Protocol.Bound { platform }) in
+    Cmd.v (Cmd.info "bound" ~doc:"Theorem 1 lower bound, served.")
+      Term.(const action $ socket_t $ port_t $ platform_t)
   in
   Cmd.group
     (Cmd.info "query"
        ~doc:"Client for a running `simctl serve` daemon: campaign, status, bound, \
-             waste, ping, stats, shutdown.")
+             ping, stats, shutdown.")
     [
       campaign_q;
       status_q;
-      platform_q "bound" ~doc:"Theorem 1 lower bound, served." (fun platform ->
-          E.Protocol.Bound { platform });
-      platform_q "waste" ~doc:"Analytic waste model, served." (fun platform ->
-          E.Protocol.Waste { platform });
+      bound_q;
       simple "ping" ~doc:"Liveness check." E.Protocol.Ping;
       simple "stats" ~doc:"Store and admission counters." E.Protocol.Stats;
       simple "shutdown" ~doc:"Stop the daemon cleanly (drains in-flight campaigns)."

@@ -43,10 +43,10 @@ let strategy_columns strategies = List.map Strategy.name strategies
    in strategy order — the declarative core every Monte Carlo study maps
    its rows through. *)
 let mc ~pool ~platform ~strategies ~reps ~seed ~days ?failure_dist
-    ?interference_alpha ?burst_buffer ?multilevel () =
+    ?interference_alpha ?multilevel () =
   let spec =
     Spec.make ~name:"ablation" ~platform ~strategies ~reps ~seed ~days ?failure_dist
-      ?interference_alpha ?burst_buffer ?multilevel ()
+      ?interference_alpha ?multilevel ()
   in
   List.map
     (fun (r : Runner.cell_result) ->
@@ -103,15 +103,19 @@ let burst_buffer ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
   let rows =
     List.map
       (fun cap ->
-        let burst_buffer =
+        let multilevel =
           if cap <= 0.0 then None
-          else Some { Cocheck_sim.Config.capacity_gb = cap; bandwidth_gbs = bb_bandwidth_gbs }
+          else
+            Some
+              (Cocheck_sim.Config.with_burst_buffer
+                 { Cocheck_sim.Config.capacity_gb = cap; bandwidth_gbs = bb_bandwidth_gbs }
+                 None)
         in
         {
           label =
             (if cap <= 0.0 then "no buffer"
              else Format.asprintf "%a buffer" Units.pp_bytes cap);
-          values = mc ~pool ~platform ~strategies ~reps ~seed ~days ?burst_buffer ();
+          values = mc ~pool ~platform ~strategies ~reps ~seed ~days ?multilevel ();
         })
       capacities_gb
   in

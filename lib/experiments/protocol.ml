@@ -9,7 +9,6 @@ type request =
   | Campaign of { spec : Spec.t; progress : bool }
   | Status of { spec : Spec.t }
   | Bound of { platform : Platform.t }
-  | Waste of { platform : Platform.t }
 
 type cell_summary = {
   x : float option;
@@ -36,7 +35,6 @@ type response =
     }
   | Status_result of { total : int; cached : int; missing : int }
   | Bound_result of { waste : float; lambda : float; io_fraction : float }
-  | Waste_result of { waste : float }
   | Stats_result of {
       store : Store.stats;
       indexed : int;
@@ -58,7 +56,6 @@ let request_to_json ~id req =
       frame "campaign" [ ("spec", Spec.to_json spec); ("progress", Json.Bool progress) ]
   | Status { spec } -> frame "status" [ ("spec", Spec.to_json spec) ]
   | Bound { platform } -> frame "bound" [ ("platform", Manifest.platform_to_json platform) ]
-  | Waste { platform } -> frame "waste" [ ("platform", Manifest.platform_to_json platform) ]
 
 let ( let* ) = Result.bind
 
@@ -92,9 +89,6 @@ let request_of_json j =
     | "bound" ->
         let* platform = platform_of j in
         Ok (Bound { platform })
-    | "waste" ->
-        let* platform = platform_of j in
-        Ok (Waste { platform })
     | op -> Result.Error ("unknown op: " ^ op)
   in
   Ok (id, req)
@@ -156,7 +150,6 @@ let response_to_json ~id resp =
           ("lambda", Json.Float r.lambda);
           ("io_fraction", Json.Float r.io_fraction);
         ]
-  | Waste_result r -> frame "waste" [ ("waste", Json.Float r.waste) ]
   | Stats_result r ->
       frame "stats"
         [
@@ -224,10 +217,6 @@ let response_of_json j =
         | Some waste, Some lambda, Some io_fraction ->
             Ok (Bound_result { waste; lambda; io_fraction })
         | _ -> Result.Error "malformed bound reply")
-    | "waste" -> (
-        match flt "waste" with
-        | Some waste -> Ok (Waste_result { waste })
-        | None -> Result.Error "malformed waste reply")
     | "stats" -> (
         match (Json.member "store" j, int "indexed", int "inflight_points", int "served") with
         | Some store, Some indexed, Some inflight, Some served ->

@@ -19,8 +19,6 @@ type request =
   | Status of { spec : Spec.t }  (** store coverage without running *)
   | Bound of { platform : Cocheck_model.Platform.t }
       (** Theorem 1 lower bound for a platform (steady-state APEX mix) *)
-  | Waste of { platform : Cocheck_model.Platform.t }
-      (** the analytic waste model: the bound's waste value alone *)
 
 type cell_summary = {
   x : float option;
@@ -52,7 +50,6 @@ type response =
     }
   | Status_result of { total : int; cached : int; missing : int }
   | Bound_result of { waste : float; lambda : float; io_fraction : float }
-  | Waste_result of { waste : float }
   | Stats_result of {
       store : Store.stats;
       indexed : int;

@@ -134,8 +134,6 @@ let dispatch t conn ~tenant ~id req =
             lambda = r.Lower_bound.lambda;
             io_fraction = r.Lower_bound.io_fraction;
           }
-    | Protocol.Waste { platform } ->
-        Protocol.Waste_result { waste = (snd (Runner.bound platform)).Lower_bound.waste }
     | Protocol.Campaign { spec; progress } -> run_campaign t conn ~tenant ~id ~progress spec
   in
   Wire.send conn (Protocol.response_to_json ~id resp);

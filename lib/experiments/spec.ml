@@ -25,7 +25,6 @@ type t = {
   days : float;
   failure_dist : Failure_trace.distribution option;
   interference_alpha : float option;
-  burst_buffer : Config.burst_buffer option;
   multilevel : Config.multilevel option;
 }
 
@@ -83,11 +82,6 @@ let config t ~cell ~strategy ~rep =
   in
   (* A spec may spell "no hierarchy" as an empty level list. *)
   let multilevel = match multilevel with Some { Config.levels = [] } -> None | m -> m in
-  let multilevel =
-    match t.burst_buffer with
-    | None -> multilevel
-    | Some bb -> Some (Config.with_burst_buffer bb multilevel)
-  in
   Config.make ~platform:cell.platform ?classes:t.classes ~strategy
     ~seed:(rep_seed ~seed:t.seed ~rep) ~days:t.days ?failure_dist:t.failure_dist
     ?interference_alpha:t.interference_alpha ?multilevel ()
@@ -125,7 +119,7 @@ let validate t =
     (cells t)
 
 let make ?(name = "campaign") ~platform ?classes ~strategies ?(axis = No_sweep) ~reps ~seed
-    ~days ?failure_dist ?interference_alpha ?burst_buffer ?multilevel () =
+    ~days ?failure_dist ?interference_alpha ?multilevel () =
   let t =
     {
       name;
@@ -138,7 +132,6 @@ let make ?(name = "campaign") ~platform ?classes ~strategies ?(axis = No_sweep) 
       days;
       failure_dist;
       interference_alpha;
-      burst_buffer;
       multilevel;
     }
   in
@@ -262,7 +255,6 @@ let to_json t =
     @ optional "failure_dist" (Option.map Manifest.failure_dist_to_json t.failure_dist)
     @ optional "interference_alpha"
         (Option.map (fun a -> Json.Float a) t.interference_alpha)
-    @ optional "burst_buffer" (Option.map Manifest.burst_buffer_to_json t.burst_buffer)
     @ optional "multilevel" (Option.map Manifest.multilevel_to_json t.multilevel))
 
 let field name conv j =
@@ -318,7 +310,16 @@ let of_json j =
         | None -> Error "spec: bad interference_alpha")
       j
   in
-  let* burst_buffer = optional_member "burst_buffer" Manifest.burst_buffer_of_json j in
+  (* Unknown members are ignored, so the retired spelling would silently
+     drop the buffer from the run. *)
+  let* () =
+    match Json.member "burst_buffer" j with
+    | None -> Ok ()
+    | Some _ ->
+        Error
+          "spec: \"burst_buffer\" is no longer a spec field; write it as a buffer \
+           level under multilevel"
+  in
   let* multilevel = optional_member "multilevel" Manifest.multilevel_of_json j in
   let t =
     {
@@ -332,7 +333,6 @@ let of_json j =
       days;
       failure_dist;
       interference_alpha;
-      burst_buffer;
       multilevel;
     }
   in
@@ -344,8 +344,15 @@ let save ~path t =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (Json.to_string_pretty (to_json t)))
 
+(* A run manifest is read through the one-cell spec it carries. *)
 let load ~path =
-  match Manifest.load ~path with Ok j -> of_json j | Error e -> Error e
+  let* j = Manifest.load ~path in
+  match Option.bind (Json.member "schema" j) Json.to_string_opt with
+  | Some s when s = Manifest.schema -> (
+      match Json.member "spec" j with
+      | Some spec -> of_json spec
+      | None -> Error "spec: the manifest has no \"spec\" section")
+  | _ -> of_json j
 
 (* ------------------------------------------------------------------ *)
 (* Digests                                                              *)

@@ -35,10 +35,9 @@ type t = {
   days : float;  (** measurement-segment length per run *)
   failure_dist : Cocheck_sim.Failure_trace.distribution option;
   interference_alpha : float option;
-  burst_buffer : Cocheck_sim.Config.burst_buffer option;
-      (** kept as written so spec digests are stable; {!config} desugars it
-          into a buffer level ({!Cocheck_sim.Config.with_burst_buffer}) *)
   multilevel : Cocheck_sim.Config.multilevel option;
+      (** the checkpoint hierarchy, shallow to deep; the paper's burst
+          buffer is one of its levels ({!Cocheck_sim.Config.with_burst_buffer}) *)
 }
 
 val make :
@@ -52,14 +51,15 @@ val make :
   days:float ->
   ?failure_dist:Cocheck_sim.Failure_trace.distribution ->
   ?interference_alpha:float ->
-  ?burst_buffer:Cocheck_sim.Config.burst_buffer ->
   ?multilevel:Cocheck_sim.Config.multilevel ->
   unit ->
   t
 (** Defaults: name ["campaign"], no sweep, knobs unset (inheriting
     {!Cocheck_sim.Config.make}'s defaults). The replication protocol has no
     default: the paper's (100 reps, seed 42, 60-day segments) is held by
-    the figure presets ({!Fig1.spec}, {!Fig2.spec}). Runs {!validate}. *)
+    the figure presets ({!Fig1.spec}, {!Fig2.spec}). A burst buffer is
+    passed as [~multilevel:(Config.with_burst_buffer bb None)]. Runs
+    {!validate}. *)
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on an empty strategy set, non-positive reps
@@ -67,9 +67,7 @@ val validate : t -> unit
     multilevel buffer level to apply it to. The modelling knobs are checked
     by building every cell's {!config}, so a spec is rejected exactly when
     {!Cocheck_sim.Config} would reject one of its runs: a negative
-    interference alpha, an invalid level, or a [burst_buffer] that
-    {!Cocheck_sim.Config.with_burst_buffer} rejects (non-positive, or
-    beside buffer levels). *)
+    interference alpha or an invalid level. *)
 
 (** {2 Cell expansion} *)
 
@@ -118,10 +116,15 @@ val of_json : Cocheck_obs.Json.t -> (t, string) result
     field-for-field and bit-for-bit on floats. Strategies are accepted
     either in the structural encoding {!to_json} emits (lossless for
     arbitrary [Fixed] periods) or as paper-style name strings
-    (["ordered-nb-daly"]) for hand-written specs. *)
+    (["ordered-nb-daly"]) for hand-written specs. A ["burst_buffer"]
+    member, the retired second spelling of a buffer level, is an [Error]
+    rather than ignored. *)
 
 val save : path:string -> t -> unit
 val load : path:string -> (t, string) result
+(** A spec file, or a run manifest ({!Cocheck_obs.Manifest}): a manifest
+    is read through its ["spec"] section, so a run written down by
+    [simctl run --manifest-out] replays with [--spec]. *)
 
 (** {2 Digests} *)
 

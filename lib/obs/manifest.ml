@@ -9,8 +9,6 @@ module App_class = Cocheck_model.App_class
 let schema = "cocheck.manifest"
 let version = 1
 
-let strategy_to_string = Strategy.name
-
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -45,13 +43,6 @@ let failure_dist_to_json (d : Failure_trace.distribution) =
       Json.Obj [ ("law", Json.String "weibull"); ("shape", Json.Float shape) ]
   | Failure_trace.Lognormal { sigma } ->
       Json.Obj [ ("law", Json.String "lognormal"); ("sigma", Json.Float sigma) ]
-
-let burst_buffer_to_json (bb : Config.burst_buffer) =
-  Json.Obj
-    [
-      ("capacity_gb", Json.Float bb.Config.capacity_gb);
-      ("bandwidth_gbs", Json.Float bb.bandwidth_gbs);
-    ]
 
 let level_to_json (l : Config.level) =
   match l with
@@ -96,7 +87,7 @@ let config_to_json (cfg : Config.t) =
     ([
        ("platform", platform_to_json cfg.Config.platform);
        ("classes", Json.List (List.map app_class_to_json cfg.classes));
-       ("strategy", Json.String (strategy_to_string cfg.strategy));
+       ("strategy", Json.String (Strategy.name cfg.strategy));
        ("seed", Json.Int cfg.seed);
        ("min_duration_s", Json.Float cfg.min_duration_s);
        ("seg_start", Json.Float cfg.seg_start);
@@ -123,7 +114,6 @@ let field name conv j =
 
 let f_float name j = field name Json.to_float_opt j
 let f_int name j = field name Json.to_int_opt j
-let f_bool name j = field name Json.to_bool_opt j
 let f_string name j = field name Json.to_string_opt j
 
 let platform_of_json j =
@@ -174,18 +164,6 @@ let rec collect f = function
       let* vs = collect f rest in
       Ok (v :: vs)
 
-let optional_member name conv j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some sub ->
-      let* v = conv sub in
-      Ok (Some v)
-
-let burst_buffer_of_json bb =
-  let* capacity_gb = f_float "capacity_gb" bb in
-  let* bandwidth_gbs = f_float "bandwidth_gbs" bb in
-  Ok { Config.capacity_gb; bandwidth_gbs }
-
 let level_of_json l =
   let* kind = f_string "kind" l in
   match kind with
@@ -218,52 +196,6 @@ let multilevel_of_json m =
       Ok
         (Config.local_level ~period_s:local_period_s ~cost_s:local_cost_s
            ~recovery_s:local_recovery_s ~soft_fraction)
-
-let config_of_json j =
-  let* platform = field "platform" (fun p -> Some p) j in
-  let* platform = platform_of_json platform in
-  let* class_list = field "classes" Json.to_list_opt j in
-  let* classes = collect app_class_of_json class_list in
-  let* strategy_s = f_string "strategy" j in
-  let* strategy =
-    match Strategy.of_string strategy_s with Ok s -> Ok s | Error e -> Error e
-  in
-  let* seed = f_int "seed" j in
-  let* min_duration_s = f_float "min_duration_s" j in
-  let* seg_start = f_float "seg_start" j in
-  let* seg_end = f_float "seg_end" j in
-  let* horizon = f_float "horizon" j in
-  let* fill_factor = f_float "fill_factor" j in
-  let* with_failures = f_bool "with_failures" j in
-  let* dist = field "failure_dist" (fun d -> Some d) j in
-  let* failure_dist = failure_dist_of_json dist in
-  let* interference_alpha = f_float "interference_alpha" j in
-  let* burst_buffer = optional_member "burst_buffer" burst_buffer_of_json j in
-  let* multilevel = optional_member "multilevel" multilevel_of_json j in
-  let* multilevel =
-    match burst_buffer with
-    | None -> Ok multilevel
-    | Some bb -> (
-        match Config.with_burst_buffer bb multilevel with
-        | m -> Ok (Some m)
-        | exception Invalid_argument e -> Error e)
-  in
-  Ok
-    {
-      Config.platform;
-      classes;
-      strategy;
-      seed;
-      min_duration_s;
-      seg_start;
-      seg_end;
-      horizon;
-      fill_factor;
-      with_failures;
-      failure_dist;
-      interference_alpha;
-      multilevel;
-    }
 
 (* ------------------------------------------------------------------ *)
 (* Result summary and assembly                                          *)
@@ -312,11 +244,6 @@ let make ~cfg ?timer ?result ?registry ?(extra = []) () =
     @ optional "result" (Option.map result_to_json result)
     @ optional "instrumentation" (Option.map Histogram.registry_to_json registry)
     @ extra)
-
-let config_of_manifest j =
-  match Json.member "config" j with
-  | Some c -> config_of_json c
-  | None -> Error "manifest: no \"config\" section"
 
 let write ~path j =
   let oc = open_out path in

@@ -98,12 +98,6 @@ let spec_gen =
           map (fun sigma -> Some (Failure_trace.Lognormal { sigma })) (float_range 0.0 2.0);
         ]
     in
-    let burst_buffer =
-      opt
-        (map
-           (fun (capacity_gb, bandwidth_gbs) -> { Config.capacity_gb; bandwidth_gbs })
-           (pair (float_range 10.0 1e6) (float_range 10.0 5000.0)))
-    in
     let snapshot_level =
       map
         (fun ((sl_period_s, sl_cost_s), (sl_recovery_s, sl_survival)) ->
@@ -131,18 +125,7 @@ let spec_gen =
     in
     map
       (fun (((platform, classes), (strategies, axis)),
-            (((reps, seed), days), ((failure_dist, alpha), (burst_buffer, multilevel)))) ->
-        (* A burst buffer desugars into a buffer level, so it is only
-           valid beside snapshot levels. *)
-        let burst_buffer =
-          match multilevel with
-          | Some m
-            when List.exists
-                   (function Config.Buffer _ -> true | Config.Snapshot _ -> false)
-                   m.Config.levels ->
-              None
-          | _ -> burst_buffer
-        in
+            (((reps, seed), days), ((failure_dist, alpha), multilevel))) ->
         {
           E.Spec.name = "qc-campaign";
           platform;
@@ -154,7 +137,6 @@ let spec_gen =
           days;
           failure_dist;
           interference_alpha = alpha;
-          burst_buffer;
           multilevel;
         })
       (pair
@@ -163,9 +145,7 @@ let spec_gen =
             (pair (list_size (int_range 1 3) strategy) axis))
          (pair
             (pair (pair (int_range 1 500) (int_range 0 1_000_000)) (float_range 0.1 100.0))
-            (pair
-               (pair failure_dist (opt (float_range 0.0 2.0)))
-               (pair burst_buffer multilevel)))))
+            (pair (pair failure_dist (opt (float_range 0.0 2.0))) multilevel))))
 
 let arb_spec =
   QCheck.make ~print:(fun s -> Json.to_string_pretty (E.Spec.to_json s)) spec_gen
@@ -328,6 +308,73 @@ let test_single_run_config () =
             ~multilevel ()))
     [ Strategy.Least_waste; Strategy.Baseline ]
 
+(* A run manifest, written the way `simctl run --manifest-out` writes
+   one, replays through Spec.load to the very waste ratio it records. *)
+let test_run_manifest_replays () =
+  let spec =
+    E.Spec.make ~name:"run" ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+      ~strategies:[ Strategy.Least_waste ] ~reps:1 ~seed:7 ~days:1.0
+      ~failure_dist:(Failure_trace.Weibull { shape = 0.7 })
+      ~multilevel:
+        (Config.with_burst_buffer
+           { Config.capacity_gb = 64.0; bandwidth_gbs = 8.0 }
+           (Some
+              (Config.local_level ~period_s:600.0 ~cost_s:5.0 ~recovery_s:10.0
+                 ~soft_fraction:0.6)))
+      ()
+  in
+  let config = E.Spec.config spec ~cell:(List.hd (E.Spec.cells spec)) ~rep:0 in
+  let cfg = config ~strategy:Strategy.Least_waste in
+  let specs = Simulator.generate_specs (config ~strategy:Strategy.Baseline) in
+  let baseline = Simulator.run ~specs (config ~strategy:Strategy.Baseline) in
+  let r = Simulator.run ~specs cfg in
+  let manifest =
+    Cocheck_obs.Manifest.make ~cfg ~result:r
+      ~extra:
+        [
+          ("spec", E.Spec.to_json spec);
+          ("waste_ratio", Json.Float (Simulator.waste_ratio ~strategy:r ~baseline));
+        ]
+      ()
+  in
+  let path = Filename.temp_file "cocheck-run" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Cocheck_obs.Manifest.write ~path manifest;
+      let recorded =
+        match Cocheck_obs.Manifest.load ~path with
+        | Ok m -> Option.get (Option.bind (Json.member "waste_ratio" m) Json.to_float_opt)
+        | Error e -> Alcotest.fail e
+      in
+      match E.Spec.load ~path with
+      | Error e -> Alcotest.fail e
+      | Ok loaded ->
+          Alcotest.(check bool) "the spec comes back" true (loaded = spec);
+          let replayed =
+            Pool.with_pool ~num_domains:0 (fun pool -> E.Runner.run ~pool loaded)
+          in
+          let mean = (List.hd replayed.E.Runner.results).E.Runner.stats.Cocheck_util.Stats.mean in
+          Alcotest.(check bool)
+            (Printf.sprintf "replayed %h = recorded %h" mean recorded)
+            true
+            (Int64.equal (Int64.bits_of_float mean) (Int64.bits_of_float recorded)))
+
+let test_manifest_without_spec_refused () =
+  let path = Filename.temp_file "cocheck-run" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Cocheck_obs.Manifest.write ~path
+        (Cocheck_obs.Manifest.make
+           ~cfg:
+             (Config.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+                ~strategy:Strategy.Least_waste ~days:1.0 ())
+           ());
+      match E.Spec.load ~path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a manifest without a spec section must not load")
+
 (* ------------------------------------------------------------------ *)
 (* Digests                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -394,14 +441,11 @@ let ml_digest_spec ?name ?multilevel () =
     ~strategies:[ Strategy.Least_waste ] ~reps:3 ~seed:5 ~days:1.0 ?multilevel ()
 
 (* ------------------------------------------------------------------ *)
-(* Pinned keys: the burst-buffer desugar moves only burst-buffer keys   *)
+(* Pinned keys                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Literal digests from before the burst buffer was folded into the
-   storage hierarchy. A non-burst-buffer spec must keep both its digest
-   and its cell keys byte for byte; a burst-buffer spec keeps its digest
-   (the spec JSON still carries [burst_buffer]) but its cell keys move,
-   because its results did. *)
+(* Literal digests and keys of earlier releases: a results store they
+   filled must keep answering, so none of them may move. *)
 let pinned_fixed = Strategy.Oblivious (Strategy.Fixed 3600.0)
 
 let pinned_spec () =
@@ -437,91 +481,75 @@ let test_preset_digests () =
       ("fig3 probe", E.Fig3.probe, "95eb1ad787c1ca3e42d16e619607da6b");
     ]
 
-let pinned_bb = { Config.capacity_gb = 400_000.0; bandwidth_gbs = 1_000.0 }
-
-let pinned_bb_spec ?burst_buffer ?multilevel () =
-  E.Spec.make ~name:"pinned-bb" ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ())
-    ~strategies:[ Strategy.Least_waste ] ~reps:2 ~seed:11 ~days:2.0 ?burst_buffer ?multilevel
-    ()
-
 let test_pinned_key_stable () =
   let s = pinned_spec () in
   Alcotest.(check string) "spec digest" "b8c87546b4293b2387bdc1be4523a047" (E.Spec.digest s);
   Alcotest.(check string) "cell key" "bcdcf7a7b7c0caa0cd646800b03177e1"
     (E.Spec.cell_key s ~cell:(List.nth (E.Spec.cells s) 1) ~strategy:pinned_fixed ~rep:2)
 
-let test_burst_buffer_key_moves () =
-  let s = pinned_bb_spec ~burst_buffer:pinned_bb () in
-  Alcotest.(check string) "spec digest unchanged" "bb32394870e321cfd5f341add3f19f99"
-    (E.Spec.digest s);
-  let key = key_of s () in
-  Alcotest.(check bool) "cell key changed" true (key <> "c9cc1f912edfd923c5f7043b5badcfb4");
-  let level =
-    Config.Buffer
-      {
-        Config.bl_capacity_gb = pinned_bb.capacity_gb;
-        bl_bandwidth_gbs = pinned_bb.bandwidth_gbs;
-        bl_flush_gbs = None;
-        bl_survival = 1.0;
-      }
+(* The burst buffer is one buffer level of the hierarchy. Its keys are
+   pinned at the values the spec's retired [burst_buffer] field gave them,
+   so stores filled through that field (the burst-buffer ablation's cells
+   among them) still answer. *)
+let test_burst_buffer_key_pinned () =
+  let bb = { Config.capacity_gb = 400_000.0; bandwidth_gbs = 1_000.0 } in
+  let check what ~spec ~strategy ~rep key =
+    Alcotest.(check string) what key
+      (key_of (spec (Config.with_burst_buffer bb None)) ~strategy ~rep ());
+    Alcotest.(check string) (what ^ ", as a literal level") key
+      (key_of
+         (spec { Config.levels = [ buffer_level ~cap:bb.capacity_gb ~bw:bb.bandwidth_gbs () ] })
+         ~strategy ~rep ())
   in
-  Alcotest.(check string) "keyed as its buffer level"
-    (key_of (pinned_bb_spec ~multilevel:{ Config.levels = [ level ] } ()) ())
-    key
+  check "pinned-bb"
+    ~spec:(fun multilevel ->
+      E.Spec.make ~name:"pinned-bb" ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ())
+        ~strategies:[ Strategy.Least_waste ] ~reps:2 ~seed:11 ~days:2.0 ~multilevel ())
+    ~strategy:Strategy.Least_waste ~rep:1 "a177a34adbeeb6ba3005050a36664350";
+  (* The 400 TB row of `simctl ablation burst-buffer --reps 1 --days 1`. *)
+  let fixed = Strategy.Oblivious (Strategy.Fixed Strategy.default_fixed_period_s) in
+  let ablation multilevel =
+    E.Spec.make ~name:"ablation"
+      ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:5.0 ())
+      ~strategies:[ fixed; Strategy.Least_waste ] ~reps:1 ~seed:42 ~days:1.0 ~multilevel ()
+  in
+  check "ablation, Oblivious-Fixed" ~spec:ablation ~strategy:fixed ~rep:0
+    "440bc3ce9b3dbcc8d612777f8b0619c5";
+  check "ablation, Least-Waste" ~spec:ablation ~strategy:Strategy.Least_waste ~rep:0
+    "77dba1fc9564a769170f1c33b71c510c"
 
-let test_legacy_burst_buffer_manifest_decodes () =
-  let base =
-    Config.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
-      ~strategy:Strategy.Least_waste ~seed:3 ~days:1.0 ()
-  in
-  let legacy =
-    match Manifest.config_to_json base with
+(* A spec JSON that still spells the burst buffer as its own member is
+   refused: decoding it by ignoring the member would run without it. *)
+let test_burst_buffer_member_rejected () =
+  let with_member multilevel =
+    let spec =
+      E.Spec.make ~name:"bb" ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ())
+        ~strategies:[ Strategy.Least_waste ] ~reps:1 ~seed:11 ~days:2.0 ?multilevel ()
+    in
+    match E.Spec.to_json spec with
     | Json.Obj members ->
         Json.Obj
           (members
           @ [
               ( "burst_buffer",
-                Json.Obj [ ("capacity_gb", Json.Float 64.0); ("bandwidth_gbs", Json.Float 8.0) ] );
+                Json.Obj
+                  [ ("capacity_gb", Json.Float 400_000.0); ("bandwidth_gbs", Json.Float 1_000.0) ]
+              );
             ])
-    | _ -> Alcotest.fail "config encodes as an object"
+    | _ -> Alcotest.fail "spec encodes as an object"
   in
-  let expected =
-    {
-      base with
-      Config.multilevel =
-        Some
-          {
-            Config.levels =
-              [
-                Config.Buffer
-                  {
-                    Config.bl_capacity_gb = 64.0;
-                    bl_bandwidth_gbs = 8.0;
-                    bl_flush_gbs = None;
-                    bl_survival = 1.0;
-                  };
-              ];
-          };
-    }
-  in
-  match Manifest.config_of_json legacy with
-  | Ok cfg -> Alcotest.(check bool) "decodes to the single-level config" true (cfg = expected)
-  | Error e -> Alcotest.fail e
-
-let test_burst_buffer_beside_buffer_level_rejected () =
-  let with_level = { Config.levels = [ buffer_level () ] } in
-  (* Built as a record so the invalid combination reaches the decoder. *)
-  let spec =
-    { (pinned_bb_spec ~multilevel:with_level ()) with E.Spec.burst_buffer = Some pinned_bb }
-  in
-  (match E.Spec.of_json (E.Spec.to_json spec) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "spec with burst_buffer and a buffer level must not decode"
-  | exception e -> Alcotest.failf "decoder raised %s" (Printexc.to_string e));
-  Alcotest.(check bool) "Spec.make refuses it" true
-    (match pinned_bb_spec ~burst_buffer:pinned_bb ~multilevel:with_level () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  List.iter
+    (fun (what, multilevel) ->
+      match E.Spec.of_json (with_member multilevel) with
+      | Error e ->
+          Alcotest.(check bool) (what ^ ": names the level spelling") true
+            (String.ends_with ~suffix:"write it as a buffer level under multilevel" e)
+      | Ok _ -> Alcotest.failf "%s: a spec with a burst_buffer member must not decode" what
+      | exception e -> Alcotest.failf "%s: decoder raised %s" what (Printexc.to_string e))
+    [
+      ("alone", None);
+      ("beside a buffer level", Some { Config.levels = [ buffer_level () ] });
+    ]
 
 let test_legacy_multilevel_json_decodes () =
   (* A hand-written two-level spec in the pre-hierarchy format must keep
@@ -930,6 +958,10 @@ let () =
             Alcotest.test_case "empty level list is no hierarchy" `Quick
               test_empty_levels_are_no_hierarchy;
             Alcotest.test_case "single run config" `Quick test_single_run_config;
+            Alcotest.test_case "run manifest replays exactly" `Quick
+              test_run_manifest_replays;
+            Alcotest.test_case "manifest without spec refused" `Quick
+              test_manifest_without_spec_refused;
           ] );
       ( "digest",
         [
@@ -947,11 +979,9 @@ let () =
           Alcotest.test_case "flush axis" `Quick test_flush_axis;
           Alcotest.test_case "pinned key stable" `Quick test_pinned_key_stable;
           Alcotest.test_case "figure presets pinned" `Quick test_preset_digests;
-          Alcotest.test_case "burst-buffer key moves" `Quick test_burst_buffer_key_moves;
-          Alcotest.test_case "legacy burst_buffer manifest decodes" `Quick
-            test_legacy_burst_buffer_manifest_decodes;
-          Alcotest.test_case "burst_buffer beside buffer level rejected" `Quick
-            test_burst_buffer_beside_buffer_level_rejected;
+          Alcotest.test_case "burst-buffer key pinned" `Quick test_burst_buffer_key_pinned;
+          Alcotest.test_case "burst_buffer member rejected" `Quick
+            test_burst_buffer_member_rejected;
         ] );
       ( "runner",
         [

@@ -1,6 +1,6 @@
 (* Tests for the observability layer: JSON serialization and parsing,
    log-bucketed histograms, time-series clipping, trace export and the
-   manifest config round-trip. *)
+   run manifest's spec round-trip. *)
 
 module Json = Cocheck_obs.Json
 module Timer = Cocheck_obs.Timer
@@ -432,11 +432,18 @@ let test_instrument_standard_pinned () =
 (* Manifest                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let exotic_cfg () =
-  Config.make
+(* A run is written down as its one-cell campaign spec (the "spec"
+   section); Spec.load reads it back, and the spec's config is the run's. *)
+module Spec = Cocheck_experiments.Spec
+
+let small_spec () =
+  Spec.make ~name:"run" ~platform:(Platform.cielo ~bandwidth_gbs:80.0 ())
+    ~strategies:[ Strategy.Least_waste ] ~reps:1 ~seed:3 ~days:1.0 ()
+
+let exotic_spec () =
+  Spec.make ~name:"run"
     ~platform:(Platform.prospective ~bandwidth_gbs:750.0 ~node_mtbf_years:7.5 ())
-    ~strategy:(Strategy.Ordered_nb Strategy.Daly) ~seed:97 ~days:11.0
-    ~fill_factor:1.25
+    ~strategies:[ Strategy.Ordered_nb Strategy.Daly ] ~reps:1 ~seed:97 ~days:11.0
     ~failure_dist:(Cocheck_sim.Failure_trace.Weibull { shape = 0.7 })
     ~interference_alpha:0.3
     ~multilevel:
@@ -447,31 +454,53 @@ let exotic_cfg () =
                ~soft_fraction:0.6)))
     ()
 
+let run_config spec strategy =
+  Spec.config spec ~cell:(List.hd (Spec.cells spec)) ~strategy ~rep:0
+
+let run_manifest ?timer ?result ?registry spec strategy =
+  Manifest.make ~cfg:(run_config spec strategy) ?timer ?result ?registry
+    ~extra:[ ("spec", Spec.to_json spec) ]
+    ()
+
+let spec_of_manifest m =
+  match Json.member "spec" m with
+  | Some j -> Spec.of_json j
+  | None -> Error "no spec section"
+
 let test_manifest_config_roundtrip () =
   List.iter
-    (fun cfg ->
-      match Manifest.config_of_json (Manifest.config_to_json cfg) with
+    (fun (spec, strategy) ->
+      let m = run_manifest spec strategy in
+      match spec_of_manifest m with
       | Error e -> Alcotest.failf "decode failed: %s" e
-      | Ok cfg' ->
-          Alcotest.(check bool) "exact Config.t round-trip" true (cfg = cfg'))
-    [ small_cfg Strategy.Least_waste; small_cfg Strategy.Baseline; exotic_cfg () ]
+      | Ok spec' ->
+          let cfg' = run_config spec' strategy in
+          Alcotest.(check bool) "exact Config.t round-trip" true
+            (cfg' = run_config spec strategy);
+          Alcotest.(check bool) "config section is the spec's config" true
+            (Json.member "config" m = Some (Manifest.config_to_json cfg')))
+    [
+      (small_spec (), Strategy.Least_waste);
+      (small_spec (), Strategy.Baseline);
+      (exotic_spec (), Strategy.Ordered_nb Strategy.Daly);
+    ]
 
 let test_manifest_roundtrip_through_text () =
-  let cfg = exotic_cfg () in
+  let spec = exotic_spec () in
   let r = Simulator.run (small_cfg Strategy.Least_waste) in
   let timer = Timer.create () in
   Timer.record timer ~name:"simulate" ~seconds:1.25;
   let reg = Histogram.registry () in
   Histogram.add (Histogram.hist reg ~name:"h" ~unit_label:"s" ()) 2.0;
-  let m = Manifest.make ~cfg ~timer ~result:r ~registry:reg () in
+  let m = run_manifest ~timer ~result:r ~registry:reg spec (Strategy.Ordered_nb Strategy.Daly) in
   (* Through the pretty printer and the parser, as `write`/`load` would. *)
   match Json.of_string (Json.to_string_pretty m) with
   | Error e -> Alcotest.failf "manifest reparse failed: %s" e
   | Ok m' -> (
-      match Manifest.config_of_manifest m' with
-      | Error e -> Alcotest.failf "config_of_manifest failed: %s" e
-      | Ok cfg' ->
-          Alcotest.(check bool) "config survives text round-trip" true (cfg = cfg');
+      match spec_of_manifest m' with
+      | Error e -> Alcotest.failf "spec section failed to decode: %s" e
+      | Ok spec' ->
+          Alcotest.(check bool) "spec survives text round-trip" true (spec = spec');
           Alcotest.(check (option string)) "schema" (Some Manifest.schema)
             (Option.bind (Json.member "schema" m') Json.to_string_opt);
           Alcotest.(check bool) "result section present" true
@@ -481,28 +510,18 @@ let test_manifest_roundtrip_through_text () =
           Alcotest.(check bool) "instrumentation section present" true
             (Json.member "instrumentation" m' <> None))
 
-let test_manifest_strategy_names_parse_back () =
-  List.iter
-    (fun s ->
-      match Strategy.of_string (Manifest.strategy_to_string s) with
-      | Ok s' -> Alcotest.(check bool) "name parses back" true (s = s')
-      | Error e -> Alcotest.failf "%s: %s" (Strategy.name s) e)
-    (Strategy.Baseline :: Strategy.paper_seven)
-
 let test_manifest_write_load () =
   let path = Filename.temp_file "cocheck-manifest" ".json" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let cfg = small_cfg Strategy.Least_waste in
-      Manifest.write ~path (Manifest.make ~cfg ());
-      match Manifest.load ~path with
+      let spec = small_spec () in
+      Manifest.write ~path (run_manifest spec Strategy.Least_waste);
+      match Spec.load ~path with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok m -> (
-          match Manifest.config_of_manifest m with
-          | Error e -> Alcotest.failf "decode failed: %s" e
-          | Ok cfg' ->
-              Alcotest.(check bool) "disk round-trip exact" true (cfg = cfg')))
+      | Ok spec' ->
+          Alcotest.(check bool) "disk round-trip exact" true
+            (run_config spec' Strategy.Least_waste = small_cfg Strategy.Least_waste))
 
 (* ------------------------------------------------------------------ *)
 (* Span / Tracing / Runtime                                             *)
@@ -786,7 +805,6 @@ let () =
         [
           Alcotest.test_case "config round-trip" `Quick test_manifest_config_roundtrip;
           Alcotest.test_case "text round-trip" `Quick test_manifest_roundtrip_through_text;
-          Alcotest.test_case "strategy names" `Quick test_manifest_strategy_names_parse_back;
           Alcotest.test_case "write/load" `Quick test_manifest_write_load;
         ] );
       ( "span",

@@ -85,7 +85,6 @@ let test_protocol_roundtrip () =
       E.Protocol.Campaign { spec; progress = true };
       E.Protocol.Status { spec };
       E.Protocol.Bound { platform };
-      E.Protocol.Waste { platform };
     ]
   in
   List.iteri
@@ -136,7 +135,6 @@ let test_protocol_roundtrip () =
         };
       E.Protocol.Status_result { total = 8; cached = 3; missing = 5 };
       E.Protocol.Bound_result { waste = 0.2; lambda = 1e-6; io_fraction = 0.6 };
-      E.Protocol.Waste_result { waste = 0.2 };
       E.Protocol.Stats_result
         {
           store =
