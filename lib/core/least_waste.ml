@@ -60,7 +60,7 @@ let select ~node_mtbf_s candidates =
 
    Each key's per-term evaluation keeps the exact float expression of
    {!inflicted_waste}; only the summation order differs, which is why the
-   arbiter ships with a differential oracle (see lib/sim/lw_reference.ml). *)
+   arbiter ships with a differential oracle (see test/lw_reference.ml). *)
 module Aggregate = struct
   type entry =
     | Io_entry of { nodes : int; service_s : float; enqueued_at : float }
@@ -74,15 +74,15 @@ module Aggregate = struct
   (* Members live in a struct-of-arrays pool: float inputs and the scalars
      each member contributed at add time sit in flat [float array]s (reads
      and writes unbox), tags and node counts in [int array]s, and the
-     key → slot index is the open-addressing {!Cocheck_util.Int_table} —
-     so the simulator-facing [add_io]/[add_ckpt]/[remove]/[waste] cycle
-     allocates nothing. The contribution scalars are stored, not
+     key → slot index is a flat [int array] — keys are small and dense
+     (the simulator keys by request-record build number) — so the
+     simulator-facing [add_io]/[add_ckpt]/[remove]/[waste] cycle allocates
+     nothing and probes no hash. The contribution scalars are stored, not
      recomputed, so [remove] subtracts exactly what was added; removal
      swaps the last slot into the hole, keeping slots dense.
 
      The variant [entry] API survives as the cold-path wrapper ([add]
-     destructures into the typed adders, [find] rebuilds the variant): the
-     property tests and the multi-level fold speak it. *)
+     destructures into the typed adders): the property tests speak it. *)
 
   (* Each running sum is Kahan–Babuška compensated: adds and removals of
      large members would otherwise leave ulp-sized residue behind a
@@ -95,7 +95,7 @@ module Aggregate = struct
      fields on this mixed record, don't box. *)
   type t = {
     node_mtbf_s : float;
-    index : Cocheck_util.Int_table.t;  (* key → slot *)
+    mutable index : int array;  (* key → slot, -1 when absent *)
     mutable n : int;  (* live slots: 0..n-1 are dense *)
     mutable e_key : int array;
     mutable e_tag : int array;  (* tag_io | tag_ckpt *)
@@ -117,7 +117,7 @@ module Aggregate = struct
       invalid_arg "Least_waste.Aggregate.create: MTBF must be positive";
     {
       node_mtbf_s;
-      index = Cocheck_util.Int_table.create ~initial:64 ();
+      index = [||];
       n = 0;
       e_key = [||];
       e_tag = [||];
@@ -162,14 +162,23 @@ module Aggregate = struct
     acc.(i) <- s;
     acc.(i + 1) <- comp
 
+  let[@inline] slot_of t key =
+    if key >= 0 && key < Array.length t.index then t.index.(key) else -1
+
   let alloc_slot t ~key =
-    if Cocheck_util.Int_table.mem t.index key then
-      invalid_arg "Least_waste.Aggregate.add: duplicate key";
+    if key < 0 then invalid_arg "Least_waste.Aggregate.add: negative key";
+    let cap = Array.length t.index in
+    if key >= cap then begin
+      let bigger = Array.make (max 16 (2 * (key + 1))) (-1) in
+      Array.blit t.index 0 bigger 0 cap;
+      t.index <- bigger
+    end
+    else if t.index.(key) >= 0 then invalid_arg "Least_waste.Aggregate.add: duplicate key";
     if t.n = Array.length t.e_key then grow t;
     let slot = t.n in
     t.n <- slot + 1;
     t.e_key.(slot) <- key;
-    Cocheck_util.Int_table.set t.index key slot;
+    t.index.(key) <- slot;
     slot
 
   let add_io t ~key ~nodes ~service_s ~enqueued_at =
@@ -213,12 +222,12 @@ module Aggregate = struct
         add_ckpt t ~key ~nodes ~ckpt_s ~recovery_s ~last_commit_end
 
   let remove t ~key =
-    let slot = Cocheck_util.Int_table.find t.index key in
-    if slot <> Cocheck_util.Int_table.not_found then begin
+    let slot = slot_of t key in
+    if slot >= 0 then begin
       let da = t.e_da.(slot) in
       let db = t.e_db.(slot) in
       let ds1 = t.e_ds1.(slot) in
-      ignore (Cocheck_util.Int_table.remove t.index key);
+      t.index.(key) <- -1;
       let last = t.n - 1 in
       if slot < last then begin
         t.e_key.(slot) <- t.e_key.(last);
@@ -230,7 +239,7 @@ module Aggregate = struct
         t.e_da.(slot) <- t.e_da.(last);
         t.e_db.(slot) <- t.e_db.(last);
         t.e_ds1.(slot) <- t.e_ds1.(last);
-        Cocheck_util.Int_table.set t.index t.e_key.(slot) slot
+        t.index.(t.e_key.(slot)) <- slot
       end;
       t.n <- last;
       if t.n = 0 then begin
@@ -250,15 +259,18 @@ module Aggregate = struct
       end
     end
 
-  let mem t ~key = Cocheck_util.Int_table.mem t.index key
+  let mem t ~key = slot_of t key >= 0
 
   let service_time = function
     | Io_entry { service_s; _ } -> service_s
     | Ckpt_entry { ckpt_s; _ } -> ckpt_s
 
   (* The slot's own Eq. (1)/(2) term, with the same float expression the
-     list oracle evaluates (waited/exposed materialized as now − clock). *)
-  let term_at t ~now ~service_s slot =
+     list oracle evaluates (waited/exposed materialized as now − clock).
+     [waste] and its two helpers are inlined into the arbiter's grant
+     loop: a float returned across a call boxes, one allocation per
+     candidate scored. *)
+  let[@inline] term_at t ~now ~service_s slot =
     if t.e_tag.(slot) = tag_io then
       float_of_int t.e_nodes.(slot) *. (now -. t.e_x1.(slot) +. service_s)
     else
@@ -266,140 +278,16 @@ module Aggregate = struct
       q *. q /. t.node_mtbf_s
       *. (t.e_x1.(slot) +. (now -. t.e_x2.(slot)) +. (service_s /. 2.0))
 
-  let term t ~now ~service_s entry =
-    match entry with
-    | Io_entry { nodes; enqueued_at; _ } ->
-        float_of_int nodes *. (now -. enqueued_at +. service_s)
-    | Ckpt_entry { nodes; recovery_s; last_commit_end; _ } ->
-        let q = float_of_int nodes in
-        q *. q /. t.node_mtbf_s
-        *. (recovery_s +. (now -. last_commit_end) +. (service_s /. 2.0))
-
-  let total_term t ~now ~service_s =
+  (* A·now + B + S1·v: the term summed over every member. *)
+  let[@inline] total_term t ~now ~service_s =
     (((t.acc.(0) +. t.acc.(1)) *. now) +. (t.acc.(2) +. t.acc.(3)))
     +. ((t.acc.(4) +. t.acc.(5)) *. service_s)
 
-  let entry_at t slot =
-    if t.e_tag.(slot) = tag_io then
-      Io_entry
-        {
-          nodes = t.e_nodes.(slot);
-          service_s = t.e_service.(slot);
-          enqueued_at = t.e_x1.(slot);
-        }
-    else
-      Ckpt_entry
-        {
-          nodes = t.e_nodes.(slot);
-          ckpt_s = t.e_service.(slot);
-          recovery_s = t.e_x1.(slot);
-          last_commit_end = t.e_x2.(slot);
-        }
-
-  let find t ~key =
-    let slot = Cocheck_util.Int_table.find t.index key in
-    if slot = Cocheck_util.Int_table.not_found then None else Some (entry_at t slot)
-
-  let waste t ~now ~key =
-    let slot = Cocheck_util.Int_table.find t.index key in
-    if slot = Cocheck_util.Int_table.not_found then
+  let[@inline] waste t ~now ~key =
+    let slot = slot_of t key in
+    if slot < 0 then
       invalid_arg "Least_waste.Aggregate.waste: unknown key"
     else
       let v = t.e_service.(slot) in
       v *. (total_term t ~now ~service_s:v -. term_at t ~now ~service_s:v slot)
-end
-
-(* Level-aware pools: one {!Aggregate} (one affine A·now + B + S1·v triple)
-   per hierarchy level. The inflicted waste of a member is its service time
-   times the sum of every level's total term minus its own — at one level
-   this degenerates to {!Aggregate.waste} (same floats; the fold seeds with
-   0.0 and 0.0 +. x = x), which is what keeps the single-level golden
-   traces bit-identical.
-
-   A single-level pool delegates every operation straight to its one
-   {!Aggregate}: the grant scan calls [waste] once per pending request, and
-   the general path's level lookup, option-returning entry find and float
-   fold would put ~5 extra minor words per candidate on the simulator's hot
-   path (the bench [tracing] budget polices this). The [level_of] table is
-   only maintained — and only consulted — with two or more levels. *)
-module Levels = struct
-  type t = {
-    aggs : Aggregate.t array;
-    level_of : (int, int) Hashtbl.t;  (* key → owning level; unused at L = 1 *)
-  }
-
-  let create ~node_mtbf_s ~levels =
-    if levels <= 0 then
-      invalid_arg "Least_waste.Levels.create: levels must be positive";
-    {
-      aggs = Array.init levels (fun _ -> Aggregate.create ~node_mtbf_s);
-      level_of = Hashtbl.create 64;
-    }
-
-  let levels t = Array.length t.aggs
-
-  let size t =
-    if Array.length t.aggs = 1 then Aggregate.size t.aggs.(0)
-    else Hashtbl.length t.level_of
-
-  let mem t ~key =
-    if Array.length t.aggs = 1 then Aggregate.mem t.aggs.(0) ~key
-    else Hashtbl.mem t.level_of key
-
-  let add t ~key ~level entry =
-    if level < 0 || level >= Array.length t.aggs then
-      invalid_arg "Least_waste.Levels.add: level out of range";
-    if Array.length t.aggs = 1 then Aggregate.add t.aggs.(0) ~key entry
-    else begin
-      if Hashtbl.mem t.level_of key then
-        invalid_arg "Least_waste.Levels.add: duplicate key";
-      Aggregate.add t.aggs.(level) ~key entry;
-      Hashtbl.replace t.level_of key level
-    end
-
-  (* Typed adders mirroring {!Aggregate.add_io}/{!Aggregate.add_ckpt}: the
-     single-level fast path stays allocation-free (no variant to box), the
-     multi-level path shares [add]'s bookkeeping. *)
-  let add_io t ~key ~level ~nodes ~service_s ~enqueued_at =
-    if Array.length t.aggs = 1 then begin
-      if level <> 0 then invalid_arg "Least_waste.Levels.add: level out of range";
-      Aggregate.add_io t.aggs.(0) ~key ~nodes ~service_s ~enqueued_at
-    end
-    else add t ~key ~level (Aggregate.Io_entry { nodes; service_s; enqueued_at })
-
-  let add_ckpt t ~key ~level ~nodes ~ckpt_s ~recovery_s ~last_commit_end =
-    if Array.length t.aggs = 1 then begin
-      if level <> 0 then invalid_arg "Least_waste.Levels.add: level out of range";
-      Aggregate.add_ckpt t.aggs.(0) ~key ~nodes ~ckpt_s ~recovery_s
-        ~last_commit_end
-    end
-    else
-      add t ~key ~level
-        (Aggregate.Ckpt_entry { nodes; ckpt_s; recovery_s; last_commit_end })
-
-  let remove t ~key =
-    if Array.length t.aggs = 1 then Aggregate.remove t.aggs.(0) ~key
-    else
-      match Hashtbl.find_opt t.level_of key with
-      | None -> ()
-      | Some l ->
-          Hashtbl.remove t.level_of key;
-          Aggregate.remove t.aggs.(l) ~key
-
-  let waste t ~now ~key =
-    if Array.length t.aggs = 1 then Aggregate.waste t.aggs.(0) ~now ~key
-    else
-      match Hashtbl.find_opt t.level_of key with
-      | None -> invalid_arg "Least_waste.Levels.waste: unknown key"
-      | Some l -> (
-          match Aggregate.find t.aggs.(l) ~key with
-          | None -> assert false
-          | Some entry ->
-              let v = Aggregate.service_time entry in
-              let total =
-                Array.fold_left
-                  (fun acc agg -> acc +. Aggregate.total_term agg ~now ~service_s:v)
-                  0.0 t.aggs
-              in
-              v *. (total -. Aggregate.term t.aggs.(l) ~now ~service_s:v entry))
 end

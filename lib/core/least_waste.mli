@@ -51,9 +51,14 @@ val select : node_mtbf_s:float -> Candidate.t list -> Candidate.t option
     intermediate candidate list. Per-member terms keep the exact float
     expressions of {!inflicted_waste}; only the summation order differs
     from the list oracle, so results agree to rounding (differentially
-    tested, see [lib/sim/lw_reference.ml]). The running sums are reset to
+    tested, see [test/lw_reference.ml]). The running sums are reset to
     exact zeros whenever the pool drains, bounding float drift to one busy
-    period. *)
+    period.
+
+    Keys are non-negative integers indexing a flat key → slot array, so
+    they should be dense: memory grows with the largest key ever added.
+    The simulator keys by request-record build number, which stays below
+    the deepest backlog of the run. *)
 module Aggregate : sig
   type t
 
@@ -74,7 +79,8 @@ module Aggregate : sig
   (** An empty pool. Raises [Invalid_argument] if [node_mtbf_s <= 0]. *)
 
   val add : t -> key:int -> entry -> unit
-  (** O(1). Raises [Invalid_argument] on a duplicate key. *)
+  (** O(1) (amortized over the index's growth). Raises [Invalid_argument]
+      on a duplicate or negative key. *)
 
   val add_io : t -> key:int -> nodes:int -> service_s:float -> enqueued_at:float -> unit
   (** [add] of an [Io_entry] without boxing the variant: the fields land
@@ -101,66 +107,8 @@ module Aggregate : sig
   val service_time : entry -> float
   (** [v_i]: the exclusive service time the entry needs if selected. *)
 
-  val term : t -> now:float -> service_s:float -> entry -> float
-  (** The entry's own Eq. (1)/(2) term at [now] under a grant of
-      [service_s] seconds — the quantity the aggregates sum. *)
-
-  val total_term : t -> now:float -> service_s:float -> float
-  (** [A·now + B + S1·service_s]: Σ term over every current member. *)
-
-  val find : t -> key:int -> entry option
-  (** The entry recorded for [key], if any. *)
-
   val waste : t -> now:float -> key:int -> float
   (** The inflicted waste [W_i] of member [key] at [now]: its service time
-      times ({!total_term} minus its own {!term}). Raises
+      times (the summed term of every member minus its own). Raises
       [Invalid_argument] on an unknown key. *)
-end
-
-(** Level-aware Least-Waste pools for checkpoint hierarchies: one
-    {!Aggregate} — one affine [A·now + B + S1·v] triple — per hierarchy
-    level, so requests targeting different storage levels carry their own
-    cost scales while a grant still weighs the waste inflicted on {e every}
-    pending request. [waste] with a single level is float-for-float
-    {!Aggregate.waste} (property-tested), which keeps single-level golden
-    traces bit-identical. *)
-module Levels : sig
-  type t
-
-  val create : node_mtbf_s:float -> levels:int -> t
-  (** [levels] empty per-level pools. Raises [Invalid_argument] unless
-      [levels > 0] and [node_mtbf_s > 0]. *)
-
-  val levels : t -> int
-  val size : t -> int
-  (** Total members across all levels. *)
-
-  val mem : t -> key:int -> bool
-
-  val add : t -> key:int -> level:int -> Aggregate.entry -> unit
-  (** O(1). Raises [Invalid_argument] on a duplicate key (across all
-      levels) or a level out of range. *)
-
-  val add_io :
-    t -> key:int -> level:int -> nodes:int -> service_s:float -> enqueued_at:float -> unit
-  (** {!add} of an [Io_entry] without boxing the variant (see
-      {!Aggregate.add_io}); same key and level contracts. *)
-
-  val add_ckpt :
-    t ->
-    key:int ->
-    level:int ->
-    nodes:int ->
-    ckpt_s:float ->
-    recovery_s:float ->
-    last_commit_end:float ->
-    unit
-  (** {!add} of a [Ckpt_entry] without boxing the variant. *)
-
-  val remove : t -> key:int -> unit
-  (** O(1); no-op on unknown keys. *)
-
-  val waste : t -> now:float -> key:int -> float
-  (** [v_i · (Σ_levels total_term − term_i)]. Raises [Invalid_argument] on
-      an unknown key. *)
 end

@@ -80,6 +80,7 @@ let reschedule t h ~time =
 let pending t h = Pqueue.mem t.calendar h
 let time_of t h = Pqueue.priority_of t.calendar h
 let time_is t h ~time = Pqueue.priority_is t.calendar h time
+let fires_before t h ~time = Pqueue.priority_below t.calendar h time
 
 (* The root is read piecewise and dropped rather than popped: no option,
    tuple or boxed-float allocation per event. *)

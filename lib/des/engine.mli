@@ -59,6 +59,11 @@ val time_is : t -> handle -> time:float -> bool
 (** [time_is t h ~time] is [time_of t h = Some time] without the option and
     boxed-float allocation; [false] for fired or cancelled events. *)
 
+val fires_before : t -> handle -> time:float -> bool
+(** [fires_before t h ~time] is whether the event behind [h] is still
+    pending and due strictly before [time]; allocation-free like
+    {!time_is}, [false] for {!none}, fired and cancelled events. *)
+
 val step : t -> bool
 (** Process the next event; [false] when the calendar is empty. *)
 

@@ -276,6 +276,26 @@ let rec collect f = function
       let* vs = collect f rest in
       Ok (v :: vs)
 
+(* The top-level members {!to_json} writes. Any other member is refused:
+   a misspelled knob ("interference_alfa") would otherwise run the
+   default silently. *)
+let members =
+  [
+    "schema"; "version"; "name"; "platform"; "classes"; "strategies"; "axis"; "reps";
+    "seed"; "days"; "failure_dist"; "interference_alpha"; "multilevel";
+  ]
+
+let check_members = function
+  | Json.Obj fields -> (
+      match List.find_opt (fun (k, _) -> not (List.mem k members)) fields with
+      | None -> Ok ()
+      | Some ("burst_buffer", _) ->
+          Error
+            "spec: \"burst_buffer\" is no longer a spec field; write it as a buffer \
+             level under multilevel"
+      | Some (k, _) -> Error (Printf.sprintf "spec: unknown member %S" k))
+  | _ -> Ok ()
+
 let of_json j =
   let* () =
     match Option.bind (Json.member "schema" j) Json.to_string_opt with
@@ -283,6 +303,7 @@ let of_json j =
     | Some other -> Error (Printf.sprintf "spec: unexpected schema %S" other)
     | None -> Error "spec: no schema field"
   in
+  let* () = check_members j in
   let* name = field "name" Json.to_string_opt j in
   let* platform = field "platform" (fun p -> Some p) j in
   let* platform = Manifest.platform_of_json platform in
@@ -309,16 +330,6 @@ let of_json j =
         | Some f -> Ok f
         | None -> Error "spec: bad interference_alpha")
       j
-  in
-  (* Unknown members are ignored, so the retired spelling would silently
-     drop the buffer from the run. *)
-  let* () =
-    match Json.member "burst_buffer" j with
-    | None -> Ok ()
-    | Some _ ->
-        Error
-          "spec: \"burst_buffer\" is no longer a spec field; write it as a buffer \
-           level under multilevel"
   in
   let* multilevel = optional_member "multilevel" Manifest.multilevel_of_json j in
   let t =

@@ -116,9 +116,11 @@ val of_json : Cocheck_obs.Json.t -> (t, string) result
     field-for-field and bit-for-bit on floats. Strategies are accepted
     either in the structural encoding {!to_json} emits (lossless for
     arbitrary [Fixed] periods) or as paper-style name strings
-    (["ordered-nb-daly"]) for hand-written specs. A ["burst_buffer"]
-    member, the retired second spelling of a buffer level, is an [Error]
-    rather than ignored. *)
+    (["ordered-nb-daly"]) for hand-written specs. A top-level member
+    {!to_json} does not write is an [Error "spec: unknown member \"…\""]
+    rather than ignored, so a misspelled knob cannot silently run the
+    default; a ["burst_buffer"] member, the retired second spelling of a
+    buffer level, gets its own message. *)
 
 val save : path:string -> t -> unit
 val load : path:string -> (t, string) result

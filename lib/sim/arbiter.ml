@@ -71,16 +71,10 @@ module Ipool = struct
       advance_head t
     end
 
-  (* Arrival-order iteration over live requests. *)
-  let iter t f =
-    for i = t.head to t.tail - 1 do
-      let r = t.slots.(i) in
-      if r.r_slot = i then f r
-    done
-
+  (* The first live slot in arrival order, or -1 on an empty pool. *)
   let first t =
     advance_head t;
-    if t.head < t.tail then Some t.slots.(t.head) else None
+    if t.head < t.tail then t.head else -1
 
   (* One in-place sweep: each matching slot is tombstoned as it is
      visited — no mark pass, no intermediate list. [pred] may carry the
@@ -99,9 +93,14 @@ module Ipool = struct
 end
 
 (* Shared counters so every implementation reports uniform stats. *)
-type counters = { mutable enq : int; mutable granted : int; mutable cancelled : int }
+type counters = {
+  mutable enq : int;
+  mutable granted : int;
+  mutable scored : int;
+  mutable cancelled : int;
+}
 
-let counters () = { enq = 0; granted = 0; cancelled = 0 }
+let counters () = { enq = 0; granted = 0; scored = 0; cancelled = 0 }
 
 let stats_of ~policy ~pending (c : counters) =
   {
@@ -109,6 +108,7 @@ let stats_of ~policy ~pending (c : counters) =
     arb_pending = pending;
     arb_enqueued = c.enq;
     arb_granted = c.granted;
+    arb_scored = c.scored;
     arb_cancelled = c.cancelled;
   }
 
@@ -117,10 +117,13 @@ let stats_of ~policy ~pending (c : counters) =
 (* ------------------------------------------------------------------ *)
 
 (* Shared scaffolding of every policy: eager withdrawal in one in-place
-   sweep, O(1) removal of the selection. [on_add]/[on_remove] let a policy
-   maintain derived state (the Least-Waste aggregates) in lock-step with
-   pool membership; every exit path — grant or cancellation — funnels
-   through [on_remove] exactly once. Records withdrawn by cancellation are
+   sweep, O(1) removal of the selection. [choose] returns the winning
+   slot (-1 on an empty pool) and counts the candidates it scores in the
+   counters; a lone live request wins under every policy, so it is
+   granted without a score. [on_add]/[on_remove] let a policy maintain
+   derived state (the Least-Waste aggregate) in lock-step with pool
+   membership; every exit path — grant or cancellation — funnels through
+   [on_remove] exactly once. Records withdrawn by cancellation are
    released to [free] here; a granted record is still in the driver's
    hands when [select] returns, so the driver releases it after the grant
    dispatch (see {!try_grant}). *)
@@ -148,13 +151,15 @@ let pool_policy ~policy ~free ?(on_add = fun _ -> ()) ?(on_remove = fun _ -> ())
           else false)
 
     let select ~now =
-      match choose pool ~now with
-      | None -> None
-      | Some r ->
-          Ipool.remove pool r;
-          on_remove r;
-          c.granted <- c.granted + 1;
-          Some r
+      let slot = if Ipool.live pool = 1 then Ipool.first pool else choose pool c ~now in
+      if slot < 0 then None
+      else begin
+        let r = pool.Ipool.slots.(slot) in
+        Ipool.remove pool r;
+        on_remove r;
+        c.granted <- c.granted + 1;
+        Some r
+      end
 
     let pending () = Ipool.live pool
     let stats () = stats_of ~policy ~pending:(pending ()) c
@@ -165,89 +170,86 @@ let pool_policy ~policy ~free ?(on_add = fun _ -> ()) ?(on_remove = fun _ -> ())
    released records inside the queue, where the recycler could refill them
    under the policy's feet. *)
 let fifo ?(free = req_free_create ()) () : arbiter =
-  pool_policy ~policy:"fifo" ~free ~choose:(fun pool ~now:_ -> Ipool.first pool) ()
+  pool_policy ~policy:"fifo" ~free ~choose:(fun pool _ ~now:_ -> Ipool.first pool) ()
 
 (* Section 3.4: grant to the candidate minimising the expected waste its
    service inflicts on everyone else. Equations (1)–(2) are affine in the
    grant instant and in the candidate's service time, so the pool-wide
    sums live in three scalars the {!Least_waste.Aggregate} maintains in
-   O(1) per add/remove, and a grant is one O(pending) arrival-order scan
-   over the live slots — no candidate list, no per-pair re-summation, no
-   allocation beyond the two accumulator refs. Ties break towards arrival
-   order exactly as {!Least_waste.select} breaks them. The retired
-   list-based formulation survives as the differential-testing oracle in
-   test/lw_reference.ml.
+   O(1) per add/remove, keyed by each record's permanent [r_key]. A grant
+   is one O(pending) arrival-order loop over the live slots — no
+   candidate list, no closure, no per-pair re-summation. Ties break
+   towards arrival order exactly as {!Least_waste.select} breaks them.
+   The retired list-based formulation survives as the
+   differential-testing oracle in test/lw_reference.ml.
 
-   With a checkpoint storage hierarchy the policy keeps one affine
-   aggregate per storage level ({!Least_waste.Levels}); token-arbitrated
-   requests all target the deepest level (the PFS — shallower tiers absorb
-   without the token), so today only that term is populated, and with
-   [levels = 1] the arithmetic is bit-identical to the single {!Aggregate}
-   it generalizes. *)
-let least_waste ~node_mtbf_s ~bandwidth_gbs ?(levels = 1)
-    ?(free = req_free_create ()) () : arbiter =
-  let lv = Least_waste.Levels.create ~node_mtbf_s ~levels in
-  let pfs_level = levels - 1 in
+   Shallower tiers of a checkpoint storage hierarchy absorb their writes
+   without the token, so every token request targets the PFS and one
+   aggregate covers them all. *)
+let least_waste ~node_mtbf_s ~bandwidth_gbs ?(free = req_free_create ()) () : arbiter =
+  let agg = Least_waste.Aggregate.create ~node_mtbf_s in
   let on_add r =
     match r.r_kind with
     | Req_io _ ->
-        Least_waste.Levels.add_io lv ~key:r.r_id ~level:pfs_level
-          ~nodes:r.r_inst.spec.nodes
+        Least_waste.Aggregate.add_io agg ~key:r.r_key ~nodes:r.r_inst.spec.nodes
           ~service_s:(r.r_volume /. bandwidth_gbs)
           ~enqueued_at:r.r_at
     | Req_ckpt ->
-        Least_waste.Levels.add_ckpt lv ~key:r.r_id ~level:pfs_level
-          ~nodes:r.r_inst.spec.nodes ~ckpt_s:r.r_inst.ckpt_nominal
-          ~recovery_s:r.r_inst.ckpt_nominal
+        Least_waste.Aggregate.add_ckpt agg ~key:r.r_key ~nodes:r.r_inst.spec.nodes
+          ~ckpt_s:r.r_inst.ckpt_nominal ~recovery_s:r.r_inst.ckpt_nominal
           ~last_commit_end:r.r_inst.last_commit_end
   in
-  let choose pool ~now =
-    let best = ref None in
+  let choose (pool : Ipool.t) c ~now =
+    let best = ref (-1) in
     let best_w = ref infinity in
-    Ipool.iter pool (fun r ->
-        let w = Least_waste.Levels.waste lv ~now ~key:r.r_id in
-        match !best with
-        | Some _ when w >= !best_w -> ()
-        | _ ->
-            best := Some r;
-            best_w := w);
+    for i = pool.head to pool.tail - 1 do
+      let r = pool.slots.(i) in
+      if r.r_slot = i then begin
+        let w = Least_waste.Aggregate.waste agg ~now ~key:r.r_key in
+        if not (!best >= 0 && w >= !best_w) then begin
+          best := i;
+          best_w := w
+        end
+      end
+    done;
+    c.scored <- c.scored + pool.live;
     !best
   in
   pool_policy ~policy:"least-waste" ~free ~on_add
-    ~on_remove:(fun r -> Least_waste.Levels.remove lv ~key:r.r_id)
+    ~on_remove:(fun r -> Least_waste.Aggregate.remove agg ~key:r.r_key)
     ~choose ()
 
 (* Grant to the request with the most node-seconds currently at risk:
    exposure (time since the last commit for checkpoints, waiting time for
-   blocking transfers) weighted by the job's width. One O(pending) scan per
-   grant; ties break towards arrival order. *)
+   blocking transfers) weighted by the job's width. One O(pending) loop
+   per grant; ties break towards arrival order. *)
 let greedy_exposure ?(free = req_free_create ()) () : arbiter =
-  let score ~now r =
-    let exposure =
-      match r.r_kind with
-      | Req_ckpt -> now -. r.r_inst.last_commit_end
-      | Req_io _ -> now -. r.r_at
-    in
-    exposure *. float_of_int r.r_inst.spec.nodes
-  in
-  let choose pool ~now =
-    let best = ref None in
+  let choose (pool : Ipool.t) c ~now =
+    let best = ref (-1) in
     let best_s = ref neg_infinity in
-    Ipool.iter pool (fun r ->
-        let s = score ~now r in
-        match !best with
-        | Some _ when s <= !best_s -> ()
-        | _ ->
-            best := Some r;
-            best_s := s);
+    for i = pool.head to pool.tail - 1 do
+      let r = pool.slots.(i) in
+      if r.r_slot = i then begin
+        let exposure =
+          match r.r_kind with
+          | Req_ckpt -> now -. r.r_inst.last_commit_end
+          | Req_io _ -> now -. r.r_at
+        in
+        let s = exposure *. float_of_int r.r_inst.spec.nodes in
+        if not (!best >= 0 && s <= !best_s) then begin
+          best := i;
+          best_s := s
+        end
+      end
+    done;
+    c.scored <- c.scored + pool.live;
     !best
   in
   pool_policy ~policy:"greedy-exposure" ~free ~choose ()
 
-let of_strategy strategy ~node_mtbf_s ~bandwidth_gbs ?(levels = 1)
-    ?(free = req_free_create ()) () =
+let of_strategy strategy ~node_mtbf_s ~bandwidth_gbs ?(free = req_free_create ()) () =
   match (strategy : Strategy.t) with
-  | Least_waste -> least_waste ~node_mtbf_s ~bandwidth_gbs ~levels ~free ()
+  | Least_waste -> least_waste ~node_mtbf_s ~bandwidth_gbs ~free ()
   | Greedy_exposure -> greedy_exposure ~free ()
   | Oblivious _ | Ordered _ | Ordered_nb _ | Baseline -> fifo ~free ()
 
@@ -261,7 +263,6 @@ let submit w inst kind volume =
     if p.rf_n > 0 then begin
       p.rf_n <- p.rf_n - 1;
       let r = p.rf.(p.rf_n) in
-      r.r_id <- w.next_req;
       r.r_inst <- inst;
       r.r_kind <- kind;
       r.r_volume <- volume;
@@ -269,18 +270,22 @@ let submit w inst kind volume =
       r.r_cancelled <- false;
       r
     end
-    else
-      {
-        r_id = w.next_req;
-        r_inst = inst;
-        r_kind = kind;
-        r_volume = volume;
-        r_at = now w;
-        r_cancelled = false;
-        r_slot = -1;
-      }
+    else begin
+      let r =
+        {
+          r_key = p.rf_built;
+          r_inst = inst;
+          r_kind = kind;
+          r_volume = volume;
+          r_at = now w;
+          r_cancelled = false;
+          r_slot = -1;
+        }
+      in
+      p.rf_built <- p.rf_built + 1;
+      r
+    end
   in
-  w.next_req <- w.next_req + 1;
   let (module A) = w.arbiter in
   A.enqueue req
 

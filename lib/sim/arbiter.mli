@@ -25,21 +25,20 @@ val fifo : ?free:Sim_types.req_free -> unit -> Sim_types.arbiter
 val least_waste :
   node_mtbf_s:float ->
   bandwidth_gbs:float ->
-  ?levels:int ->
   ?free:Sim_types.req_free ->
   unit ->
   Sim_types.arbiter
 (** The Section 3.4 heuristic: grant to the candidate minimising the
     expected waste inflicted on all other pending candidates. Backed by an
-    id-indexed arrival-ordered pool — O(1) enqueue and removal — plus the
-    {!Cocheck_core.Least_waste.Levels} per-storage-level time-linear sums,
-    making each grant a single allocation-free O(pending) scan (the
-    pairwise Eq. (1)/(2) sum collapses to three incrementally-maintained
-    scalars per level). [levels] (default 1) is the storage-hierarchy
-    depth, PFS included; token requests all live at the deepest level, and
-    [levels = 1] is bit-identical to the single-aggregate formulation.
-    Differentially tested against the list-based oracle in
-    [test/lw_reference.ml]. *)
+    arrival-ordered pool — O(1) enqueue and removal — plus the
+    {!Cocheck_core.Least_waste.Aggregate} time-linear sums keyed by each
+    record's [r_key], making each grant a single allocation-free
+    O(pending) loop (the pairwise Eq. (1)/(2) sum collapses to three
+    incrementally-maintained scalars). Every token request targets the
+    PFS — shallower storage tiers absorb their writes without the token —
+    so one aggregate serves any storage hierarchy. A lone pending request
+    is granted without computing its score. Differentially tested against
+    the list-based oracle in [test/lw_reference.ml]. *)
 
 val greedy_exposure : ?free:Sim_types.req_free -> unit -> Sim_types.arbiter
 (** Grant to the request with the largest exposure × nodes product — the
@@ -50,21 +49,19 @@ val of_strategy :
   Cocheck_core.Strategy.t ->
   node_mtbf_s:float ->
   bandwidth_gbs:float ->
-  ?levels:int ->
   ?free:Sim_types.req_free ->
   unit ->
   Sim_types.arbiter
 (** The policy a strategy mandates (token-less strategies get an inert
-    {!fifo} they never enqueue into). [levels] is the storage-hierarchy
-    depth for {!least_waste}, PFS included (default 1 = PFS only);
-    [free] should be the run's [w.req_free] so retired records recycle
-    through {!submit}. *)
+    {!fifo} they never enqueue into). [free] should be the run's
+    [w.req_free] so retired records recycle through {!submit}. *)
 
 val submit : Sim_types.w -> Sim_types.inst -> Sim_types.rkind -> float -> unit
-(** Hand a request (fresh id, stamped with the current time) for [volume]
+(** Hand a request (stamped with the current time) for [volume]
     gigabytes to the run's policy, refilling a recycled record from
     [w.req_free] when one is available — the steady state allocates no
-    request records at all. *)
+    request records at all. A newly built record takes the next build
+    number of [w.req_free] as its permanent [r_key]. *)
 
 val cancel_requests_of : Sim_types.w -> Sim_types.inst -> unit
 (** Withdraw every pending request of an instance (on kill or completion);

@@ -70,7 +70,6 @@ let create ~engine ~metrics ~pfs specs =
     spilled = 0;
   }
 
-let levels_count t = Array.length t.levels
 let used_gb t ~level = t.levels.(level).used
 let capacity_gb t ~level = t.levels.(level).spec.Config.bl_capacity_gb
 let writes_absorbed t = t.absorbed

@@ -36,8 +36,6 @@ val create :
   t
 (** Levels shallow → deep. Raises [Invalid_argument] on an empty list. *)
 
-val levels_count : t -> int
-
 val fits : t -> volume_gb:float -> bool
 (** Whether some level can absorb a write of this size right now. *)
 

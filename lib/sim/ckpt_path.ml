@@ -29,8 +29,10 @@ and on_ckpt_request w inst =
   match inst.activity with
   | Computing ->
       let left = inst.total_work -. inst.work_done -. (now w -. inst.compute_start) in
-      if left <= eps_work then ()
-        (* the work-completion event fires at this same instant; skip *)
+      if left <= eps_work then
+        (* the work runs out within [eps_work]: no checkpoint, let the
+           work-completion event end the phase *)
+        arm_work_done w inst
       else begin
         (* A storage tier in front of the PFS absorbs the commit at its own
            speed, bypassing the strategy's PFS arbitration entirely; a full
@@ -56,7 +58,10 @@ and on_ckpt_request w inst =
           else begin
             inst.activity <- Computing_pending;
             Arbiter.submit w inst Req_ckpt inst.spec.Jobgen.ckpt_gb;
-            Arbiter.try_grant w
+            Arbiter.try_grant w;
+            (* Not granted at once: computing on, the work may run out
+               before the token comes. *)
+            match inst.activity with Computing_pending -> arm_work_done w inst | _ -> ()
           end
         end
       end
@@ -80,7 +85,7 @@ and start_ckpt_flow w inst =
   inst.ckpt_content <- inst.work_done;
   let flow =
     Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind:Io.Ckpt
-      ~volume_gb:inst.spec.Jobgen.ckpt_gb ~on_complete:(fun () -> on_ckpt_done w inst)
+      ~volume_gb:inst.spec.Jobgen.ckpt_gb ~on_complete:inst.cb_ckpt_done
   in
   inst.activity <- Doing_io (w.io, flow, Io.Ckpt)
 
@@ -89,7 +94,7 @@ and try_hier_ckpt w h inst =
   match
     Ckpt_hierarchy.write h ~owner:inst.spec.Jobgen.id ~job:inst.idx
       ~nodes:inst.spec.Jobgen.nodes ~volume_gb:inst.spec.Jobgen.ckpt_gb
-      ~content ~at:(now w) ~on_complete:(fun () -> on_ckpt_done w inst)
+      ~content ~at:(now w) ~on_complete:inst.cb_ckpt_done
   with
   | None -> false
   | Some (pool, flow) ->
@@ -163,7 +168,7 @@ and on_local_tick w k inst =
   match inst.activity with
   | Computing ->
       let left = inst.total_work -. inst.work_done -. (now w -. inst.compute_start) in
-      if left <= eps_work then ()
+      if left <= eps_work then arm_work_done w inst
       else begin
         pause_compute w inst;
         inst.activity <- Local_ckpt;
@@ -202,6 +207,7 @@ let install_callbacks w inst =
     (fun _ ->
       inst.ckpt_request_ev <- Engine.none;
       on_ckpt_request w inst);
+  inst.cb_ckpt_done <- (fun () -> on_ckpt_done w inst);
   let nsnap = Array.length w.snap in
   if nsnap > 0 then begin
     for k = 0 to nsnap - 1 do

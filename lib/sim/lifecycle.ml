@@ -99,6 +99,7 @@ and start_instance w entry nodes =
           cb_ckpt_request = ignore;
           cb_local_tick = Array.make nsnap ignore;
           cb_local_done = ignore;
+          cb_ckpt_done = ignore;
           live_slot = -1;
         }
       in
@@ -232,13 +233,19 @@ and on_blocking_io_done w inst kind =
   | Io.Ckpt | Io.Drain -> assert false);
   if w.uses_token then Arbiter.try_grant w
 
+(* A checkpoint request or snapshot tick due strictly before the work
+   runs out ends the phase first; its handler arms work-done if the
+   instance keeps computing ({!Sim_types.arm_work_done}). *)
 and start_compute w inst =
-  let left = inst.total_work -. inst.work_done in
   inst.activity <- Computing;
   inst.compute_start <- now w;
-  inst.work_done_ev <-
-    Engine.schedule_after w.engine ~kind:Ev_kind.job ~delay:(Float.max left 0.0)
-      inst.cb_work_done
+  let t_done = inst.compute_start +. Float.max (inst.total_work -. inst.work_done) 0.0 in
+  let earlier = ref (Engine.fires_before w.engine inst.ckpt_request_ev ~time:t_done) in
+  let ticks = inst.local_tick_ev in
+  for k = 0 to Array.length ticks - 1 do
+    if Engine.fires_before w.engine ticks.(k) ~time:t_done then earlier := true
+  done;
+  if not !earlier then arm_work_done w inst
 
 and on_work_complete w inst =
   emit_inst w inst Trace.Work_completed;

@@ -67,7 +67,9 @@ type inst = {
   uncommitted : Interval_ledger.t;  (* work intervals since last commit *)
   mutable last_commit_end : float;
   (* Armed calendar events, [Engine.none] when absent: an [option] here
-     would cost a [Some] allocation every time a periodic event re-arms. *)
+     would cost a [Some] allocation every time a periodic event re-arms.
+     The work-done event is armed only while it is the compute phase's
+     next boundary (see {!arm_work_done}). *)
   mutable ckpt_request_ev : Engine.handle;
   mutable work_done_ev : Engine.handle;
   mutable wait_start : float;
@@ -84,14 +86,16 @@ type inst = {
   local_tick_ev : Engine.handle array;
   mutable local_done_ev : Engine.handle;
   mutable delay_ev : Engine.handle;  (* local-recovery delay *)
-  (* Recycled event callbacks, built once per instance ({!Lifecycle} and
+  (* Recycled callbacks, built once per instance ({!Lifecycle} and
      {!Ckpt_path} install them at start): the periodic schedule sites
-     (work-done, checkpoint request, local ticks) re-arm these instead of
-     allocating a fresh closure per event. *)
+     (work-done, checkpoint request, local ticks) re-arm these, and every
+     checkpoint transfer completes through [cb_ckpt_done], instead of
+     allocating a fresh closure per event or flow. *)
   mutable cb_work_done : Engine.t -> unit;
   mutable cb_ckpt_request : Engine.t -> unit;
   cb_local_tick : (Engine.t -> unit) array;
   mutable cb_local_done : Engine.t -> unit;
+  mutable cb_ckpt_done : unit -> unit;
   mutable live_slot : int;  (* slot in [w.live] while holding nodes; -1 otherwise *)
 }
 
@@ -113,14 +117,18 @@ let rkind_io : Io.io_kind -> rkind = function
   | Io.Recovery -> req_io_recovery
   | Io.Drain -> req_io_drain
 
-(* Requests are pooled: every field is mutable so {!Arbiter.submit} can
-   refill a recycled record instead of allocating one per submission.
+(* Requests are pooled: every field but [r_key] is mutable so
+   {!Arbiter.submit} can refill a recycled record instead of allocating
+   one per submission. [r_key] is permanent: the record's build number,
+   given once when {!Arbiter.submit} builds it (the count of records
+   built so far), so keys stay dense and bounded by the deepest backlog
+   ever seen — the Least-Waste aggregate indexes a flat array with them.
    [r_slot] is maintained by the arbiter's pool — the slot currently
    holding this record, or [-1] while the record is outside the pool; a
    pool slot is live exactly when its record's [r_slot] points back at it,
    which is what lets the pool drop its id → slot hash table. *)
 type request = {
-  mutable r_id : int;
+  r_key : int;
   mutable r_inst : inst;
   mutable r_kind : rkind;
   mutable r_volume : float;
@@ -134,10 +142,11 @@ type request = {
    both the policies' cancellation path and the driver's post-grant release
    can push onto the same stack that {!Arbiter.submit} pops. A released
    record still references its last instance until reuse; the retention is
-   bounded by the deepest backlog ever seen. *)
-type req_free = { mutable rf : request array; mutable rf_n : int }
+   bounded by the deepest backlog ever seen. [rf_built] counts the records
+   ever built: the next one's [r_key]. *)
+type req_free = { mutable rf : request array; mutable rf_n : int; mutable rf_built : int }
 
-let req_free_create () = { rf = [||]; rf_n = 0 }
+let req_free_create () = { rf = [||]; rf_n = 0; rf_built = 0 }
 
 (* Retired instance records awaiting reuse, same shape as [req_free]. *)
 type inst_free = { mutable inf : inst array; mutable inf_n : int }
@@ -232,6 +241,7 @@ type arb_stats = {
   arb_pending : int;  (* live (non-cancelled) requests right now *)
   arb_enqueued : int;  (* requests ever submitted *)
   arb_granted : int;  (* requests ever selected *)
+  arb_scored : int;  (* candidates whose Eq. (1)/(2) waste or exposure was evaluated *)
   arb_cancelled : int;  (* requests withdrawn by kills and completions *)
 }
 
@@ -286,7 +296,6 @@ type w = {
   soft_rng : Rng.t;  (* classifies failures soft/hard under two-level CR *)
   mutable token_busy : bool;
   mutable next_inst : int;
-  mutable next_req : int;
   (* Late-bound continuations breaking the Arbiter/Ckpt_path → Lifecycle
      module cycle; Simulator.run wires them before the first event. *)
   mutable h_grant_io : request -> unit;
@@ -336,6 +345,21 @@ let cancel_local_events w inst =
   if not (Engine.is_none inst.delay_ev) then ignore (Engine.cancel w.engine inst.delay_ev);
   inst.local_done_ev <- Engine.none;
   inst.delay_ev <- Engine.none
+
+(* Arm the work-done event of the open compute phase unless it is armed
+   already. The compute phase ends at the first of three boundaries: the
+   work running out, the checkpoint request, a snapshot tick. Only the
+   first needs an event, so {!Lifecycle.start_compute} arms work-done
+   only when no request or tick is due strictly before it, and a request
+   or tick handler that leaves the instance computing calls this. The time
+   is the float [start_compute] would have scheduled, and it lies ahead
+   of the clock: the boundary that fired came strictly before it. *)
+let arm_work_done w inst =
+  if Engine.is_none inst.work_done_ev then
+    inst.work_done_ev <-
+      Engine.schedule_at w.engine ~kind:Ev_kind.job
+        ~time:(inst.compute_start +. Float.max (inst.total_work -. inst.work_done) 0.0)
+        inst.cb_work_done
 
 (* Close the open compute interval: bank the work and remember the interval
    as uncommitted until the next checkpoint commits (or a failure loses it). *)

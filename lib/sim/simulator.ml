@@ -37,6 +37,8 @@ type result = {
   restarts_by_class : (string * int) list;
   lost_work_by_class : (string * float) list;
       (* raw node-seconds rolled back per class, not segment-clipped *)
+  token_grants : int;
+  candidates_scored : int;
 }
 
 type snapshot = {
@@ -227,9 +229,7 @@ let run ?specs ?observe ?sample ?on_engine (cfg : Config.t) =
       arbiter =
         Arbiter.of_strategy cfg.strategy
           ~node_mtbf_s:cfg.platform.Platform.node_mtbf_s
-          ~bandwidth_gbs:cfg.platform.Platform.bandwidth_gbs
-          ~levels:(1 + match hier with Some h -> Ckpt_hierarchy.levels_count h | None -> 0)
-          ~free:req_free ();
+          ~bandwidth_gbs:cfg.platform.Platform.bandwidth_gbs ~free:req_free ();
       req_free;
       inst_free = inst_free_create ();
       live = live_slots_create ();
@@ -253,7 +253,6 @@ let run ?specs ?observe ?sample ?on_engine (cfg : Config.t) =
       snap;
       token_busy = false;
       next_inst = 0;
-      next_req = 0;
       h_grant_io = unwired;
       h_grant_ckpt = unwired;
       h_start_compute = unwired;
@@ -289,6 +288,7 @@ let run ?specs ?observe ?sample ?on_engine (cfg : Config.t) =
   Lifecycle.try_start w;
   Engine.run ~until:cfg.horizon engine;
   finalize w;
+  let arb = Arbiter.stats w in
   {
     progress_ns = Metrics.progress_ns metrics;
     waste_ns = Metrics.waste_ns metrics;
@@ -327,6 +327,8 @@ let run ?specs ?observe ?sample ?on_engine (cfg : Config.t) =
     lost_work_by_class =
       Array.to_list
         (Array.mapi (fun i c -> (c.App_class.name, w.lost_ns_by_class.(i))) classes);
+    token_grants = arb.arb_granted;
+    candidates_scored = arb.arb_scored;
   }
 
 let waste_ratio ~(strategy : result) ~(baseline : result) =

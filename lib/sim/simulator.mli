@@ -45,6 +45,10 @@ type result = {
   lost_work_by_class : (string * float) list;
       (** rolled-back node-seconds per class (whole run, not
           segment-clipped) — which class bleeds the most under failures *)
+  token_grants : int;  (** requests the arbiter granted the I/O token *)
+  candidates_scored : int;
+      (** pending requests whose Eq. (1)/(2) waste (Least-Waste) or
+          exposure (Greedy-Exposure) a grant evaluated; 0 under FIFO *)
 }
 
 type snapshot = {

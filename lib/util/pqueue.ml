@@ -254,6 +254,7 @@ let remove t h =
 
 let priority_of t h = if mem t h then Some t.prio.(t.pos.(h land slot_mask)) else None
 let priority_is t h p = mem t h && t.prio.(t.pos.(h land slot_mask)) = p
+let priority_below t h p = mem t h && t.prio.(t.pos.(h land slot_mask)) < p
 let tag_of t h = if mem t h then Some t.tag.(h land slot_mask) else None
 
 let update_priority t h ~priority =

@@ -82,6 +82,11 @@ val priority_is : 'a t -> 'a handle -> float -> bool
 (** [priority_is t h p] is [priority_of t h = Some p] without the option
     and boxed-float allocation; [false] for dead handles. *)
 
+val priority_below : 'a t -> 'a handle -> float -> bool
+(** [priority_below t h p] is whether [h] is live with a priority strictly
+    below [p], without the option and boxed-float allocation of
+    {!priority_of}; [false] for dead handles. *)
+
 val tag_of : 'a t -> 'a handle -> int option
 (** The tag behind a live handle ([0] unless inserted by {!add_tagged}). *)
 

@@ -17,7 +17,7 @@ let to_candidate ~bandwidth_gbs ~now (r : request) =
   | Req_io _ ->
       Candidate.Io
         {
-          Candidate.key = r.r_id;
+          Candidate.key = r.r_key;
           nodes = r.r_inst.spec.nodes;
           service_s = r.r_volume /. bandwidth_gbs;
           waited_s = now -. r.r_at;
@@ -25,7 +25,7 @@ let to_candidate ~bandwidth_gbs ~now (r : request) =
   | Req_ckpt ->
       Candidate.Ckpt
         {
-          Candidate.key = r.r_id;
+          Candidate.key = r.r_key;
           nodes = r.r_inst.spec.nodes;
           ckpt_s = r.r_inst.ckpt_nominal;
           exposed_s = now -. r.r_inst.last_commit_end;
@@ -38,6 +38,7 @@ let arbiter ~node_mtbf_s ~bandwidth_gbs () : arbiter =
     let pool : request list ref = ref []
     let enq = ref 0
     let granted = ref 0
+    let scored = ref 0
     let cancelled = ref 0
 
     let enqueue r =
@@ -60,10 +61,11 @@ let arbiter ~node_mtbf_s ~bandwidth_gbs () : arbiter =
       | [] -> None
       | reqs ->
           let cands = List.map (to_candidate ~bandwidth_gbs ~now) reqs in
+          scored := !scored + List.length cands;
           Option.bind (Least_waste.select ~node_mtbf_s cands) (fun c ->
               let key = Candidate.key c in
-              let r = List.find (fun (r : request) -> r.r_id = key) reqs in
-              pool := List.filter (fun (q : request) -> q.r_id <> key) reqs;
+              let r = List.find (fun (r : request) -> r.r_key = key) reqs in
+              pool := List.filter (fun (q : request) -> q.r_key <> key) reqs;
               incr granted;
               Some r)
 
@@ -75,6 +77,7 @@ let arbiter ~node_mtbf_s ~bandwidth_gbs () : arbiter =
         arb_pending = pending ();
         arb_enqueued = !enq;
         arb_granted = !granted;
+        arb_scored = !scored;
         arb_cancelled = !cancelled;
       }
   end)

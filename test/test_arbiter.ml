@@ -62,16 +62,17 @@ let mk_inst ~idx ~nodes ~last_commit_end =
     cb_ckpt_request = ignore;
     cb_local_tick = [||];
     cb_local_done = ignore;
+    cb_ckpt_done = ignore;
     live_slot = -1;
   }
 
 let next_id = ref 0
 
 let mk_request ?(kind = T.Req_ckpt) ?(volume = 100.0) ?(at = 0.0) inst =
-  let r_id = !next_id in
+  let r_key = !next_id in
   incr next_id;
   {
-    T.r_id;
+    T.r_key;
     r_inst = inst;
     r_kind = kind;
     r_volume = volume;
@@ -131,12 +132,35 @@ let test_cancelled_never_granted () =
       Alcotest.(check int) (name ^ ": stats cancelled") 3 s.T.arb_cancelled)
     (policies ~label:"cancel")
 
+(* A grant scores every live candidate, except a lone one: it wins under
+   every policy, so it is granted without a score. Draining three
+   requests scores 3 + 2 + 0 candidates; FIFO scores none. *)
+let test_scored_counts () =
+  List.iter
+    (fun (name, mk, per_drain) ->
+      let (module A : Arbiter.S) = mk () in
+      let insts =
+        List.init 3 (fun i -> mk_inst ~idx:(20 + i) ~nodes:(64 * (i + 1)) ~last_commit_end:0.0)
+      in
+      List.iteri (fun i inst -> A.enqueue (mk_request ~at:(float_of_int i) inst)) insts;
+      Alcotest.(check int) (name ^ ": grants") 3 (List.length (drain ~now:100.0 (module A)));
+      let s = A.stats () in
+      Alcotest.(check (pair int int)) (name ^ ": granted, scored") (3, per_drain)
+        (s.T.arb_granted, s.T.arb_scored))
+    [
+      ("fifo", (fun () -> Arbiter.fifo ()), 0);
+      ( "least-waste",
+        (fun () -> Arbiter.least_waste ~node_mtbf_s:mtbf_s ~bandwidth_gbs ()),
+        5 );
+      ("greedy-exposure", (fun () -> Arbiter.greedy_exposure ()), 5);
+    ]
+
 let test_fifo_arrival_order () =
   let (module A : Arbiter.S) = Arbiter.fifo () in
   let insts = List.init 5 (fun i -> mk_inst ~idx:(10 + i) ~nodes:8 ~last_commit_end:0.0) in
   let reqs = List.map (fun inst -> mk_request inst) insts in
   List.iter A.enqueue reqs;
-  let ids (rs : T.request list) = List.map (fun r -> r.T.r_id) rs in
+  let ids (rs : T.request list) = List.map (fun r -> r.T.r_key) rs in
   Alcotest.(check (list int)) "FCFS grant order" (ids reqs) (ids (drain ~now:10.0 (module A)))
 
 (* The indexed pool must agree with the straightforward list treatment:
@@ -163,7 +187,7 @@ let test_least_waste_matches_oracle () =
       | T.Req_io _ ->
           Candidate.Io
             {
-              Candidate.key = r.T.r_id;
+              Candidate.key = r.T.r_key;
               nodes = r.T.r_inst.T.spec.Jobgen.nodes;
               service_s = r.T.r_volume /. bandwidth_gbs;
               waited_s = now -. r.T.r_at;
@@ -171,7 +195,7 @@ let test_least_waste_matches_oracle () =
       | T.Req_ckpt ->
           Candidate.Ckpt
             {
-              Candidate.key = r.T.r_id;
+              Candidate.key = r.T.r_key;
               nodes = r.T.r_inst.T.spec.Jobgen.nodes;
               ckpt_s = r.T.r_inst.T.ckpt_nominal;
               exposed_s = now -. r.T.r_inst.T.last_commit_end;
@@ -188,8 +212,8 @@ let test_least_waste_matches_oracle () =
     match (oracle pool, A.select ~now) with
     | None, None -> ()
     | Some key, Some r ->
-        Alcotest.(check int) "indexed pool matches list oracle" key r.T.r_id;
-        go (List.filter (fun (q : T.request) -> q.T.r_id <> key) pool)
+        Alcotest.(check int) "indexed pool matches list oracle" key r.T.r_key;
+        go (List.filter (fun (q : T.request) -> q.T.r_key <> key) pool)
     | Some _, None -> Alcotest.fail "arbiter dried up before oracle"
     | None, Some _ -> Alcotest.fail "oracle dried up before arbiter"
   in
@@ -223,7 +247,7 @@ let test_greedy_exposure_ranking () =
   B.enqueue r1;
   B.enqueue r2;
   match B.select ~now with
-  | Some r -> Alcotest.(check int) "tie breaks to arrival order" r1.T.r_id r.T.r_id
+  | Some r -> Alcotest.(check int) "tie breaks to arrival order" r1.T.r_key r.T.r_key
   | None -> Alcotest.fail "nothing selected"
 
 (* Churn heavily across compactions and growth: the indexed pool must keep
@@ -255,6 +279,7 @@ let () =
           Alcotest.test_case "cancelled never granted (all policies)" `Quick
             test_cancelled_never_granted;
           Alcotest.test_case "fifo arrival order" `Quick test_fifo_arrival_order;
+          Alcotest.test_case "scored counts skip a lone request" `Quick test_scored_counts;
           Alcotest.test_case "pool churn stays consistent" `Quick test_pool_churn;
         ] );
       ( "policies",

@@ -67,6 +67,7 @@ let mk_inst ~pool ~idx ~nodes ~last_commit_end ~ckpt_gb ~bandwidth_gbs =
     cb_ckpt_request = ignore;
     cb_local_tick = [||];
     cb_local_done = ignore;
+    cb_ckpt_done = ignore;
     live_slot = -1;
   }
 
@@ -144,11 +145,11 @@ let run_schedule ~ctx (s : schedule) =
   let live : T.request list ref = ref [] in
   let next_id = ref 0 in
   let mk_pair ~inst ~is_io ~volume ~at =
-    let r_id = !next_id in
+    let r_key = !next_id in
     incr next_id;
     let mk () =
       {
-        T.r_id;
+        T.r_key;
         r_inst = inst;
         r_kind = (if is_io then T.Req_io Io.Input else T.Req_ckpt);
         r_volume = volume;
@@ -192,38 +193,38 @@ let run_schedule ~ctx (s : schedule) =
     | Select { at } :: rest -> (
         match (Fast.select ~now:at, Oracle.select ~now:at) with
         | None, None -> replay rest
-        | Some f, Some o when f.T.r_id = o.T.r_id ->
-            live := List.filter (fun (r : T.request) -> r.T.r_id <> o.T.r_id) !live;
+        | Some f, Some o when f.T.r_key = o.T.r_key ->
+            live := List.filter (fun (r : T.request) -> r.T.r_key <> o.T.r_key) !live;
             check_pending "after select";
             replay rest
         | Some f, Some o ->
             (* Different picks are only acceptable on a genuine float
                near-tie of the list-oracle wastes; the pools have then
                diverged, so the schedule ends here. *)
-            let wf = waste_of ~now:at f.T.r_id and wo = waste_of ~now:at o.T.r_id in
+            let wf = waste_of ~now:at f.T.r_key and wo = waste_of ~now:at o.T.r_key in
             if not (Cocheck_util.Numerics.fequal ~eps:1e-9 wf wo) then
               Alcotest.failf
                 "%s: at %.6g fast picked %d (waste %.17g), oracle %d (waste %.17g)"
-                ctx at f.T.r_id wf o.T.r_id wo
+                ctx at f.T.r_key wf o.T.r_key wo
         | Some f, None ->
-            Alcotest.failf "%s: fast granted %d, oracle dry" ctx f.T.r_id
+            Alcotest.failf "%s: fast granted %d, oracle dry" ctx f.T.r_key
         | None, Some o ->
-            Alcotest.failf "%s: oracle granted %d, fast dry" ctx o.T.r_id)
+            Alcotest.failf "%s: oracle granted %d, fast dry" ctx o.T.r_key)
   in
   replay s.ops;
   (* Drain both dry: the tail of the backlog must agree too. *)
   let rec drain now =
     match (Fast.select ~now, Oracle.select ~now) with
     | None, None -> check_pending "after drain"
-    | Some f, Some o when f.T.r_id = o.T.r_id ->
-        live := List.filter (fun (r : T.request) -> r.T.r_id <> o.T.r_id) !live;
+    | Some f, Some o when f.T.r_key = o.T.r_key ->
+        live := List.filter (fun (r : T.request) -> r.T.r_key <> o.T.r_key) !live;
         drain (now +. 1.0)
     | Some f, Some o ->
-        let wf = waste_of ~now f.T.r_id and wo = waste_of ~now o.T.r_id in
+        let wf = waste_of ~now f.T.r_key and wo = waste_of ~now o.T.r_key in
         if not (Cocheck_util.Numerics.fequal ~eps:1e-9 wf wo) then
           Alcotest.failf
             "%s: drain at %.6g fast picked %d (waste %.17g), oracle %d (waste %.17g)"
-            ctx now f.T.r_id wf o.T.r_id wo
+            ctx now f.T.r_key wf o.T.r_key wo
     | Some _, None | None, Some _ -> Alcotest.failf "%s: drain length mismatch" ctx
   in
   drain 1e7

@@ -551,6 +551,30 @@ let test_burst_buffer_member_rejected () =
       ("beside a buffer level", Some { Config.levels = [ buffer_level () ] });
     ]
 
+(* Every member a spec JSON carries must be one [to_json] writes: a
+   misspelled knob is refused by name instead of running the default,
+   while each figure preset still round-trips. *)
+let test_unknown_member_rejected () =
+  let spec =
+    E.Spec.make ~name:"alfa" ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ())
+      ~strategies:[ Strategy.Least_waste ] ~reps:1 ~seed:11 ~days:2.0 ()
+  in
+  let misspelled =
+    match E.Spec.to_json spec with
+    | Json.Obj members -> Json.Obj (members @ [ ("interference_alfa", Json.Float 0.5) ])
+    | _ -> Alcotest.fail "spec encodes as an object"
+  in
+  (match E.Spec.of_json misspelled with
+  | Error e ->
+      Alcotest.(check string) "names the member" "spec: unknown member \"interference_alfa\"" e
+  | Ok _ -> Alcotest.fail "a spec with an unknown member must not decode");
+  List.iter
+    (fun (what, preset) ->
+      match E.Spec.of_json (E.Spec.to_json preset) with
+      | Ok back -> Alcotest.(check bool) (what ^ " round-trips") true (back = preset)
+      | Error e -> Alcotest.failf "%s: %s" what e)
+    [ ("fig1", E.Fig1.spec); ("fig2", E.Fig2.spec); ("fig3 probe", E.Fig3.probe) ]
+
 let test_legacy_multilevel_json_decodes () =
   (* A hand-written two-level spec in the pre-hierarchy format must keep
      decoding — to the singleton-snapshot level list. *)
@@ -982,6 +1006,7 @@ let () =
           Alcotest.test_case "burst-buffer key pinned" `Quick test_burst_buffer_key_pinned;
           Alcotest.test_case "burst_buffer member rejected" `Quick
             test_burst_buffer_member_rejected;
+          Alcotest.test_case "unknown member rejected" `Quick test_unknown_member_rejected;
         ] );
       ( "runner",
         [

@@ -1,13 +1,15 @@
 (* The multilevel checkpoint hierarchy, across its layers: the analytic
    L-level waste model (against the Two_level oracle and against perturbed
-   periods), the level-aware Least-Waste aggregates, the hierarchical lower
-   bound, the Ckpt_hierarchy storage engine (capacity accounting, flush
-   cascades, failure survival), and the burst buffer: its desugaring into
-   one serialized-drain buffer level, and a storage-level differential of
-   that level against the standalone burst-buffer oracle. *)
+   periods), the hierarchical lower bound, the Ckpt_hierarchy storage
+   engine (capacity accounting, flush cascades, failure survival), and
+   the burst buffer: its desugaring into one serialized-drain buffer
+   level, a storage-level differential of that level against the
+   standalone burst-buffer oracle, and the Least-Waste token seeing only
+   the commits no buffer level absorbed. *)
 
 module Platform = Cocheck_model.Platform
 module App_class = Cocheck_model.App_class
+module Jobgen = Cocheck_model.Jobgen
 module Apex = Cocheck_model.Apex
 module Waste = Cocheck_core.Waste
 module Strategy = Cocheck_core.Strategy
@@ -119,98 +121,6 @@ let test_multilevel_validate () =
       Multilevel.validate { Multilevel.levels = [ lvl 1.0 0.5; lvl 10.0 0.5 ]; mtbf_s = 0.0 });
   rejects "zero deepest cost" (fun () ->
       Multilevel.validate { Multilevel.levels = [ lvl 1.0 0.5; lvl 0.0 0.5 ]; mtbf_s = 1e6 })
-
-(* ------------------------------------------------------------------ *)
-(* Level-aware Least-Waste aggregates                                   *)
-(* ------------------------------------------------------------------ *)
-
-let gen_entry rng =
-  let u lo hi = lo +. (Rng.unit_float rng *. (hi -. lo)) in
-  if Rng.unit_float rng < 0.5 then
-    Least_waste.Aggregate.Io_entry
-      { nodes = 1 + Rng.int rng 4000; service_s = u 0.1 500.0; enqueued_at = u 0.0 5000.0 }
-  else
-    Least_waste.Aggregate.Ckpt_entry
-      {
-        nodes = 1 + Rng.int rng 4000;
-        ckpt_s = u 0.1 500.0;
-        recovery_s = u 0.0 500.0;
-        last_commit_end = u 0.0 5000.0;
-      }
-
-(* A single-level Levels pool is float-for-float the flat Aggregate —
-   the property that keeps single-level golden traces bit-identical. *)
-let test_levels_single_pool_bitwise =
-  QCheck.Test.make ~name:"levels_single_pool_equals_aggregate" ~count:200
-    QCheck.(pair small_int (int_range 1 12))
-    (fun (seed, n) ->
-      let rng = Rng.create ~seed in
-      let mu = Units.years 2.0 in
-      let agg = Least_waste.Aggregate.create ~node_mtbf_s:mu in
-      let lv = Least_waste.Levels.create ~node_mtbf_s:mu ~levels:1 in
-      let entries = List.init n (fun k -> (k, gen_entry rng)) in
-      List.iter
-        (fun (k, e) ->
-          Least_waste.Aggregate.add agg ~key:k e;
-          Least_waste.Levels.add lv ~key:k ~level:0 e)
-        entries;
-      (* drop a few members so removal paths stay in lockstep too *)
-      let entries =
-        List.filter
-          (fun (k, _) ->
-            if Rng.unit_float rng < 0.3 then begin
-              Least_waste.Aggregate.remove agg ~key:k;
-              Least_waste.Levels.remove lv ~key:k;
-              false
-            end
-            else true)
-          entries
-      in
-      let now = 6000.0 +. (Rng.unit_float rng *. 1000.0) in
-      List.for_all
-        (fun (k, _) ->
-          Least_waste.Aggregate.waste agg ~now ~key:k
-          = Least_waste.Levels.waste lv ~now ~key:k)
-        entries)
-
-let test_levels_sum_across_pools () =
-  (* Two levels: a member's waste is its service time against the summed
-     totals of every level, minus its own term — mirrored by hand with two
-     flat Aggregates. *)
-  let mu = Units.years 1.0 in
-  let lv = Least_waste.Levels.create ~node_mtbf_s:mu ~levels:2 in
-  let a0 = Least_waste.Aggregate.create ~node_mtbf_s:mu in
-  let a1 = Least_waste.Aggregate.create ~node_mtbf_s:mu in
-  let e0 =
-    Least_waste.Aggregate.Io_entry { nodes = 512; service_s = 40.0; enqueued_at = 100.0 }
-  in
-  let e1 =
-    Least_waste.Aggregate.Ckpt_entry
-      { nodes = 1024; ckpt_s = 25.0; recovery_s = 60.0; last_commit_end = 2000.0 }
-  in
-  let e2 =
-    Least_waste.Aggregate.Io_entry { nodes = 256; service_s = 90.0; enqueued_at = 1500.0 }
-  in
-  Least_waste.Levels.add lv ~key:0 ~level:0 e0;
-  Least_waste.Levels.add lv ~key:1 ~level:1 e1;
-  Least_waste.Levels.add lv ~key:2 ~level:1 e2;
-  Least_waste.Aggregate.add a0 ~key:0 e0;
-  Least_waste.Aggregate.add a1 ~key:1 e1;
-  Least_waste.Aggregate.add a1 ~key:2 e2;
-  let now = 9000.0 in
-  let expect_for a e =
-    let v = Least_waste.Aggregate.service_time e in
-    v
-    *. (Least_waste.Aggregate.total_term a0 ~now ~service_s:v
-       +. Least_waste.Aggregate.total_term a1 ~now ~service_s:v
-       -. Least_waste.Aggregate.term a ~now ~service_s:v e)
-  in
-  checkb "key 0 sums both pools" true
-    (Numerics.fequal ~eps:1e-9 (expect_for a0 e0) (Least_waste.Levels.waste lv ~now ~key:0));
-  checkb "key 1 sums both pools" true
-    (Numerics.fequal ~eps:1e-9 (expect_for a1 e1) (Least_waste.Levels.waste lv ~now ~key:1));
-  checkb "key 2 sums both pools" true
-    (Numerics.fequal ~eps:1e-9 (expect_for a1 e2) (Least_waste.Levels.waste lv ~now ~key:2))
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical lower bound                                             *)
@@ -490,6 +400,41 @@ let test_burst_buffer_desugars_to_buffer_level () =
     (mk (Config.with_burst_buffer bb (Some { Config.levels = [ snapshot ] }))
     = mk { Config.levels = [ snapshot; buffer ] })
 
+(* Least-Waste arbitrates the PFS alone: a commit a buffer level absorbs
+   never enters the token pool, which is why one Aggregate (no per-level
+   pools) scores every candidate. Jobs with no input or output make the
+   checkpoints the only token traffic: flat, every commit is a grant;
+   behind a buffer that absorbs them all, nothing is granted or scored. *)
+let test_absorbed_commits_skip_token () =
+  let spec id =
+    {
+      Jobgen.id;
+      class_index = 0;
+      class_name = "toy";
+      nodes = 16;
+      work_s = Units.hours 6.0;
+      input_gb = 0.0;
+      output_gb = 0.0;
+      ckpt_gb = 8.0;
+      steady_io_gb = 0.0;
+    }
+  in
+  let run multilevel =
+    Simulator.run
+      ~specs:(Array.init 4 spec)
+      (Config.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+         ~strategy:Strategy.Least_waste ~days:1.0 ~with_failures:false ?multilevel ())
+  in
+  let flat = run None in
+  checkb "flat: commits happen" true (flat.Simulator.ckpts_committed > 0);
+  checki "flat: every commit is a grant" flat.Simulator.ckpts_committed
+    flat.Simulator.token_grants;
+  let buffered = run (Some { Config.levels = [ Config.Buffer (lvl 1000.0 100.0) ] }) in
+  checkb "buffered: commits absorbed" true (buffered.Simulator.bb_absorbed > 0);
+  checki "buffered: none spilled" 0 buffered.Simulator.bb_spilled;
+  checki "buffered: no grant" 0 buffered.Simulator.token_grants;
+  checki "buffered: none scored" 0 buffered.Simulator.candidates_scored
+
 (* Storage-level differential: random write / abort / advance histories,
    with foreground PFS traffic for the drains to contend with, run through
    the standalone burst buffer and a one-level hierarchy with serialized
@@ -620,11 +565,6 @@ let () =
           QCheck_alcotest.to_alcotest test_optimum_beats_perturbed;
           Alcotest.test_case "validation" `Quick test_multilevel_validate;
         ] );
-      ( "least-waste-levels",
-        [
-          QCheck_alcotest.to_alcotest test_levels_single_pool_bitwise;
-          Alcotest.test_case "cross-level sums" `Quick test_levels_sum_across_pools;
-        ] );
       ( "lower-bound",
         [
           Alcotest.test_case "reduces to Theorem 1" `Quick test_hier_bound_reduces_to_flat;
@@ -649,6 +589,11 @@ let () =
           Alcotest.test_case "burst buffer desugars to a buffer level" `Quick
             test_burst_buffer_desugars_to_buffer_level;
           QCheck_alcotest.to_alcotest test_single_buffer_matches_burst_buffer_storage;
+        ] );
+      ( "least-waste-on-pfs",
+        [
+          Alcotest.test_case "absorbed commits skip the token" `Quick
+            test_absorbed_commits_skip_token;
         ] );
       ( "flush-sweep",
         [

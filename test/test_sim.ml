@@ -12,6 +12,11 @@ module Platform = Cocheck_model.Platform
 module Strategy = Cocheck_core.Strategy
 module Rng = Cocheck_util.Rng
 module Units = Cocheck_util.Units
+module Simulator = Cocheck_sim.Simulator
+module Trace = Cocheck_sim.Trace
+module Ev_kind = Cocheck_sim.Ev_kind
+module App_class = Cocheck_model.App_class
+module Jobgen = Cocheck_model.Jobgen
 
 let checkf msg ?(eps = 1e-9) a b = Alcotest.(check (float eps)) msg a b
 
@@ -511,10 +516,153 @@ let test_config_validation () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Trace ring buffer                                                    *)
+(* Lazily armed work-done events                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Trace = Cocheck_sim.Trace
+(* A compute phase ends at the first of three boundaries: the work running
+   out, the checkpoint request, a snapshot tick. The work-done event is
+   armed only when it is the first; a request or tick handler that leaves
+   the instance computing arms it. These runs pin the completion instant
+   of each such path to the float [compute_start + left]. *)
+
+let lazy_platform =
+  Platform.make ~name:"tiny" ~nodes:64 ~mem_per_node_gb:1.0 ~bandwidth_gbs:1.0
+    ~node_mtbf_s:(Units.years 2.0)
+
+let lazy_class =
+  App_class.make ~name:"toy" ~workload_pct:100.0 ~walltime_s:(Units.hours 2.0) ~nodes:16
+    ~input_pct:10.0 ~output_pct:10.0 ~ckpt_pct:50.0 ()
+
+(* The delay from the start of work to the first checkpoint request under
+   Least-Waste: the Daly period minus the commit time. *)
+let request_delay =
+  let c = App_class.ckpt_time lazy_class ~platform:lazy_platform in
+  Float.max 0.0 (Cocheck_core.Daly.period_for lazy_class ~platform:lazy_platform -. c)
+
+let lazy_spec ~id ?(input_gb = 0.0) work_s =
+  {
+    Jobgen.id;
+    class_index = 0;
+    class_name = "toy";
+    nodes = 16;
+    work_s;
+    input_gb;
+    output_gb = 0.0;
+    ckpt_gb = 8.0;
+    steady_io_gb = 0.0;
+  }
+
+(* Run hand-built jobs without failures, the segment opened at 0 so every
+   node-second counts, and return the result, the event stream and the
+   job-kind (scheduled, cancelled) counts. *)
+let lazy_run ?multilevel specs =
+  let cfg =
+    Config.make ~platform:lazy_platform ~classes:[ lazy_class ] ~strategy:Strategy.Least_waste
+      ~days:1.0 ~with_failures:false ?multilevel ()
+  in
+  let cfg = { cfg with Config.seg_start = 0.0 } in
+  let events = ref [] and stats = ref None in
+  let r =
+    Simulator.run ~specs:(Array.of_list specs)
+      ~observe:(fun e -> events := e :: !events)
+      ~on_engine:(fun e -> stats := Some (Engine.attach_stats e ~kinds:Ev_kind.names ()))
+      cfg
+  in
+  let job =
+    List.find_map
+      (fun (k, sched, _, canc) -> if k = "job" then Some (sched, canc) else None)
+      (Engine.stats_by_kind (Option.get !stats))
+  in
+  (r, List.rev !events, Option.get job)
+
+let first_time events ~job what =
+  match List.find_opt (fun (e : Trace.event) -> e.job = job && what e.kind) events with
+  | Some e -> e.time
+  | None -> Alcotest.failf "job %d: event not found" job
+
+let is_kind k (k' : Trace.kind) = k = k'
+
+let check_conserved what (r : Simulator.result) =
+  Alcotest.(check bool) (what ^ ": progress + waste = enrolled") true
+    (Cocheck_util.Numerics.fequal ~eps:1e-9 (r.progress_ns +. r.waste_ns) r.enrolled_ns);
+  Alcotest.(check bool) (what ^ ": enrolled time counted") true (r.enrolled_ns > 0.0)
+
+let test_lazy_pending_request_completes () =
+  (* Job 0's 10 TB input holds the token for 10 000 s. Job 1 reads
+     nothing, computes from t = 0, and requests a checkpoint 100 s before
+     its work runs out: the request waits for the token, and the work-done
+     event its handler arms ends the job. *)
+  let work = request_delay +. 100.0 in
+  let r, events, _ =
+    lazy_run [ lazy_spec ~id:0 ~input_gb:10_000.0 100.0; lazy_spec ~id:1 work ]
+  in
+  let t_in = first_time events ~job:1 (is_kind Trace.Input_done) in
+  let t_req = first_time events ~job:1 (is_kind Trace.Ckpt_requested) in
+  let t_done = first_time events ~job:1 (is_kind Trace.Work_completed) in
+  Alcotest.(check bool) "request before completion" true (t_req < t_done);
+  Alcotest.(check bool) "token still held by job 0's input" true
+    (t_done < first_time events ~job:0 (is_kind Trace.Input_done));
+  Alcotest.(check (float 0.0)) "completes at compute_start + left" (t_in +. work) t_done;
+  Alcotest.(check bool) "no commit started" false
+    (List.exists (fun (e : Trace.event) -> e.job = 1 && e.kind = Trace.Ckpt_started) events);
+  Alcotest.(check int) "both jobs complete" 2 r.jobs_completed;
+  check_conserved "pending request" r
+
+let test_lazy_request_within_eps () =
+  (* The request fires 0.5 µs before the work runs out, inside
+     [eps_work]: no checkpoint, and the job completes on time. *)
+  let work = request_delay +. 5e-7 in
+  let r, events, (scheduled, cancelled) = lazy_run [ lazy_spec ~id:0 work ] in
+  let t_in = first_time events ~job:0 (is_kind Trace.Input_done) in
+  let t_req = first_time events ~job:0 (is_kind Trace.Ckpt_requested) in
+  let t_done = first_time events ~job:0 (is_kind Trace.Work_completed) in
+  Alcotest.(check bool) "request strictly first" true (t_req < t_done);
+  Alcotest.(check (float 0.0)) "completes at compute_start + left" (t_in +. work) t_done;
+  Alcotest.(check int) "no commit" 0 r.ckpts_committed;
+  Alcotest.(check int) "job completes" 1 r.jobs_completed;
+  Alcotest.(check (pair int int)) "one work-done event, armed by the request" (1, 0)
+    (scheduled, cancelled);
+  check_conserved "request within eps" r
+
+let snapshot_every period =
+  Config.local_level ~period_s:period ~cost_s:5.0 ~recovery_s:30.0 ~soft_fraction:0.5
+
+let test_lazy_tick_before_work_done () =
+  (* A 600 s snapshot tick comes before the work runs out at 1000 s: no
+     work-done event is armed until the snapshot ends at 605 s and compute
+     resumes, and the only one armed fires. *)
+  let r, events, (scheduled, cancelled) =
+    lazy_run ~multilevel:(snapshot_every 600.0) [ lazy_spec ~id:0 1000.0 ]
+  in
+  let t_in = first_time events ~job:0 (is_kind Trace.Input_done) in
+  let t_done = first_time events ~job:0 (is_kind Trace.Work_completed) in
+  let resume = t_in +. 600.0 +. 5.0 in
+  Alcotest.(check (float 0.0)) "completes at the resumed compute_start + left"
+    (resume +. (1000.0 -. 600.0))
+    t_done;
+  Alcotest.(check (pair int int)) "one work-done event, none cancelled" (1, 0)
+    (scheduled, cancelled);
+  Alcotest.(check int) "job completes" 1 r.jobs_completed;
+  check_conserved "tick first" r
+
+let test_lazy_tick_within_eps () =
+  (* The tick fires 0.5 µs before the work runs out: no snapshot, and the
+     work-done event the tick's handler arms completes the job. *)
+  let work = 600.0 +. 5e-7 in
+  let r, events, (scheduled, cancelled) =
+    lazy_run ~multilevel:(snapshot_every 600.0) [ lazy_spec ~id:0 work ]
+  in
+  let t_in = first_time events ~job:0 (is_kind Trace.Input_done) in
+  let t_done = first_time events ~job:0 (is_kind Trace.Work_completed) in
+  Alcotest.(check (float 0.0)) "completes at compute_start + left" (t_in +. work) t_done;
+  Alcotest.(check (pair int int)) "one work-done event, armed by the tick" (1, 0)
+    (scheduled, cancelled);
+  Alcotest.(check int) "job completes" 1 r.jobs_completed;
+  check_conserved "tick within eps" r
+
+(* ------------------------------------------------------------------ *)
+(* Trace ring buffer                                                    *)
+(* ------------------------------------------------------------------ *)
 
 let trace_event i =
   { Trace.time = float_of_int i; job = i; inst = i; kind = Trace.Ckpt_requested }
@@ -623,6 +771,14 @@ let () =
           Alcotest.test_case "baseline_of" `Quick test_config_baseline_of;
           Alcotest.test_case "prospective classes scaled" `Quick test_config_prospective_scales_classes;
           Alcotest.test_case "validation" `Quick test_config_validation;
+        ] );
+      ( "lazy-arming",
+        [
+          Alcotest.test_case "pending request completes" `Quick
+            test_lazy_pending_request_completes;
+          Alcotest.test_case "request within eps" `Quick test_lazy_request_within_eps;
+          Alcotest.test_case "tick before work-done" `Quick test_lazy_tick_before_work_done;
+          Alcotest.test_case "tick within eps" `Quick test_lazy_tick_within_eps;
         ] );
       ( "trace",
         [
