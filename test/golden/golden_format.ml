@@ -28,6 +28,38 @@ let bb_seeds = [ 11; 42 ]
 let bb_strategies =
   [ Strategy.Oblivious (Strategy.Fixed Strategy.default_fixed_period_s); Strategy.Least_waste ]
 
+(* Node-local snapshot levels: one level alone, and the three-level
+   hierarchy of bench/main.ml (the snapshot level above a burst buffer
+   with a dedicated flush edge). These blocks pin the snapshot path: the
+   ticks, the pauses, the soft restarts and their interplay with the
+   checkpoint request and the work running out. *)
+let one_snapshot_level =
+  Config.local_level ~period_s:600.0 ~cost_s:5.0 ~recovery_s:30.0 ~soft_fraction:0.5
+
+let ml3 =
+  {
+    Config.levels =
+      [
+        Config.Snapshot
+          { Config.sl_period_s = 600.0; sl_cost_s = 5.0; sl_recovery_s = 30.0; sl_survival = 0.5 };
+        Config.Buffer
+          {
+            Config.bl_capacity_gb = 250_000.0;
+            bl_bandwidth_gbs = 1_000.0;
+            bl_flush_gbs = Some 20.0;
+            bl_survival = 1.0;
+          };
+      ];
+  }
+
+let snapshot_variants =
+  [ (" snapshot=600,5,30,0.5", one_snapshot_level); (" ml3=snapshot+flush-edge", ml3) ]
+
+let snapshot_seeds = [ 11; 42 ]
+
+let snapshot_strategies =
+  [ Strategy.Least_waste; Strategy.Ordered_nb Strategy.Daly; Strategy.Ordered Strategy.Daly ]
+
 let f v = Printf.sprintf "%h" v
 
 let named_floats pairs =
@@ -81,5 +113,19 @@ let all_runs () =
                 (Simulator.run (config ~burst_buffer ~strategy ~seed ())))
             bb_seeds)
         bb_strategies
+    @ List.concat_map
+        (fun (label, multilevel) ->
+          List.concat_map
+            (fun strategy ->
+              List.map
+                (fun seed ->
+                  let cfg =
+                    Config.make ~platform:(Platform.cielo ~bandwidth_gbs ()) ~strategy ~seed
+                      ~days ~multilevel ()
+                  in
+                  result_block ~label ~strategy ~seed (Simulator.run cfg))
+                snapshot_seeds)
+            snapshot_strategies)
+        snapshot_variants
   in
   String.concat "\n\n" blocks ^ "\n"

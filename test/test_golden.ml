@@ -5,7 +5,10 @@
    run proves the arbiter/lifecycle/checkpoint/failure split is
    behavior-preserving. Appended blocks run Oblivious-Fixed and Least-Waste
    with a 400 TB / 1 TB/s burst buffer on two seeds; they pin the storage
-   hierarchy's semantics for that buffer level. Regenerate (only on an intentional behavior
+   hierarchy's semantics for that buffer level. The last blocks run
+   Least-Waste, Ordered-NB-Daly and Ordered-Daly on two seeds with one
+   node-local snapshot level, then with a snapshot level above a
+   flush-edge burst buffer; they pin the snapshot path. Regenerate (only on an intentional behavior
    change) with:
 
      dune exec test/golden/gen_golden.exe > test/golden_results.txt *)
