@@ -638,8 +638,12 @@ let timeline_cmd =
     let trace = Cocheck_sim.Trace.create ~capacity:2_000_000 () in
     let r = Simulator.run ~observe:(Cocheck_sim.Trace.record trace) cfg in
     let tl =
-      E.Timeline.build ~trace ~total_nodes:cfg.platform.Platform.nodes ~horizon:cfg.horizon
-        ~buckets ()
+      try
+        E.Timeline.build ~trace ~total_nodes:cfg.platform.Platform.nodes ~horizon:cfg.horizon
+          ~buckets ()
+      with Invalid_argument m ->
+        Format.eprintf "error: %s@." m;
+        exit 1
     in
     Format.printf "%a — %s, %d jobs started, %d restarts@.@." Platform.pp cfg.platform
       (Strategy.name strategy) r.Simulator.jobs_started r.restarts;

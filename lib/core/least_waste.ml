@@ -1,47 +1,6 @@
-(* Equations (1) and (2) share one shape: W_i = v × Σ_{j ≠ i} term(j), where
-   v is the service time of the selected candidate and term(j) depends on
-   which pool j belongs to. *)
-
-(* Grants sit on the simulator's hot path; well-formedness is the
-   constructor's obligation, so [select] only re-checks it when this flag
-   is raised (tests do). *)
-let debug_validate = ref false
-
-let inflicted_waste ~node_mtbf_s ~service_s ~self candidates =
-  if node_mtbf_s <= 0.0 then invalid_arg "Least_waste: MTBF must be positive";
-  let v = service_s in
-  let term (c : Candidate.t) =
-    if Candidate.key c = self then 0.0
-    else
-      match c with
-      | Candidate.Io io -> float_of_int io.nodes *. (io.waited_s +. v)
-      | Candidate.Ckpt ck ->
-          let q = float_of_int ck.nodes in
-          q *. q /. node_mtbf_s *. (ck.recovery_s +. ck.exposed_s +. (v /. 2.0))
-  in
-  v *. Cocheck_util.Numerics.sum_by term candidates
-
-let select ~node_mtbf_s candidates =
-  if node_mtbf_s <= 0.0 then invalid_arg "Least_waste.select: MTBF must be positive";
-  if !debug_validate then List.iter Candidate.validate candidates;
-  let best = ref None in
-  List.iter
-    (fun c ->
-      let w =
-        inflicted_waste ~node_mtbf_s ~service_s:(Candidate.service_time c)
-          ~self:(Candidate.key c) candidates
-      in
-      match !best with
-      | Some (_, w_best) when w >= w_best -> ()
-      | _ -> best := Some (c, w))
-    candidates;
-  Option.map fst !best
-
-(* ------------------------------------------------------------------ *)
-(* Incremental aggregates                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Every candidate's term is affine both in the selected service time [v]
+(* Equations (1) and (2) share one shape: W_i = v × Σ_{j ≠ i} term(j),
+   where v is the service time of the selected candidate and term(j)
+   depends on which pool j belongs to. Every candidate's term is affine both in the selected service time [v]
    and in the evaluation instant [now] once the time-dependent inputs are
    written against absolute clocks (w_j = now − at_j for IO waits,
    e_j = now − last_commit_end_j for checkpoint exposure):
@@ -58,19 +17,11 @@ let select ~node_mtbf_s candidates =
 
      W_i = v_i · (A·now + B + S1·v_i − term_i(now, v_i)).
 
-   Each key's per-term evaluation keeps the exact float expression of
-   {!inflicted_waste}; only the summation order differs, which is why the
-   arbiter ships with a differential oracle (see test/lw_reference.ml). *)
+   Each key's per-term evaluation keeps the exact float expression of the
+   list oracle's direct sum; only the summation order differs, which is
+   why the arbiter ships with a differential oracle (see
+   test/lw_reference.ml). *)
 module Aggregate = struct
-  type entry =
-    | Io_entry of { nodes : int; service_s : float; enqueued_at : float }
-    | Ckpt_entry of {
-        nodes : int;
-        ckpt_s : float;
-        recovery_s : float;
-        last_commit_end : float;
-      }
-
   (* Members live in a struct-of-arrays pool: float inputs and the scalars
      each member contributed at add time sit in flat [float array]s (reads
      and writes unbox), tags and node counts in [int array]s, and the
@@ -79,10 +30,7 @@ module Aggregate = struct
      simulator-facing [add_io]/[add_ckpt]/[remove]/[waste] cycle allocates
      nothing and probes no hash. The contribution scalars are stored, not
      recomputed, so [remove] subtracts exactly what was added; removal
-     swaps the last slot into the hole, keeping slots dense.
-
-     The variant [entry] API survives as the cold-path wrapper ([add]
-     destructures into the typed adders): the property tests speak it. *)
+     swaps the last slot into the hole, keeping slots dense. *)
 
   (* Each running sum is Kahan–Babuška compensated: adds and removals of
      large members would otherwise leave ulp-sized residue behind a
@@ -131,8 +79,6 @@ module Aggregate = struct
       acc = Array.make 6 0.0;
     }
 
-  let size t = t.n
-
   let grow t =
     let cap = Array.length t.e_key in
     let cap' = if cap = 0 then 16 else 2 * cap in
@@ -166,14 +112,14 @@ module Aggregate = struct
     if key >= 0 && key < Array.length t.index then t.index.(key) else -1
 
   let alloc_slot t ~key =
-    if key < 0 then invalid_arg "Least_waste.Aggregate.add: negative key";
+    if key < 0 then invalid_arg "Least_waste.Aggregate: negative key";
     let cap = Array.length t.index in
     if key >= cap then begin
       let bigger = Array.make (max 16 (2 * (key + 1))) (-1) in
       Array.blit t.index 0 bigger 0 cap;
       t.index <- bigger
     end
-    else if t.index.(key) >= 0 then invalid_arg "Least_waste.Aggregate.add: duplicate key";
+    else if t.index.(key) >= 0 then invalid_arg "Least_waste.Aggregate: duplicate key";
     if t.n = Array.length t.e_key then grow t;
     let slot = t.n in
     t.n <- slot + 1;
@@ -214,13 +160,6 @@ module Aggregate = struct
     kstep t.acc 2 db;
     kstep t.acc 4 ds1
 
-  let add t ~key entry =
-    match entry with
-    | Io_entry { nodes; service_s; enqueued_at } ->
-        add_io t ~key ~nodes ~service_s ~enqueued_at
-    | Ckpt_entry { nodes; ckpt_s; recovery_s; last_commit_end } ->
-        add_ckpt t ~key ~nodes ~ckpt_s ~recovery_s ~last_commit_end
-
   let remove t ~key =
     let slot = slot_of t key in
     if slot >= 0 then begin
@@ -258,12 +197,6 @@ module Aggregate = struct
         kstep t.acc 4 (-.ds1)
       end
     end
-
-  let mem t ~key = slot_of t key >= 0
-
-  let service_time = function
-    | Io_entry { service_s; _ } -> service_s
-    | Ckpt_entry { ckpt_s; _ } -> ckpt_s
 
   (* The slot's own Eq. (1)/(2) term, with the same float expression the
      list oracle evaluates (waited/exposed materialized as now − clock).

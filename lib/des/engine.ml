@@ -43,12 +43,15 @@ let count_scheduled t kind =
       let k = kind_slot st kind in
       st.by_kind_scheduled.(k) <- st.by_kind_scheduled.(k) + 1
 
-let schedule_at t ?(kind = 0) ~time f =
+let draw_rank t = Pqueue.take_seq t.calendar
+
+let schedule_ranked t ~kind ~time ~rank f =
   if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g precedes the clock %g" time t.clock);
+    invalid_arg (Printf.sprintf "Engine.schedule: time %g precedes the clock %g" time t.clock);
   count_scheduled t kind;
-  Pqueue.add_tagged t.calendar ~priority:time ~tag:kind f
+  Pqueue.add_seq t.calendar ~priority:time ~seq:rank ~tag:kind f
+
+let schedule_at t ?(kind = 0) ~time f = schedule_ranked t ~kind ~time ~rank:(draw_rank t) f
 
 let schedule_after t ?kind ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
@@ -77,10 +80,19 @@ let reschedule t h ~time =
   | _ -> ());
   moved
 
+let reschedule_ranked t h ~time ~rank =
+  if time < t.clock then
+    invalid_arg
+      (Printf.sprintf "Engine.reschedule_ranked: time %g precedes the clock %g" time t.clock);
+  let moved = Pqueue.update_seq t.calendar h ~priority:time ~seq:rank in
+  (match t.stats with
+  | Some st when moved -> st.rescheduled <- st.rescheduled + 1
+  | _ -> ());
+  moved
+
 let pending t h = Pqueue.mem t.calendar h
 let time_of t h = Pqueue.priority_of t.calendar h
 let time_is t h ~time = Pqueue.priority_is t.calendar h time
-let fires_before t h ~time = Pqueue.priority_below t.calendar h time
 
 (* The root is read piecewise and dropped rather than popped: no option,
    tuple or boxed-float allocation per event. *)

@@ -49,6 +49,27 @@ val reschedule : t -> handle -> time:float -> bool
     or was cancelled. Rescheduling into the past raises
     [Invalid_argument]. *)
 
+(** {2 Ranks drawn ahead}
+
+    An event's FIFO rank among equal times is fixed when it is scheduled.
+    A caller that keeps one handle for several future events (the
+    simulator's per-instance boundaries) draws each event's rank when it
+    would have scheduled it, and puts the handle on the calendar under
+    that rank later: equal-time events then fire exactly as if each had
+    been scheduled on its own. *)
+
+val draw_rank : t -> int
+(** The rank an event scheduled now would take. Ranks increase with every
+    draw and every {!schedule_at}. *)
+
+val schedule_ranked : t -> kind:int -> time:float -> rank:int -> (t -> unit) -> handle
+(** {!schedule_at} under a rank drawn earlier by {!draw_rank}. *)
+
+val reschedule_ranked : t -> handle -> time:float -> rank:int -> bool
+(** {!reschedule} to [time] under a new drawn [rank]: the pending event
+    now fires where an event scheduled under [rank] would. [false] when
+    it already fired or was cancelled. *)
+
 val pending : t -> handle -> bool
 (** Whether the event behind the handle is still scheduled. *)
 
@@ -58,11 +79,6 @@ val time_of : t -> handle -> float option
 val time_is : t -> handle -> time:float -> bool
 (** [time_is t h ~time] is [time_of t h = Some time] without the option and
     boxed-float allocation; [false] for fired or cancelled events. *)
-
-val fires_before : t -> handle -> time:float -> bool
-(** [fires_before t h ~time] is whether the event behind [h] is still
-    pending and due strictly before [time]; allocation-free like
-    {!time_is}, [false] for {!none}, fired and cancelled events. *)
 
 val step : t -> bool
 (** Process the next event; [false] when the calendar is empty. *)

@@ -14,6 +14,15 @@ type t = { total_nodes : int; buckets : bucket list }
 let build ~trace ~total_nodes ~horizon ?(buckets = 60) () =
   if buckets <= 0 then invalid_arg "Timeline.build: buckets must be positive";
   if horizon <= 0.0 then invalid_arg "Timeline.build: horizon must be positive";
+  (* An evicted [Job_started] leaves its instance's nodes uncounted: a
+     truncated trace would under-count utilisation without a sign. *)
+  let dropped = Trace.dropped trace in
+  if dropped > 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Timeline.build: the trace dropped %d events (its capacity is too small), so \
+          utilisation cannot be reconstructed"
+         dropped);
   let width = horizon /. float_of_int buckets in
   let busy_ns = Array.make buckets 0.0 in
   let starts = Array.make buckets 0 in

@@ -18,9 +18,10 @@ type bucket = {
 type t = { total_nodes : int; buckets : bucket list }
 
 val build : trace:Cocheck_sim.Trace.t -> total_nodes:int -> horizon:float -> ?buckets:int -> unit -> t
-(** Requires the trace to contain the run's [Job_started] events (i.e. a
-    capacity large enough that none were evicted); [buckets] defaults
-    to 60. *)
+(** Requires the trace to hold every event of the run; [buckets]
+    defaults to 60. Raises [Invalid_argument], naming the count, when the
+    trace's ring evicted any event ({!Cocheck_sim.Trace.dropped} > 0): a
+    missing [Job_started] would under-count utilisation. *)
 
 val mean_utilization : t -> float
 (** Node-weighted mean utilisation over all buckets, in [0, 1]. *)

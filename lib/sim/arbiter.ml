@@ -179,7 +179,7 @@ let fifo ?(free = req_free_create ()) () : arbiter =
    O(1) per add/remove, keyed by each record's permanent [r_key]. A grant
    is one O(pending) arrival-order loop over the live slots — no
    candidate list, no closure, no per-pair re-summation. Ties break
-   towards arrival order exactly as {!Least_waste.select} breaks them.
+   towards arrival order exactly as the list oracle breaks them.
    The retired list-based formulation survives as the
    differential-testing oracle in test/lw_reference.ml.
 

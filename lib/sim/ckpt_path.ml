@@ -1,6 +1,5 @@
 open Cocheck_util
 open Sim_types
-module Engine = Cocheck_des.Engine
 module Strategy = Cocheck_core.Strategy
 module Io = Io_subsystem
 
@@ -18,22 +17,17 @@ let capture_content w inst =
   else inst.work_done
 
 let rec schedule_ckpt_request w inst =
-  if w.ckpt_enabled && inst.total_work -. inst.work_done > eps_work then begin
-    let delay = Float.max 0.0 (inst.period -. inst.ckpt_nominal) in
-    inst.ckpt_request_ev <-
-      Engine.schedule_after w.engine ~kind:Ev_kind.ckpt ~delay inst.cb_ckpt_request
-  end
+  if w.ckpt_enabled && inst.total_work -. inst.work_done > eps_work then
+    arm w inst b_request ~at:(now w +. Float.max 0.0 (inst.period -. inst.ckpt_nominal))
 
 and on_ckpt_request w inst =
   emit_inst w inst Trace.Ckpt_requested;
   match inst.activity with
   | Computing ->
       let left = inst.total_work -. inst.work_done -. (now w -. inst.compute_start) in
-      if left <= eps_work then
-        (* the work runs out within [eps_work]: no checkpoint, let the
-           work-completion event end the phase *)
-        arm_work_done w inst
-      else begin
+      (* When the work runs out within [eps_work], no checkpoint: the
+         work-done boundary ends the phase. *)
+      if left > eps_work then begin
         (* A storage tier in front of the PFS absorbs the commit at its own
            speed, bypassing the strategy's PFS arbitration entirely; a full
            tier counts the spill itself and the commit falls back to the
@@ -58,10 +52,7 @@ and on_ckpt_request w inst =
           else begin
             inst.activity <- Computing_pending;
             Arbiter.submit w inst Req_ckpt inst.spec.Jobgen.ckpt_gb;
-            Arbiter.try_grant w;
-            (* Not granted at once: computing on, the work may run out
-               before the token comes. *)
-            match inst.activity with Computing_pending -> arm_work_done w inst | _ -> ()
+            Arbiter.try_grant w
           end
         end
       end
@@ -72,12 +63,11 @@ and on_ckpt_request w inst =
           Float.max w.snap.(inst.local_level).Config.sl_cost_s 1.0
         else 1.0
       in
-      inst.ckpt_request_ev <-
-        Engine.schedule_after w.engine ~kind:Ev_kind.ckpt ~delay:retry inst.cb_ckpt_request
+      arm w inst b_request ~at:(now w +. retry)
   | Doing_io _ | Computing_pending | Waiting_io _ | Waiting_ckpt | Local_recovery ->
-      (* Requests are cancelled whenever the job leaves the computing state,
-         so a firing request always finds it computing (or locally
-         snapshotting). *)
+      (* A request is armed only while the job computes or snapshots (it
+         is consumed when it fires and disarmed on kill or completion),
+         so a firing request always finds it in one of those states. *)
       assert false
 
 and start_ckpt_flow w inst =
@@ -135,7 +125,7 @@ and on_ckpt_done w inst =
   inst.last_commit_end <- now w;
   w.ckpts_committed <- w.ckpts_committed + 1;
   schedule_ckpt_request w inst;
-  w.h_start_compute inst;
+  start_compute w inst;
   if w.uses_token then Arbiter.try_grant w
 
 (* The Req_ckpt grant continuation ({!Arbiter.try_grant} dispatches here
@@ -147,36 +137,33 @@ let grant_ckpt w (req : request) =
   | Waiting_ckpt -> record_wait w inst ~from:inst.wait_start
   | Computing_pending -> pause_compute w inst
   | Doing_io _ | Computing | Waiting_io _ | Local_ckpt | Local_recovery -> assert false);
-  start_ckpt_flow w inst
+  start_ckpt_flow w inst;
+  rearm w inst
 
 (* ------------------------------------------------------------------ *)
 (* Multilevel (snapshot-level) checkpointing.                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec schedule_local_tick_at w inst k =
+let schedule_local_tick_at w inst k =
   if w.ckpt_enabled && inst.total_work -. inst.work_done > eps_work then
-    inst.local_tick_ev.(k) <-
-      Engine.schedule_after w.engine ~kind:Ev_kind.ckpt
-        ~delay:w.snap.(k).Config.sl_period_s inst.cb_local_tick.(k)
+    arm w inst (b_tick k) ~at:(now w +. w.snap.(k).Config.sl_period_s)
 
-and schedule_local_tick w inst =
+let schedule_local_tick w inst =
   for k = 0 to Array.length w.snap - 1 do
     schedule_local_tick_at w inst k
   done
 
-and on_local_tick w k inst =
+let on_local_tick w k inst =
   match inst.activity with
   | Computing ->
       let left = inst.total_work -. inst.work_done -. (now w -. inst.compute_start) in
-      if left <= eps_work then arm_work_done w inst
-      else begin
+      (* Within [eps_work] of the work running out, no snapshot. *)
+      if left > eps_work then begin
         pause_compute w inst;
         inst.activity <- Local_ckpt;
         inst.local_level <- k;
         inst.local_pause_start <- now w;
-        inst.local_done_ev <-
-          Engine.schedule_after w.engine ~kind:Ev_kind.ckpt
-            ~delay:w.snap.(k).Config.sl_cost_s inst.cb_local_done
+        arm w inst b_pause ~at:(now w +. w.snap.(k).Config.sl_cost_s)
       end
   | Doing_io _ | Computing_pending | Waiting_io _ | Waiting_ckpt | Local_ckpt ->
       (* Busy with I/O-level activity (or another level's snapshot): try
@@ -184,7 +171,7 @@ and on_local_tick w k inst =
       schedule_local_tick_at w inst k
   | Local_recovery -> assert false
 
-and on_local_done w inst =
+let on_local_done w inst =
   let k = inst.local_level in
   Metrics.record w.metrics ~t0:inst.local_pause_start ~t1:(now w)
     ~nodes:inst.spec.Jobgen.nodes Metrics.Local_ckpt;
@@ -196,28 +183,4 @@ and on_local_done w inst =
   inst.committed_local.(k) <- inst.work_done;
   inst.local_safe_time.(k) <- inst.local_pause_start;
   schedule_local_tick_at w inst k;
-  w.h_start_compute inst
-
-(* ------------------------------------------------------------------ *)
-
-(* Build the instance's recycled checkpoint-path callbacks once at start;
-   every later re-arm threads these instead of allocating a closure. *)
-let install_callbacks w inst =
-  inst.cb_ckpt_request <-
-    (fun _ ->
-      inst.ckpt_request_ev <- Engine.none;
-      on_ckpt_request w inst);
-  inst.cb_ckpt_done <- (fun () -> on_ckpt_done w inst);
-  let nsnap = Array.length w.snap in
-  if nsnap > 0 then begin
-    for k = 0 to nsnap - 1 do
-      inst.cb_local_tick.(k) <-
-        (fun _ ->
-          inst.local_tick_ev.(k) <- Engine.none;
-          on_local_tick w k inst)
-    done;
-    inst.cb_local_done <-
-      (fun _ ->
-        inst.local_done_ev <- Engine.none;
-        on_local_done w inst)
-  end
+  start_compute w inst

@@ -24,9 +24,7 @@ let kill_inst w inst =
       Metrics.record w.metrics ~t0:inst.wait_start ~t1:t ~nodes:inst.spec.Jobgen.nodes
         Metrics.Recovery_io);
   release_token w inst;
-  cancel_local_events w inst;
-  cancel_ckpt_request_ev w inst;
-  cancel_work_done_ev w inst;
+  disarm_all w inst;
 
   Arbiter.cancel_requests_of w inst;
 
@@ -110,7 +108,7 @@ let kill_inst w inst =
            | None -> true);
       e_restarts = inst.restarts + 1;
     };
-  (* All events cancelled, flows aborted, requests withdrawn, and the
+  (* The calendar handle cancelled, flows aborted, requests withdrawn, and the
      requeue entry copied out: the record can host the next start — often
      the restart [try_start] is about to launch on the just-freed nodes. *)
   release_inst w.inst_free inst;

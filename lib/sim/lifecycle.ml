@@ -47,8 +47,6 @@ and start_instance w entry nodes =
       i.compute_start <- now w;
       Interval_ledger.clear i.uncommitted;
       i.last_commit_end <- now w;
-      i.ckpt_request_ev <- Engine.none;
-      i.work_done_ev <- Engine.none;
       i.wait_start <- now w;
       i.ckpt_content <- 0.0;
       i.holds_token <- false;
@@ -56,9 +54,8 @@ and start_instance w entry nodes =
       Array.fill i.local_safe_time 0 nsnap (now w);
       i.local_level <- 0;
       i.local_pause_start <- now w;
-      Array.fill i.local_tick_ev 0 nsnap Engine.none;
-      i.local_done_ev <- Engine.none;
-      i.delay_ev <- Engine.none;
+      (* [due] is all [infinity] and [next_ev] is [Engine.none]: the
+         previous tenant's kill or completion disarmed every boundary. *)
       i
     end
     else begin
@@ -80,8 +77,6 @@ and start_instance w entry nodes =
           compute_start = now w;
           uncommitted = Interval_ledger.create ();
           last_commit_end = now w;
-          ckpt_request_ev = Engine.none;
-          work_done_ev = Engine.none;
           wait_start = now w;
           io_start = now w;
           ckpt_content = 0.0;
@@ -92,25 +87,22 @@ and start_instance w entry nodes =
           local_safe_time = Array.make nsnap (now w);
           local_level = 0;
           local_pause_start = now w;
-          local_tick_ev = Array.make nsnap Engine.none;
-          local_done_ev = Engine.none;
-          delay_ev = Engine.none;
-          cb_work_done = ignore;
-          cb_ckpt_request = ignore;
-          cb_local_tick = Array.make nsnap ignore;
-          cb_local_done = ignore;
+          due = Array.make (boundary_slots ~levels:nsnap) infinity;
+          due_rank = Array.make (boundary_slots ~levels:nsnap) 0;
+          next_ev = Engine.none;
+          next_ev_rank = -1;
+          cb_boundary = ignore;
           cb_ckpt_done = ignore;
           live_slot = -1;
         }
       in
-      (* The recycled callbacks: one closure each per record, re-armed by
-         every periodic reschedule instead of a fresh closure per event,
-         and surviving the record's reuse. *)
-      i.cb_work_done <-
+      (* The recycled callbacks: one closure each per record, surviving
+         the record's reuse. *)
+      i.cb_boundary <-
         (fun _ ->
-          i.work_done_ev <- Engine.none;
-          on_work_complete w i);
-      Ckpt_path.install_callbacks w i;
+          i.next_ev <- Engine.none;
+          on_boundary w i);
+      i.cb_ckpt_done <- (fun () -> Ckpt_path.on_ckpt_done w i);
       i
     end
   in
@@ -133,14 +125,8 @@ and start_instance w entry nodes =
       inst.activity <- Local_recovery;
       inst.local_level <- k;
       inst.wait_start <- now w;
-      inst.delay_ev <-
-        Engine.schedule_after w.engine ~kind:Ev_kind.job
-          ~delay:w.snap.(k).Config.sl_recovery_s
-          (fun _ ->
-            inst.delay_ev <- Engine.none;
-            Metrics.record w.metrics ~t0:inst.wait_start ~t1:(now w)
-              ~nodes:inst.spec.Jobgen.nodes Metrics.Recovery_io;
-            on_blocking_io_done w inst Io.Recovery)
+      arm w inst b_pause ~at:(now w +. w.snap.(k).Config.sl_recovery_s);
+      rearm w inst
   | Fresh | Soft _ | Hard ->
       let volume =
         if entry.e_restart <> Fresh then
@@ -233,25 +219,29 @@ and on_blocking_io_done w inst kind =
   | Io.Ckpt | Io.Drain -> assert false);
   if w.uses_token then Arbiter.try_grant w
 
-(* A checkpoint request or snapshot tick due strictly before the work
-   runs out ends the phase first; its handler arms work-done if the
-   instance keeps computing ({!Sim_types.arm_work_done}). *)
-and start_compute w inst =
-  inst.activity <- Computing;
-  inst.compute_start <- now w;
-  let t_done = inst.compute_start +. Float.max (inst.total_work -. inst.work_done) 0.0 in
-  let earlier = ref (Engine.fires_before w.engine inst.ckpt_request_ev ~time:t_done) in
-  let ticks = inst.local_tick_ev in
-  for k = 0 to Array.length ticks - 1 do
-    if Engine.fires_before w.engine ticks.(k) ~time:t_done then earlier := true
-  done;
-  if not !earlier then arm_work_done w inst
+(* The instance's one calendar event: dispatch the boundary that is due
+   (the earliest, ties by rank), then put the handle at the next one. *)
+and on_boundary w inst =
+  let b = next_boundary inst in
+  disarm inst b;
+  if b = b_work_done then on_work_complete w inst
+  else if b = b_request then Ckpt_path.on_ckpt_request w inst
+  else if b = b_pause then begin
+    match inst.activity with
+    | Local_recovery ->
+        Metrics.record w.metrics ~t0:inst.wait_start ~t1:(now w)
+          ~nodes:inst.spec.Jobgen.nodes Metrics.Recovery_io;
+        on_blocking_io_done w inst Io.Recovery
+    | Local_ckpt -> Ckpt_path.on_local_done w inst
+    | Doing_io _ | Computing | Computing_pending | Waiting_io _ | Waiting_ckpt -> assert false
+  end
+  else Ckpt_path.on_local_tick w (b - b_tick 0) inst;
+  rearm w inst
 
 and on_work_complete w inst =
   emit_inst w inst Trace.Work_completed;
   pause_compute w inst;
-  cancel_local_events w inst;
-  cancel_ckpt_request_ev w inst;
+  disarm_all w inst;
   Arbiter.cancel_requests_of w inst;
   begin_blocking_io w inst Io.Output inst.spec.Jobgen.output_gb
 
@@ -264,8 +254,8 @@ and finish_job w inst =
   live_free w.live inst;
   Hashtbl.remove w.insts inst.idx;
   w.jobs_completed <- w.jobs_completed + 1;
-  (* Every event handle is disarmed and the final flow completed: the
-     record can host the next start ([try_start] may reuse it at once). *)
+  (* Every boundary is disarmed and the final flow completed: the record
+     can host the next start ([try_start] may reuse it at once). *)
   release_inst w.inst_free inst;
   try_start w
 

@@ -9,10 +9,6 @@ val try_start : Sim_types.w -> unit
     {!Submit_queue} that fit, so a pass costs O(distinct job sizes) per
     start plus one final miss, independent of the queue's depth. *)
 
-val start_compute : Sim_types.w -> Sim_types.inst -> unit
-(** (Re)enter the computing state and arm the work-completion event for
-    the remaining work. *)
-
 val grant_io : Sim_types.w -> Sim_types.request -> unit
 (** Token-grant continuation for a blocking transfer request: account the
     wait and start the flow. *)

@@ -48,12 +48,14 @@ let create ~seg_start ~seg_end =
 
 let segment t = (t.seg_start, t.seg_end)
 
-let clipped_span t ~t0 ~t1 =
+(* Inlined, as is [record]: a call would box the float bounds, once per
+   interval recorded on the event path. *)
+let[@inline] clipped_span t ~t0 ~t1 =
   if t0 > t1 then invalid_arg "Metrics.record: reversed interval";
   let a = Float.max t0 t.seg_start and b = Float.min t1 t.seg_end in
   if b > a then b -. a else 0.0
 
-let record t ~t0 ~t1 ~nodes kind =
+let[@inline] record t ~t0 ~t1 ~nodes kind =
   if nodes < 0 then invalid_arg "Metrics.record: negative node count";
   let span = clipped_span t ~t0 ~t1 in
   if span > 0.0 && nodes > 0 then begin

@@ -7,9 +7,9 @@
    {!Simulator} as the unchanged facade.
 
    The handlers form one event web across those modules. The compilation
-   order breaks the cycles with three late-bound continuations stored in
-   [w] ([h_grant_io], [h_grant_ckpt], [h_start_compute]), wired once by
-   {!Simulator.run} before the first event fires. *)
+   order breaks the cycles with two late-bound continuations stored in
+   [w] ([h_grant_io], [h_grant_ckpt]), wired once by {!Simulator.run}
+   before the first event fires. *)
 
 open Cocheck_util
 module Engine = Cocheck_des.Engine
@@ -46,9 +46,10 @@ type activity =
    hot path), so every scalar field is mutable; the container fields
    (ledger, per-snapshot-level arrays, recycled callbacks) are reused in
    place — their sizes depend only on the run's config, never on the
-   instance. A record must only be released once every armed event is
-   cancelled and every flow aborted: the recycled callbacks stay installed
-   across reuses and act on whichever instance currently owns the record. *)
+   instance. A record must only be released once every boundary is
+   disarmed (its one calendar event cancelled) and every flow aborted: the
+   recycled callbacks stay installed across reuses and act on whichever
+   instance currently owns the record. *)
 type inst = {
   mutable idx : int;
   mutable spec : Jobgen.spec;
@@ -66,12 +67,6 @@ type inst = {
   mutable compute_start : float;
   uncommitted : Interval_ledger.t;  (* work intervals since last commit *)
   mutable last_commit_end : float;
-  (* Armed calendar events, [Engine.none] when absent: an [option] here
-     would cost a [Some] allocation every time a periodic event re-arms.
-     The work-done event is armed only while it is the compute phase's
-     next boundary (see {!arm_work_done}). *)
-  mutable ckpt_request_ev : Engine.handle;
-  mutable work_done_ev : Engine.handle;
   mutable wait_start : float;
   mutable io_start : float;  (* start of the blocking transfer in flight *)
   mutable ckpt_content : float;  (* work level a commit in flight captures *)
@@ -83,18 +78,21 @@ type inst = {
   local_safe_time : float array;  (* wall time of that capture point *)
   mutable local_level : int;  (* level of the in-flight snapshot/recovery *)
   mutable local_pause_start : float;
-  local_tick_ev : Engine.handle array;
-  mutable local_done_ev : Engine.handle;
-  mutable delay_ev : Engine.handle;  (* local-recovery delay *)
-  (* Recycled callbacks, built once per instance ({!Lifecycle} and
-     {!Ckpt_path} install them at start): the periodic schedule sites
-     (work-done, checkpoint request, local ticks) re-arm these, and every
+  (* The instance's own boundaries, one slot each (see {!b_work_done}):
+     the due time, [infinity] when unarmed, and the FIFO rank drawn when
+     it was armed ({!Engine.draw_rank}). Only the first boundary sits on
+     the calendar, under the one handle [next_ev] and its rank
+     [next_ev_rank] ([Engine.none] when none is pending; an [option]
+     would cost a [Some] per arm). *)
+  due : float array;
+  due_rank : int array;
+  mutable next_ev : Engine.handle;
+  mutable next_ev_rank : int;
+  (* Recycled callbacks, built once per record ({!Lifecycle.start_instance}
+     installs them): [next_ev] always fires [cb_boundary], and every
      checkpoint transfer completes through [cb_ckpt_done], instead of
      allocating a fresh closure per event or flow. *)
-  mutable cb_work_done : Engine.t -> unit;
-  mutable cb_ckpt_request : Engine.t -> unit;
-  cb_local_tick : (Engine.t -> unit) array;
-  mutable cb_local_done : Engine.t -> unit;
+  mutable cb_boundary : Engine.t -> unit;
   mutable cb_ckpt_done : unit -> unit;
   mutable live_slot : int;  (* slot in [w.live] while holding nodes; -1 otherwise *)
 }
@@ -296,11 +294,10 @@ type w = {
   soft_rng : Rng.t;  (* classifies failures soft/hard under two-level CR *)
   mutable token_busy : bool;
   mutable next_inst : int;
-  (* Late-bound continuations breaking the Arbiter/Ckpt_path → Lifecycle
+  (* Late-bound continuations breaking the Arbiter → Ckpt_path/Lifecycle
      module cycle; Simulator.run wires them before the first event. *)
   mutable h_grant_io : request -> unit;
   mutable h_grant_ckpt : request -> unit;
-  mutable h_start_compute : inst -> unit;
   interval_stats : Stats.running array;
   ckpt_wait_stats : Stats.running array;
   restarts_by_class : int array;
@@ -321,45 +318,83 @@ let bandwidth w = w.cfg.Config.platform.Platform.bandwidth_gbs
 let unwired : 'a. 'a -> unit =
  fun _ -> invalid_arg "Sim_types: continuation used before Simulator.run wired it"
 
-let cancel_ckpt_request_ev w inst =
-  if not (Engine.is_none inst.ckpt_request_ev) then begin
-    ignore (Engine.cancel w.engine inst.ckpt_request_ev);
-    inst.ckpt_request_ev <- Engine.none
-  end
+(* Boundary slots of [inst.due]. A compute phase ends at the first of
+   three: the work running out, the checkpoint request, a snapshot tick;
+   a snapshot pause or a local-recovery delay ends at [b_pause]. *)
+let b_work_done = 0
+let b_pause = 1  (* end of a snapshot pause or of a local-recovery delay *)
+let b_request = 2
+let[@inline] b_tick k = 3 + k
+let boundary_slots ~levels = 3 + levels
 
-let cancel_work_done_ev w inst =
-  if not (Engine.is_none inst.work_done_ev) then begin
-    ignore (Engine.cancel w.engine inst.work_done_ev);
-    inst.work_done_ev <- Engine.none
-  end
+(* Arm boundary [b] at [at]. Its rank is drawn now, so among events due
+   at the same time it fires where an event scheduled now would, however
+   late the handle reaches the calendar. *)
+let arm w inst b ~at =
+  inst.due.(b) <- at;
+  inst.due_rank.(b) <- Engine.draw_rank w.engine
 
-let cancel_local_events w inst =
-  let ticks = inst.local_tick_ev in
-  for k = 0 to Array.length ticks - 1 do
-    if not (Engine.is_none ticks.(k)) then begin
-      ignore (Engine.cancel w.engine ticks.(k));
-      ticks.(k) <- Engine.none
+let[@inline] disarm inst b = inst.due.(b) <- infinity
+
+(* The boundary due first, earliest time then lowest rank (the calendar's
+   own order); -1 when none is armed. *)
+let next_boundary inst =
+  let due = inst.due and rank = inst.due_rank in
+  let best = ref (-1) and best_at = ref infinity and best_rank = ref max_int in
+  for b = 0 to Array.length due - 1 do
+    let t = due.(b) in
+    if t < !best_at || (t = !best_at && t < infinity && rank.(b) < !best_rank) then begin
+      best := b;
+      best_at := t;
+      best_rank := rank.(b)
     end
   done;
-  if not (Engine.is_none inst.local_done_ev) then ignore (Engine.cancel w.engine inst.local_done_ev);
-  if not (Engine.is_none inst.delay_ev) then ignore (Engine.cancel w.engine inst.delay_ev);
-  inst.local_done_ev <- Engine.none;
-  inst.delay_ev <- Engine.none
+  !best
 
-(* Arm the work-done event of the open compute phase unless it is armed
-   already. The compute phase ends at the first of three boundaries: the
-   work running out, the checkpoint request, a snapshot tick. Only the
-   first needs an event, so {!Lifecycle.start_compute} arms work-done
-   only when no request or tick is due strictly before it, and a request
-   or tick handler that leaves the instance computing calls this. The time
-   is the float [start_compute] would have scheduled, and it lies ahead
-   of the clock: the boundary that fired came strictly before it. *)
-let arm_work_done w inst =
-  if Engine.is_none inst.work_done_ev then
-    inst.work_done_ev <-
-      Engine.schedule_at w.engine ~kind:Ev_kind.job
-        ~time:(inst.compute_start +. Float.max (inst.total_work -. inst.work_done) 0.0)
-        inst.cb_work_done
+(* Put [next_ev] at the first armed boundary, under that boundary's time
+   and rank: schedule it when nothing is pending, move it when another
+   boundary became first, cancel it when none is armed. A rank names one
+   arming, so an unchanged rank means the handle is already in place. A
+   moved handle keeps the event kind it was scheduled with. *)
+let rearm w inst =
+  let b = next_boundary inst in
+  if b < 0 then begin
+    if not (Engine.is_none inst.next_ev) then begin
+      ignore (Engine.cancel w.engine inst.next_ev);
+      inst.next_ev <- Engine.none
+    end
+  end
+  else begin
+    let time = inst.due.(b) and rank = inst.due_rank.(b) in
+    if Engine.is_none inst.next_ev then begin
+      let kind =
+        if b = b_work_done then Ev_kind.job
+        else if b = b_pause then
+          match inst.activity with Local_recovery -> Ev_kind.job | _ -> Ev_kind.ckpt
+        else Ev_kind.ckpt
+      in
+      inst.next_ev <- Engine.schedule_ranked w.engine ~kind ~time ~rank inst.cb_boundary;
+      inst.next_ev_rank <- rank
+    end
+    else if rank <> inst.next_ev_rank then begin
+      ignore (Engine.reschedule_ranked w.engine inst.next_ev ~time ~rank);
+      inst.next_ev_rank <- rank
+    end
+  end
+
+(* A kill or a completion: every boundary disarmed, one cancel. *)
+let disarm_all w inst =
+  Array.fill inst.due 0 (Array.length inst.due) infinity;
+  rearm w inst
+
+(* (Re)enter the computing state: the work-done boundary is armed at
+   [compute_start + max(left, 0)]. *)
+let start_compute w inst =
+  inst.activity <- Computing;
+  inst.compute_start <- now w;
+  arm w inst b_work_done
+    ~at:(inst.compute_start +. Float.max (inst.total_work -. inst.work_done) 0.0);
+  rearm w inst
 
 (* Close the open compute interval: bank the work and remember the interval
    as uncommitted until the next checkpoint commits (or a failure loses it). *)
@@ -367,7 +402,7 @@ let pause_compute w inst =
   (match inst.activity with
   | Computing | Computing_pending -> ()
   | _ -> invalid_arg "Simulator.pause_compute: not computing");
-  cancel_work_done_ev w inst;
+  disarm inst b_work_done;
   let t = now w in
   if t > inst.compute_start then begin
     inst.work_done <- inst.work_done +. (t -. inst.compute_start);

@@ -255,7 +255,6 @@ let run ?specs ?observe ?sample ?on_engine (cfg : Config.t) =
       next_inst = 0;
       h_grant_io = unwired;
       h_grant_ckpt = unwired;
-      h_start_compute = unwired;
       interval_stats = Array.map (fun _ -> Stats.running_create ()) classes;
       ckpt_wait_stats = Array.map (fun _ -> Stats.running_create ()) classes;
       restarts_by_class = Array.make (Array.length classes) 0;
@@ -272,7 +271,6 @@ let run ?specs ?observe ?sample ?on_engine (cfg : Config.t) =
   (* Wire the late-bound continuations before the first event fires. *)
   w.h_grant_io <- Lifecycle.grant_io w;
   w.h_grant_ckpt <- Ckpt_path.grant_ckpt w;
-  w.h_start_compute <- Lifecycle.start_compute w;
   if cfg.with_failures then begin
     let rng = Rng.substream (Rng.create ~seed:cfg.seed) "failures" in
     let trace =

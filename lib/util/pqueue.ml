@@ -171,18 +171,22 @@ let rec sift_down t i p s slot =
     else place t i p s slot
   end
 
-let add_tagged t ~priority ~tag v =
+let take_seq t =
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  s
+
+let add_seq t ~priority ~seq ~tag v =
   ensure_capacity t v;
   let slot = alloc_slot t in
   t.value.(slot) <- v;
   t.tag.(slot) <- tag;
-  let s = t.next_seq in
-  t.next_seq <- s + 1;
   let i = t.size in
   t.size <- i + 1;
-  sift_up t i priority s slot;
+  sift_up t i priority seq slot;
   (t.gen.(slot) lsl slot_bits) lor slot
 
+let add_tagged t ~priority ~tag v = add_seq t ~priority ~seq:(take_seq t) ~tag v
 let add t ~priority v = add_tagged t ~priority ~tag:0 v
 
 let remove_at t i =
@@ -254,24 +258,26 @@ let remove t h =
 
 let priority_of t h = if mem t h then Some t.prio.(t.pos.(h land slot_mask)) else None
 let priority_is t h p = mem t h && t.prio.(t.pos.(h land slot_mask)) = p
-let priority_below t h p = mem t h && t.prio.(t.pos.(h land slot_mask)) < p
 let tag_of t h = if mem t h then Some t.tag.(h land slot_mask) else None
 
-let update_priority t h ~priority =
+let update_seq t h ~priority ~seq =
   if mem t h then begin
     let slot = h land slot_mask in
     let i = t.pos.(slot) in
     let old = t.prio.(i) in
-    (* An equal-priority retime is a no-op: the seq (FIFO rank) is pinned
-       at add time, so the heap invariant still holds untouched. *)
-    if priority <> old then begin
-      let s = t.seq.(i) in
-      if priority < old then sift_up t i priority s slot
-      else sift_down t i priority s slot
-    end;
+    if priority < old || (priority = old && seq < t.seq.(i)) then sift_up t i priority seq slot
+    else sift_down t i priority seq slot;
     true
   end
   else false
+
+(* An equal-priority retime is a no-op: the seq (FIFO rank) is pinned at
+   add time, so the heap invariant still holds untouched. *)
+let update_priority t h ~priority =
+  mem t h
+  &&
+  let i = t.pos.(h land slot_mask) in
+  priority = t.prio.(i) || update_seq t h ~priority ~seq:t.seq.(i)
 
 let clear t =
   for i = 0 to t.size - 1 do

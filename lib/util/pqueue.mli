@@ -46,6 +46,15 @@ val add_tagged : 'a t -> priority:float -> tag:int -> 'a -> 'a handle
     discrete-event engine uses it to attribute fired and cancelled events
     to a kind without wrapping payload closures. *)
 
+val take_seq : 'a t -> int
+(** Draw the sequence number the next {!add} would get: numbers are
+    handed out in increasing order, shared with {!add}, so an entry
+    inserted later under a number drawn now ranks among equal priorities
+    exactly as if it had been added now. *)
+
+val add_seq : 'a t -> priority:float -> seq:int -> tag:int -> 'a -> 'a handle
+(** {!add_tagged} under a sequence number drawn earlier by {!take_seq}. *)
+
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the smallest-priority element (FIFO among ties). *)
 
@@ -82,11 +91,6 @@ val priority_is : 'a t -> 'a handle -> float -> bool
 (** [priority_is t h p] is [priority_of t h = Some p] without the option
     and boxed-float allocation; [false] for dead handles. *)
 
-val priority_below : 'a t -> 'a handle -> float -> bool
-(** [priority_below t h p] is whether [h] is live with a priority strictly
-    below [p], without the option and boxed-float allocation of
-    {!priority_of}; [false] for dead handles. *)
-
 val tag_of : 'a t -> 'a handle -> int option
 (** The tag behind a live handle ([0] unless inserted by {!add_tagged}). *)
 
@@ -97,6 +101,12 @@ val update_priority : 'a t -> 'a handle -> priority:float -> bool
     Returns [false] when the entry already left the heap; idempotent.
     The single-completion-event I/O calendar reschedules through this
     instead of a cancel + re-insert pair. *)
+
+val update_seq : 'a t -> 'a handle -> priority:float -> seq:int -> bool
+(** {!update_priority} that also gives the entry a new sequence number
+    (drawn by {!take_seq}): the handle stays valid and now ranks as the
+    entry added under [seq] would. [false] when the entry already left
+    the heap. *)
 
 val clear : 'a t -> unit
 

@@ -1,16 +1,123 @@
 open Cocheck_sim
 open Sim_types
-module Candidate = Cocheck_core.Candidate
-module Least_waste = Cocheck_core.Least_waste
 
-(* The list-based Least-Waste arbiter, kept as the differential-testing
+(* The list-based Least-Waste formulation, kept as the differential-testing
    oracle for the aggregate-backed production path in {!Arbiter} — the
-   same reference-implementation pattern as {!Io_reference}. Every grant
-   materializes the candidate list in arrival order and calls the
-   O(pending²) {!Cocheck_core.Least_waste.select}; the pool itself is the
-   retired [pool @ [req]] / [List.filter] representation, so the oracle
-   shares no data structure with the implementation under test. Linked
-   into tests and benches only — the simulator never constructs it. *)
+   same reference-implementation pattern as {!Io_reference}: the Section
+   3.5 candidate records, the direct Eq. (1)/(2) sum, the O(n²) selection,
+   and an arbiter whose every grant materializes the candidate list in
+   arrival order. Its pool is the retired [pool @ [req]] / [List.filter]
+   representation, so the oracle shares no data structure with the
+   implementation under test. Test-only: the simulator never uses it. *)
+
+module Candidate = struct
+  type io = { key : int; nodes : int; service_s : float; waited_s : float }
+
+  type ckpt = {
+    key : int;
+    nodes : int;
+    ckpt_s : float;
+    exposed_s : float;
+    recovery_s : float;
+  }
+
+  type t = Io of io | Ckpt of ckpt
+
+  let key = function Io c -> c.key | Ckpt c -> c.key
+  let nodes = function Io c -> c.nodes | Ckpt c -> c.nodes
+  let service_time = function Io c -> c.service_s | Ckpt c -> c.ckpt_s
+
+  let validate t =
+    let bad = invalid_arg in
+    match t with
+    | Io c ->
+        if c.nodes <= 0 then bad "Candidate: non-positive node count";
+        if c.service_s < 0.0 then bad "Candidate: negative service time";
+        if c.waited_s < 0.0 then bad "Candidate: negative wait"
+    | Ckpt c ->
+        if c.nodes <= 0 then bad "Candidate: non-positive node count";
+        if c.ckpt_s < 0.0 then bad "Candidate: negative checkpoint time";
+        if c.exposed_s < 0.0 then bad "Candidate: negative exposure";
+        if c.recovery_s < 0.0 then bad "Candidate: negative recovery time"
+end
+
+(* Equations (1) and (2) share one shape: W_i = v × Σ_{j ≠ i} term(j), where
+   v is the service time of the selected candidate and term(j) depends on
+   which pool j belongs to. *)
+
+let debug_validate = ref false
+
+let inflicted_waste ~node_mtbf_s ~service_s ~self candidates =
+  if node_mtbf_s <= 0.0 then invalid_arg "Least_waste: MTBF must be positive";
+  let v = service_s in
+  let term (c : Candidate.t) =
+    if Candidate.key c = self then 0.0
+    else
+      match c with
+      | Candidate.Io io -> float_of_int io.nodes *. (io.waited_s +. v)
+      | Candidate.Ckpt ck ->
+          let q = float_of_int ck.nodes in
+          q *. q /. node_mtbf_s *. (ck.recovery_s +. ck.exposed_s +. (v /. 2.0))
+  in
+  v *. Cocheck_util.Numerics.sum_by term candidates
+
+let select ~node_mtbf_s candidates =
+  if node_mtbf_s <= 0.0 then invalid_arg "Least_waste.select: MTBF must be positive";
+  if !debug_validate then List.iter Candidate.validate candidates;
+  let best = ref None in
+  List.iter
+    (fun c ->
+      let w =
+        inflicted_waste ~node_mtbf_s ~service_s:(Candidate.service_time c)
+          ~self:(Candidate.key c) candidates
+      in
+      match !best with
+      | Some (_, w_best) when w >= w_best -> ()
+      | _ -> best := Some (c, w))
+    candidates;
+  Option.map fst !best
+
+(* The boxed-entry view of {!Cocheck_core.Least_waste.Aggregate} the
+   property tests speak. [mem] and [size] ask the aggregate itself (an
+   unknown key makes [waste] raise), over every key ever added. *)
+module Aggregate = struct
+  module A = Cocheck_core.Least_waste.Aggregate
+
+  type entry =
+    | Io_entry of { nodes : int; service_s : float; enqueued_at : float }
+    | Ckpt_entry of {
+        nodes : int;
+        ckpt_s : float;
+        recovery_s : float;
+        last_commit_end : float;
+      }
+
+  type t = { agg : A.t; mutable seen : int list }
+
+  let create ~node_mtbf_s = { agg = A.create ~node_mtbf_s; seen = [] }
+
+  let add t ~key = function
+    | Io_entry { nodes; service_s; enqueued_at } ->
+        A.add_io t.agg ~key ~nodes ~service_s ~enqueued_at;
+        t.seen <- key :: t.seen
+    | Ckpt_entry { nodes; ckpt_s; recovery_s; last_commit_end } ->
+        A.add_ckpt t.agg ~key ~nodes ~ckpt_s ~recovery_s ~last_commit_end;
+        t.seen <- key :: t.seen
+
+  let remove t ~key = A.remove t.agg ~key
+  let waste t ~now ~key = A.waste t.agg ~now ~key
+
+  let mem t ~key =
+    match A.waste t.agg ~now:0.0 ~key with
+    | _ -> true
+    | exception Invalid_argument _ -> false
+
+  let size t = List.length (List.filter (fun key -> mem t ~key) (List.sort_uniq compare t.seen))
+
+  let service_time = function
+    | Io_entry { service_s; _ } -> service_s
+    | Ckpt_entry { ckpt_s; _ } -> ckpt_s
+end
 
 let to_candidate ~bandwidth_gbs ~now (r : request) =
   match r.r_kind with
@@ -62,7 +169,7 @@ let arbiter ~node_mtbf_s ~bandwidth_gbs () : arbiter =
       | reqs ->
           let cands = List.map (to_candidate ~bandwidth_gbs ~now) reqs in
           scored := !scored + List.length cands;
-          Option.bind (Least_waste.select ~node_mtbf_s cands) (fun c ->
+          Option.bind (select ~node_mtbf_s cands) (fun c ->
               let key = Candidate.key c in
               let r = List.find (fun (r : request) -> r.r_key = key) reqs in
               pool := List.filter (fun (q : request) -> q.r_key <> key) reqs;

@@ -7,8 +7,7 @@ module Arbiter = Cocheck_sim.Arbiter
 module Node_pool = Cocheck_sim.Node_pool
 module Io = Cocheck_sim.Io_subsystem
 module Jobgen = Cocheck_model.Jobgen
-module Candidate = Cocheck_core.Candidate
-module Least_waste = Cocheck_core.Least_waste
+module Candidate = Lw_reference.Candidate
 
 let mtbf_s = 2.0 *. 365.0 *. 86400.0
 let bandwidth_gbs = 40.0
@@ -45,8 +44,6 @@ let mk_inst ~idx ~nodes ~last_commit_end =
     compute_start = 0.0;
     uncommitted = Cocheck_util.Interval_ledger.create ();
     last_commit_end;
-    ckpt_request_ev = T.Engine.none;
-    work_done_ev = T.Engine.none;
     wait_start = 0.0;
     io_start = 0.0;
     ckpt_content = 0.0;
@@ -55,13 +52,11 @@ let mk_inst ~idx ~nodes ~last_commit_end =
     local_safe_time = [||];
     local_level = 0;
     local_pause_start = 0.0;
-    local_tick_ev = [||];
-    local_done_ev = T.Engine.none;
-    delay_ev = T.Engine.none;
-    cb_work_done = ignore;
-    cb_ckpt_request = ignore;
-    cb_local_tick = [||];
-    cb_local_done = ignore;
+    due = Array.make (T.boundary_slots ~levels:0) infinity;
+    due_rank = Array.make (T.boundary_slots ~levels:0) 0;
+    next_ev = T.Engine.none;
+    next_ev_rank = -1;
+    cb_boundary = ignore;
     cb_ckpt_done = ignore;
     live_slot = -1;
   }
@@ -164,7 +159,7 @@ let test_fifo_arrival_order () =
   Alcotest.(check (list int)) "FCFS grant order" (ids reqs) (ids (drain ~now:10.0 (module A)))
 
 (* The indexed pool must agree with the straightforward list treatment:
-   same candidates, same arrival order, same Least_waste.select choice. *)
+   same candidates, same arrival order, same Lw_reference.select choice. *)
 let test_least_waste_matches_oracle () =
   let now = 7000.0 in
   let insts =
@@ -202,7 +197,7 @@ let test_least_waste_matches_oracle () =
               recovery_s = r.T.r_inst.T.ckpt_nominal;
             }
     in
-    Option.map Candidate.key (Least_waste.select ~node_mtbf_s:mtbf_s (List.map to_candidate pool))
+    Option.map Candidate.key (Lw_reference.select ~node_mtbf_s:mtbf_s (List.map to_candidate pool))
   in
   let (module A : Arbiter.S) = Arbiter.least_waste ~node_mtbf_s:mtbf_s ~bandwidth_gbs () in
   List.iter A.enqueue reqs;

@@ -15,8 +15,7 @@ module Arbiter = Cocheck_sim.Arbiter
 module Node_pool = Cocheck_sim.Node_pool
 module Io = Cocheck_sim.Io_subsystem
 module Jobgen = Cocheck_model.Jobgen
-module Candidate = Cocheck_core.Candidate
-module Least_waste = Cocheck_core.Least_waste
+module Candidate = Lw_reference.Candidate
 module Rng = Cocheck_util.Rng
 
 let mk_inst ~pool ~idx ~nodes ~last_commit_end ~ckpt_gb ~bandwidth_gbs =
@@ -50,8 +49,6 @@ let mk_inst ~pool ~idx ~nodes ~last_commit_end ~ckpt_gb ~bandwidth_gbs =
     compute_start = 0.0;
     uncommitted = Cocheck_util.Interval_ledger.create ();
     last_commit_end;
-    ckpt_request_ev = T.Engine.none;
-    work_done_ev = T.Engine.none;
     wait_start = 0.0;
     io_start = 0.0;
     ckpt_content = 0.0;
@@ -60,13 +57,11 @@ let mk_inst ~pool ~idx ~nodes ~last_commit_end ~ckpt_gb ~bandwidth_gbs =
     local_safe_time = [||];
     local_level = 0;
     local_pause_start = 0.0;
-    local_tick_ev = [||];
-    local_done_ev = T.Engine.none;
-    delay_ev = T.Engine.none;
-    cb_work_done = ignore;
-    cb_ckpt_request = ignore;
-    cb_local_tick = [||];
-    cb_local_done = ignore;
+    due = Array.make (T.boundary_slots ~levels:0) infinity;
+    due_rank = Array.make (T.boundary_slots ~levels:0) 0;
+    next_ev = T.Engine.none;
+    next_ev_rank = -1;
+    cb_boundary = ignore;
     cb_ckpt_done = ignore;
     live_slot = -1;
   }
@@ -172,7 +167,7 @@ let run_schedule ~ctx (s : schedule) =
     match List.find_opt (fun c -> Candidate.key c = key) cands with
     | None -> Alcotest.failf "%s: selected key %d not in model pool" ctx key
     | Some c ->
-        Least_waste.inflicted_waste ~node_mtbf_s:s.node_mtbf_s
+        Lw_reference.inflicted_waste ~node_mtbf_s:s.node_mtbf_s
           ~service_s:(Candidate.service_time c) ~self:key cands
   in
   let rec replay = function

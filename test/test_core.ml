@@ -8,6 +8,7 @@ module Apex = Cocheck_model.Apex
 module Platform = Cocheck_model.Platform
 module Units = Cocheck_util.Units
 module Numerics = Cocheck_util.Numerics
+module Candidate = Lw_reference.Candidate
 
 let checkf msg ?(eps = 1e-9) a b = Alcotest.(check (float eps)) msg a b
 
@@ -256,22 +257,22 @@ let test_eq1_hand_value () =
     [ io ~key:0 ~nodes:5 ~v:100.0 ~d:0.0; io ~key:1 ~nodes:10 ~v:80.0 ~d:50.0;
       ck ~key:2 ~nodes:20 ~c:60.0 ~d:200.0 ~r:30.0 ]
   in
-  let w = Least_waste.inflicted_waste ~node_mtbf_s:1e6 ~service_s:100.0 ~self:0 cands in
+  let w = Lw_reference.inflicted_waste ~node_mtbf_s:1e6 ~service_s:100.0 ~self:0 cands in
   checkf "hand value" ~eps:1e-6 (100.0 *. ((10.0 *. 150.0) +. (400.0 /. 1e6 *. 280.0))) w
 
 let test_eq2_excludes_self () =
   (* A lone checkpoint candidate inflicts zero waste on others. *)
   let cands = [ ck ~key:0 ~nodes:100 ~c:60.0 ~d:500.0 ~r:60.0 ] in
   checkf "no others, no waste" 0.0
-    (Least_waste.inflicted_waste ~node_mtbf_s:1e6 ~service_s:60.0 ~self:0 cands)
+    (Lw_reference.inflicted_waste ~node_mtbf_s:1e6 ~service_s:60.0 ~self:0 cands)
 
 let test_select_empty () =
   Alcotest.(check bool) "empty -> None" true
-    (Least_waste.select ~node_mtbf_s:1e6 [] = None)
+    (Lw_reference.select ~node_mtbf_s:1e6 [] = None)
 
 let test_select_single () =
   let c = io ~key:7 ~nodes:2 ~v:10.0 ~d:0.0 in
-  match Least_waste.select ~node_mtbf_s:1e6 [ c ] with
+  match Lw_reference.select ~node_mtbf_s:1e6 [ c ] with
   | Some chosen -> Alcotest.(check int) "sole candidate wins" 7 (Candidate.key chosen)
   | None -> Alcotest.fail "expected a winner"
 
@@ -279,7 +280,7 @@ let test_select_prefers_short_service () =
   (* Two identical IO candidates except service time: the shorter one
      inflicts less waste on the other. *)
   let cands = [ io ~key:0 ~nodes:10 ~v:1000.0 ~d:0.0; io ~key:1 ~nodes:10 ~v:10.0 ~d:0.0 ] in
-  match Least_waste.select ~node_mtbf_s:1e6 cands with
+  match Lw_reference.select ~node_mtbf_s:1e6 cands with
   | Some chosen -> Alcotest.(check int) "short job first" 1 (Candidate.key chosen)
   | None -> Alcotest.fail "expected a winner"
 
@@ -307,11 +308,11 @@ let test_select_matches_bruteforce =
           | Candidate.Io x -> Candidate.Io { x with key = i }
           | Candidate.Ckpt x -> Candidate.Ckpt { x with key = i }) cands in
       let mu = Units.years 2.0 in
-      match Least_waste.select ~node_mtbf_s:mu cands with
+      match Lw_reference.select ~node_mtbf_s:mu cands with
       | None -> false
       | Some chosen ->
           let w c =
-            Least_waste.inflicted_waste ~node_mtbf_s:mu
+            Lw_reference.inflicted_waste ~node_mtbf_s:mu
               ~service_s:(Candidate.service_time c) ~self:(Candidate.key c) cands
           in
           let min_w =
@@ -321,7 +322,7 @@ let test_select_matches_bruteforce =
 
 let test_select_tie_breaks_fcfs () =
   let cands = [ io ~key:0 ~nodes:10 ~v:100.0 ~d:5.0; io ~key:1 ~nodes:10 ~v:100.0 ~d:5.0 ] in
-  match Least_waste.select ~node_mtbf_s:1e6 cands with
+  match Lw_reference.select ~node_mtbf_s:1e6 cands with
   | Some chosen -> Alcotest.(check int) "first of equals" 0 (Candidate.key chosen)
   | None -> Alcotest.fail "expected a winner"
 
@@ -330,15 +331,15 @@ let test_candidate_validation () =
   (* Release path: validation is skipped (grants are hot), garbage in
      garbage out. *)
   Alcotest.(check bool) "release path skips validation" true
-    (match Least_waste.select ~node_mtbf_s:1e6 bad with
+    (match Lw_reference.select ~node_mtbf_s:1e6 bad with
     | Some _ -> true
     | None | (exception Invalid_argument _) -> false);
-  Least_waste.debug_validate := true;
+  Lw_reference.debug_validate := true;
   Fun.protect
-    ~finally:(fun () -> Least_waste.debug_validate := false)
+    ~finally:(fun () -> Lw_reference.debug_validate := false)
     (fun () ->
       Alcotest.(check bool) "negative wait rejected under debug_validate" true
-        (match Least_waste.select ~node_mtbf_s:1e6 bad with
+        (match Lw_reference.select ~node_mtbf_s:1e6 bad with
         | exception Invalid_argument _ -> true
         | _ -> false))
 
@@ -347,14 +348,14 @@ let test_candidate_validation () =
 (* ------------------------------------------------------------------ *)
 
 (* The closed-form W_i = v·(A·now + B + S1·v − term_i) must match the
-   direct Σ_{j≠i} evaluation of {!Least_waste.inflicted_waste} for every
+   direct Σ_{j≠i} evaluation of {!Lw_reference.inflicted_waste} for every
    member, within float tolerance — including on pools mutated by long
    interleaved add/remove histories, where the running sums accumulate
    drift the direct sum never sees. Candidates are materialized from the
    same absolute clocks the aggregate stores (waited = now − at,
    exposed = now − lce), exactly as the arbiter's oracle does. *)
 let test_aggregate_matches_oracle =
-  let module Agg = Least_waste.Aggregate in
+  let module Agg = Lw_reference.Aggregate in
   let op_gen =
     QCheck.Gen.(
       let entry =
@@ -415,7 +416,7 @@ let test_aggregate_matches_oracle =
            (fun (key, e) ->
              let v = Agg.service_time e in
              let direct =
-               Least_waste.inflicted_waste ~node_mtbf_s:mu ~service_s:v ~self:key
+               Lw_reference.inflicted_waste ~node_mtbf_s:mu ~service_s:v ~self:key
                  cands
              in
              let incr_w = Agg.waste agg ~now ~key in
@@ -437,13 +438,13 @@ let test_aggregate_matches_oracle =
            !live)
 
 let test_aggregate_duplicate_key () =
-  let module Agg = Least_waste.Aggregate in
+  let module Agg = Lw_reference.Aggregate in
   let agg = Agg.create ~node_mtbf_s:1e6 in
   let e = Agg.Io_entry { nodes = 4; service_s = 10.0; enqueued_at = 0.0 } in
   Agg.add agg ~key:7 e;
   Alcotest.(check bool) "mem" true (Agg.mem agg ~key:7);
   Alcotest.check_raises "duplicate rejected"
-    (Invalid_argument "Least_waste.Aggregate.add: duplicate key") (fun () ->
+    (Invalid_argument "Least_waste.Aggregate: duplicate key") (fun () ->
       Agg.add agg ~key:7 e);
   Agg.remove agg ~key:7;
   Agg.remove agg ~key:7;

@@ -137,6 +137,33 @@ let test_reschedule_reorders_firing () =
   Alcotest.(check (list string)) "moved event now fires first" [ "moved"; "fixed" ]
     (List.rev !log)
 
+let test_ranks_drawn_ahead () =
+  (* Three events due at t = 5: [a]'s rank is drawn first, then [b] is
+     scheduled, then [c]'s rank is drawn. [a] and [c] reach the calendar
+     only afterwards, yet fire in draw order around [b]. Moving [c]'s
+     handle under [a]'s earlier-drawn rank puts it first. *)
+  let run ~swap =
+    let e = Engine.create () in
+    let log = ref [] in
+    let note tag = fun _ -> log := tag :: !log in
+    let ra = Engine.draw_rank e in
+    ignore (Engine.schedule_at e ~time:5.0 (note "b"));
+    let rc = Engine.draw_rank e in
+    let hc = Engine.schedule_ranked e ~kind:0 ~time:9.0 ~rank:rc (note "c") in
+    if swap then
+      Alcotest.(check bool) "pending handle moved" true
+        (Engine.reschedule_ranked e hc ~time:5.0 ~rank:ra)
+    else begin
+      ignore (Engine.schedule_ranked e ~kind:0 ~time:5.0 ~rank:ra (note "a"));
+      ignore (Engine.reschedule_ranked e hc ~time:5.0 ~rank:rc)
+    end;
+    Engine.run e;
+    List.rev !log
+  in
+  Alcotest.(check (list string)) "draw order among equal times" [ "a"; "b"; "c" ]
+    (run ~swap:false);
+  Alcotest.(check (list string)) "moved under an earlier rank" [ "c"; "b" ] (run ~swap:true)
+
 let test_reschedule_dead_handles () =
   let e = Engine.create () in
   let fired = Engine.schedule_at e ~time:1.0 (fun _ -> ()) in
@@ -312,6 +339,7 @@ let () =
           Alcotest.test_case "events counter" `Quick test_events_processed_counter;
           Alcotest.test_case "cancel from handler" `Quick test_cancellation_inside_handler;
           Alcotest.test_case "reschedule reorders" `Quick test_reschedule_reorders_firing;
+          Alcotest.test_case "ranks drawn ahead" `Quick test_ranks_drawn_ahead;
           Alcotest.test_case "reschedule dead handles" `Quick test_reschedule_dead_handles;
           Alcotest.test_case "reschedule past rejected" `Quick test_reschedule_past_rejected;
           Alcotest.test_case "cancel during own fire" `Quick test_cancel_during_own_fire;

@@ -369,6 +369,23 @@ let test_timeline_from_simulation () =
   in
   Alcotest.(check int) "all starts bucketed" r.Cocheck_sim.Simulator.jobs_started total_starts
 
+let test_timeline_truncated_trace () =
+  (* A ring of 3 keeps the last three of five events: the first start is
+     gone, so the timeline is refused, naming the two dropped events. *)
+  let trace = Cocheck_sim.Trace.create ~capacity:3 () in
+  let ev time inst kind = Cocheck_sim.Trace.record trace { Cocheck_sim.Trace.time; job = inst; inst; kind } in
+  ev 0.0 1 (Cocheck_sim.Trace.Job_started { restarts = 0; nodes = 10 });
+  ev 10.0 2 (Cocheck_sim.Trace.Job_started { restarts = 0; nodes = 20 });
+  ev 20.0 1 Cocheck_sim.Trace.Input_done;
+  ev 30.0 1 Cocheck_sim.Trace.Job_completed;
+  ev 40.0 2 Cocheck_sim.Trace.Job_completed;
+  Alcotest.(check int) "two evicted" 2 (Cocheck_sim.Trace.dropped trace);
+  match E.Timeline.build ~trace ~total_nodes:40 ~horizon:100.0 ~buckets:4 () with
+  | _ -> Alcotest.fail "a truncated trace was accepted"
+  | exception Invalid_argument m ->
+      Alcotest.(check bool) ("names the dropped count: " ^ m) true
+        (contains m "dropped 2 events")
+
 let test_shape_checks_reduced () =
   (* Deterministic given (reps, days, seed): the full harness passes all 12
      claims at this reduced scale too. *)
@@ -427,6 +444,7 @@ let () =
         [
           Alcotest.test_case "hand-built reconstruction" `Quick test_timeline_reconstruction;
           Alcotest.test_case "from simulation" `Quick test_timeline_from_simulation;
+          Alcotest.test_case "truncated trace refused" `Quick test_timeline_truncated_trace;
         ] );
       ( "end-to-end",
         [
