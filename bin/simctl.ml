@@ -565,13 +565,22 @@ let table1_cmd =
   Cmd.v (Cmd.info "table1" ~doc:"LANL APEX workload table (paper Table 1).")
     Term.(const action $ const ())
 
+(* A bound outside the first-order model is no bound: say so instead of
+   printing a waste past 1 as a negative efficiency. *)
+let print_bound_waste ~waste = function
+  | None -> Format.printf "waste lower bound: %.4f (efficiency %.4f)@." waste (1.0 -. waste)
+  | Some why ->
+      Format.printf
+        "waste lower bound: outside the first-order model (%s; Equation (7) gives %.4f)@." why
+        waste
+
 let bound_cmd =
   let action platform =
     let counts, r = E.Runner.bound platform in
     Format.printf "%a@." Platform.pp platform;
     Format.printf "lambda: %.6g@." r.Lower_bound.lambda;
     Format.printf "I/O fraction F: %.4f@." r.io_fraction;
-    Format.printf "waste lower bound: %.4f (efficiency %.4f)@." r.waste (1.0 -. r.waste);
+    print_bound_waste ~waste:r.waste (E.Runner.outside_model counts r);
     List.iter
       (fun ((_, c), (p, pd)) ->
         Format.printf "  %-10s P_opt = %8.0f s   P_Daly = %8.0f s@."
@@ -1084,7 +1093,7 @@ let print_response = function
   | E.Protocol.Bound_result r ->
       Format.printf "lambda: %.6g@." r.lambda;
       Format.printf "I/O fraction F: %.4f@." r.io_fraction;
-      Format.printf "waste lower bound: %.4f (efficiency %.4f)@." r.waste (1.0 -. r.waste)
+      print_bound_waste ~waste:r.waste r.outside
   | E.Protocol.Stats_result r ->
       Format.printf
         "store: hits=%d misses=%d loads=%d writes=%d evictions=%d migrated=%d indexed=%d@."

@@ -127,7 +127,7 @@ module Aggregate = struct
     t.index.(key) <- slot;
     slot
 
-  let add_io t ~key ~nodes ~service_s ~enqueued_at =
+  let[@inline] add_io t ~key ~nodes ~service_s ~enqueued_at =
     let slot = alloc_slot t ~key in
     t.e_tag.(slot) <- tag_io;
     t.e_nodes.(slot) <- nodes;
@@ -143,7 +143,7 @@ module Aggregate = struct
     kstep t.acc 2 db;
     kstep t.acc 4 ds1
 
-  let add_ckpt t ~key ~nodes ~ckpt_s ~recovery_s ~last_commit_end =
+  let[@inline] add_ckpt t ~key ~nodes ~ckpt_s ~recovery_s ~last_commit_end =
     let slot = alloc_slot t ~key in
     t.e_tag.(slot) <- tag_ckpt;
     t.e_nodes.(slot) <- nodes;

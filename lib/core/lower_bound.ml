@@ -6,13 +6,36 @@ type input = {
   node_mtbf_s : float;
 }
 
+type domain =
+  | In_model
+  | Waste_reaches_one
+  | Period_reaches_mtbf of { class_index : int; period_s : float; mtbf_s : float }
+
 type result = {
   lambda : float;
   periods : float list;
   daly_periods : float list;
   io_fraction : float;
   waste : float;
+  domain : domain;
 }
+
+(* The first-order expansion behind Equation (7) holds while every period
+   stays well below its job's MTBF (µ_ind / q_i) and the waste below 1;
+   past either edge its numbers mean nothing. The summed waste is checked
+   first (a NaN waste fails it too), then the classes in order. *)
+let domain_of ~(classes : Waste.class_load list) ~periods ~node_mtbf_s ~waste =
+  if not (waste < 1.0) then Waste_reaches_one
+  else
+    let rec first i classes periods =
+      match (classes, periods) with
+      | (c : Waste.class_load) :: classes, p :: periods ->
+          let mtbf_s = node_mtbf_s /. float_of_int c.q in
+          if p >= mtbf_s then Period_reaches_mtbf { class_index = i; period_s = p; mtbf_s }
+          else first (i + 1) classes periods
+      | _ -> In_model
+    in
+    first 0 classes periods
 
 let period_at ~lambda ~total_nodes ~node_mtbf_s (c : Waste.class_load) =
   let n = float_of_int total_nodes and q = float_of_int c.q in
@@ -40,14 +63,18 @@ let solve input =
   let lambda = Numerics.find_min_positive ~f:excess ~hi0:1.0 () in
   let periods = periods_at lambda in
   let daly_periods = periods_at 0.0 in
+  let waste =
+    Waste.platform_waste ~classes:input.classes ~periods ~total_nodes:input.total_nodes
+      ~node_mtbf_s:input.node_mtbf_s
+  in
   {
     lambda;
     periods;
     daly_periods;
     io_fraction = Waste.io_fraction ~classes:input.classes ~periods;
-    waste =
-      Waste.platform_waste ~classes:input.classes ~periods ~total_nodes:input.total_nodes
-        ~node_mtbf_s:input.node_mtbf_s;
+    waste;
+    domain =
+      domain_of ~classes:input.classes ~periods ~node_mtbf_s:input.node_mtbf_s ~waste;
   }
 
 let steady_state_regular_io_gbs ~classes ~platform =
@@ -124,14 +151,18 @@ let solve_hierarchical input =
   in
   let lambda = Numerics.find_min_positive ~f:excess ~hi0:1.0 () in
   let periods = periods_at lambda in
+  let waste =
+    Waste.platform_waste ~classes:input.h_blocking ~periods ~total_nodes:input.h_total_nodes
+      ~node_mtbf_s:input.h_node_mtbf_s
+  in
   {
     lambda;
     periods;
     daly_periods = periods_at 0.0;
     io_fraction = Waste.io_fraction ~classes:edge_loads ~periods;
-    waste =
-      Waste.platform_waste ~classes:input.h_blocking ~periods
-        ~total_nodes:input.h_total_nodes ~node_mtbf_s:input.h_node_mtbf_s;
+    waste;
+    domain =
+      domain_of ~classes:input.h_blocking ~periods ~node_mtbf_s:input.h_node_mtbf_s ~waste;
   }
 
 let solve_model_hierarchical ~classes ~platform ~absorb_bandwidth_gbs

@@ -17,12 +17,24 @@ type input = {
   node_mtbf_s : float;  (** µ_ind *)
 }
 
+(** Whether the first-order model behind Equation (7) describes the
+    solution. It assumes every period is well below its job's MTBF
+    [µ_ind / q_i], so a waste of 1 or more, or a period reaching that
+    MTBF, leaves the model's domain: the numbers are then no bound. *)
+type domain =
+  | In_model
+  | Waste_reaches_one  (** the summed waste is 1 or more (or not a number) *)
+  | Period_reaches_mtbf of { class_index : int; period_s : float; mtbf_s : float }
+      (** the first class, in input order, whose period reaches its job's
+          MTBF *)
+
 type result = {
   lambda : float;  (** 0 when the I/O constraint is slack *)
   periods : float list;  (** per-class optimal periods, Equation (8) order-aligned *)
   daly_periods : float list;  (** unconstrained periods (λ = 0) for reference *)
   io_fraction : float;  (** F at the optimal periods; = 1 when constrained *)
   waste : float;  (** the lower bound, Equation (7) *)
+  domain : domain;  (** whether [waste] and [periods] are inside the model *)
 }
 
 val period_at : lambda:float -> total_nodes:int -> node_mtbf_s:float -> Waste.class_load -> float

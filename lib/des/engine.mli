@@ -1,14 +1,23 @@
 (** A generic discrete-event simulation engine.
 
-    Events are closures scheduled at absolute simulation times; the engine
+    Events are callbacks scheduled at absolute simulation times; the engine
     pops them in time order, FIFO among equal times (deterministic replay).
-    Handlers may schedule and cancel further events freely. *)
+    Handlers may schedule and cancel further events freely.
+
+    A calendar entry names a {!source}: a callback registered once with
+    {!source} and then scheduled any number of times through
+    {!schedule_src}, so the event path builds no closure and writes no heap
+    pointer. {!schedule_at} is sugar for a one-shot source that lives until
+    its entry fires or is cancelled. *)
 
 type t
 
-type handle
+type handle [@@immediate]
 (** An immediate (unboxed) event designator — storing one costs no
     allocation, unlike a [handle option]. *)
+
+type source [@@immediate]
+(** A registered callback's id. *)
 
 val none : handle
 (** A handle that never designates a pending event: {!pending} is [false],
@@ -23,16 +32,41 @@ val is_none : handle -> bool
 val create : ?start:float -> unit -> t
 (** A fresh engine with clock at [start] (default 0). *)
 
+type clock = private { mutable now : float }
+(** The engine's clock cell: an all-float record, so reading [now] where
+    it is consumed as a float boxes nothing, even through a call that is
+    not inlined. *)
+
+val clock : t -> clock
+(** The engine's clock cell, the same for the engine's lifetime: a caller
+    on the event path keeps it and reads [(clock t).now] in place of
+    {!now}. *)
+
 val now : t -> float
 (** Current simulation time: the timestamp of the event being processed, or
     of the last processed one. Never decreases. *)
 
-val schedule_at : t -> ?kind:int -> time:float -> (t -> unit) -> handle
-(** Schedule a callback at absolute [time]. Scheduling in the past (before
-    {!now}) raises [Invalid_argument]. [kind] (default 0) is a small
-    integer the scheduler carries with the event; it only matters when
+val source : t -> (t -> unit) -> source
+(** Register a callback for the engine's lifetime. The source may be
+    scheduled, cancelled and scheduled again any number of times, and may
+    be pending under several handles at once. *)
+
+val no_source : source
+(** A placeholder naming no callback, for a field filled in right after
+    its record is built (a source whose callback needs the record). It
+    must never be scheduled. *)
+
+val schedule_src : t -> kind:int -> time:float -> source -> handle
+(** Schedule [source] at absolute [time]. Scheduling in the past (before
+    {!now}) raises [Invalid_argument]. [kind] is a small integer the
+    scheduler carries with the event; it only matters when
     {!attach_stats} has installed counters, which then attribute
     schedule/fire/cancel to the kind — the event loop itself ignores it. *)
+
+val schedule_at : t -> ?kind:int -> time:float -> (t -> unit) -> handle
+(** Schedule a callback at absolute [time] through a one-shot source: its
+    id is recycled once the entry fires or is cancelled. [kind] defaults
+    to 0; otherwise as {!schedule_src}. *)
 
 val schedule_after : t -> ?kind:int -> delay:float -> (t -> unit) -> handle
 (** [schedule_after t ~delay f] = [schedule_at t ~time:(now t +. delay) f].
@@ -62,8 +96,8 @@ val draw_rank : t -> int
 (** The rank an event scheduled now would take. Ranks increase with every
     draw and every {!schedule_at}. *)
 
-val schedule_ranked : t -> kind:int -> time:float -> rank:int -> (t -> unit) -> handle
-(** {!schedule_at} under a rank drawn earlier by {!draw_rank}. *)
+val schedule_ranked : t -> kind:int -> time:float -> rank:int -> source -> handle
+(** {!schedule_src} under a rank drawn earlier by {!draw_rank}. *)
 
 val reschedule_ranked : t -> handle -> time:float -> rank:int -> bool
 (** {!reschedule} to [time] under a new drawn [rank]: the pending event
@@ -89,6 +123,11 @@ val run : ?until:float -> t -> unit
 
 val events_processed : t -> int
 val queue_length : t -> int
+
+val source_table_size : t -> int
+(** Source ids ever handed out: the registered sources plus, at most, the
+    largest number of one-shot sources pending at once (retired one-shot
+    ids are reused). *)
 
 (** {2 Event-churn counters}
 

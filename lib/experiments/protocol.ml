@@ -34,7 +34,12 @@ type response =
       cells : cell_summary list;
     }
   | Status_result of { total : int; cached : int; missing : int }
-  | Bound_result of { waste : float; lambda : float; io_fraction : float }
+  | Bound_result of {
+      waste : float;
+      lambda : float;
+      io_fraction : float;
+      outside : string option;
+    }
   | Stats_result of {
       store : Store.stats;
       indexed : int;
@@ -145,11 +150,12 @@ let response_to_json ~id resp =
         ]
   | Bound_result r ->
       frame "bound"
-        [
-          ("waste", Json.Float r.waste);
-          ("lambda", Json.Float r.lambda);
-          ("io_fraction", Json.Float r.io_fraction);
-        ]
+        ([
+           ("waste", Json.Float r.waste);
+           ("lambda", Json.Float r.lambda);
+           ("io_fraction", Json.Float r.io_fraction);
+         ]
+        @ match r.outside with Some why -> [ ("outside", Json.String why) ] | None -> [])
   | Stats_result r ->
       frame "stats"
         [
@@ -215,7 +221,7 @@ let response_of_json j =
     | "bound" -> (
         match (flt "waste", flt "lambda", flt "io_fraction") with
         | Some waste, Some lambda, Some io_fraction ->
-            Ok (Bound_result { waste; lambda; io_fraction })
+            Ok (Bound_result { waste; lambda; io_fraction; outside = str "outside" })
         | _ -> Result.Error "malformed bound reply")
     | "stats" -> (
         match (Json.member "store" j, int "indexed", int "inflight_points", int "served") with

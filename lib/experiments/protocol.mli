@@ -49,7 +49,14 @@ type response =
       cells : cell_summary list;
     }
   | Status_result of { total : int; cached : int; missing : int }
-  | Bound_result of { waste : float; lambda : float; io_fraction : float }
+  | Bound_result of {
+      waste : float;
+      lambda : float;
+      io_fraction : float;
+      outside : string option;
+          (** why the bound lies outside the first-order model
+              ({!Runner.outside_model}); [None] inside it *)
+    }
   | Stats_result of {
       store : Store.stats;
       indexed : int;

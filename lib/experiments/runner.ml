@@ -349,6 +349,20 @@ let bound ?classes platform =
   let counts = Waste.steady_state_counts ~classes ~platform in
   (counts, Lower_bound.solve_model ~classes:counts ~platform ())
 
+let outside_model counts (r : Lower_bound.result) =
+  match r.Lower_bound.domain with
+  | Lower_bound.In_model -> None
+  | Waste_reaches_one -> Some "the summed waste reaches 1"
+  | Period_reaches_mtbf { class_index; period_s; mtbf_s } ->
+      let name =
+        match List.nth_opt counts class_index with
+        | Some (_, c) -> c.Cocheck_model.App_class.name
+        | None -> Printf.sprintf "class %d" class_index
+      in
+      Some
+        (Printf.sprintf "the %s period %.0f s reaches its job MTBF %.0f s" name period_s
+           mtbf_s)
+
 let theory_series spec =
   {
     Figures.label = "Theoretical Model";

@@ -113,7 +113,16 @@ val bound :
 (** The Theorem 1 bound of one platform at the steady-state job counts of
     [classes] (default {!Cocheck_model.Apex.default_workload}), returned
     beside the solution. Behind the theory series, the service's
-    [bound]/[waste] replies and [simctl bound]. *)
+    [bound] reply and [simctl bound]. *)
+
+val outside_model :
+  (float * Cocheck_model.App_class.t) list ->
+  Cocheck_core.Lower_bound.result ->
+  string option
+(** Why {!bound}'s solution lies outside the first-order model (the
+    summed waste reaches 1, or a named class's period reaches its job's
+    MTBF); [None] inside it. The one wording [simctl bound] and the
+    service's [bound] reply print. *)
 
 val theory_series : Spec.t -> Figures.series
 (** The "Theoretical Model" series over the spec's cells. *)

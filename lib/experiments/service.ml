@@ -127,12 +127,13 @@ let dispatch t conn ~tenant ~id req =
         Protocol.Status_result
           { total = p.Runner.total; cached = p.Runner.cached; missing = p.Runner.missing }
     | Protocol.Bound { platform } ->
-        let _, r = Runner.bound platform in
+        let counts, r = Runner.bound platform in
         Protocol.Bound_result
           {
             waste = r.Lower_bound.waste;
             lambda = r.Lower_bound.lambda;
             io_fraction = r.Lower_bound.io_fraction;
+            outside = Runner.outside_model counts r;
           }
     | Protocol.Campaign { spec; progress } -> run_campaign t conn ~tenant ~id ~progress spec
   in

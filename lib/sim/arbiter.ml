@@ -192,12 +192,12 @@ let least_waste ~node_mtbf_s ~bandwidth_gbs ?(free = req_free_create ()) () : ar
     match r.r_kind with
     | Req_io _ ->
         Least_waste.Aggregate.add_io agg ~key:r.r_key ~nodes:r.r_inst.spec.nodes
-          ~service_s:(r.r_volume /. bandwidth_gbs)
-          ~enqueued_at:r.r_at
+          ~service_s:(r.r_fl.r_volume /. bandwidth_gbs)
+          ~enqueued_at:r.r_fl.r_at
     | Req_ckpt ->
         Least_waste.Aggregate.add_ckpt agg ~key:r.r_key ~nodes:r.r_inst.spec.nodes
-          ~ckpt_s:r.r_inst.ckpt_nominal ~recovery_s:r.r_inst.ckpt_nominal
-          ~last_commit_end:r.r_inst.last_commit_end
+          ~ckpt_s:r.r_inst.fl.ckpt_nominal ~recovery_s:r.r_inst.fl.ckpt_nominal
+          ~last_commit_end:r.r_inst.fl.last_commit_end
   in
   let choose (pool : Ipool.t) c ~now =
     let best = ref (-1) in
@@ -232,8 +232,8 @@ let greedy_exposure ?(free = req_free_create ()) () : arbiter =
       if r.r_slot = i then begin
         let exposure =
           match r.r_kind with
-          | Req_ckpt -> now -. r.r_inst.last_commit_end
-          | Req_io _ -> now -. r.r_at
+          | Req_ckpt -> now -. r.r_inst.fl.last_commit_end
+          | Req_io _ -> now -. r.r_fl.r_at
         in
         let s = exposure *. float_of_int r.r_inst.spec.nodes in
         if not (!best >= 0 && s <= !best_s) then begin
@@ -265,23 +265,13 @@ let submit w inst kind volume =
       let r = p.rf.(p.rf_n) in
       r.r_inst <- inst;
       r.r_kind <- kind;
-      r.r_volume <- volume;
-      r.r_at <- now w;
+      r.r_fl.r_volume <- volume;
+      r.r_fl.r_at <- w.clock.now;
       r.r_cancelled <- false;
       r
     end
     else begin
-      let r =
-        {
-          r_key = p.rf_built;
-          r_inst = inst;
-          r_kind = kind;
-          r_volume = volume;
-          r_at = now w;
-          r_cancelled = false;
-          r_slot = -1;
-        }
-      in
+      let r = make_request ~key:p.rf_built ~inst ~kind ~volume ~at:w.clock.now in
       p.rf_built <- p.rf_built + 1;
       r
     end
@@ -304,14 +294,14 @@ let stats w =
 let try_grant w =
   if w.uses_token && not w.token_busy then begin
     let (module A) = w.arbiter in
-    match A.select ~now:(now w) with
+    match A.select ~now:w.clock.now with
     | None -> ()
     | Some req ->
         w.token_busy <- true;
         let inst = req.r_inst in
         inst.holds_token <- true;
         if tracing w then
-          emit_inst w inst (Trace.Token_granted { wait = now w -. req.r_at });
+          emit_inst w inst (Trace.Token_granted { wait = w.clock.now -. req.r_fl.r_at });
         (match req.r_kind with
         | Req_io _ -> w.h_grant_io req
         | Req_ckpt -> w.h_grant_ckpt req);

@@ -41,6 +41,8 @@ type t = {
   pfs_notes : (int, pfs_note) Hashtbl.t;  (* owner → newest PFS copy *)
   mutable absorbed : int;
   mutable spilled : int;
+  mutable flushes_started : int;  (* drains begun, at every level *)
+  mutable flushes_completed : int;  (* drains that landed one tier deeper *)
 }
 
 let create ~engine ~metrics ~pfs specs =
@@ -68,12 +70,16 @@ let create ~engine ~metrics ~pfs specs =
     pfs_notes = Hashtbl.create 16;
     absorbed = 0;
     spilled = 0;
+    flushes_started = 0;
+    flushes_completed = 0;
   }
 
 let used_gb t ~level = t.levels.(level).used
 let capacity_gb t ~level = t.levels.(level).spec.Config.bl_capacity_gb
 let writes_absorbed t = t.absorbed
 let writes_spilled t = t.spilled
+let flushes_started t = t.flushes_started
+let flushes_completed t = t.flushes_completed
 
 let level_fits lv ~volume_gb =
   volume_gb > 0.0 && lv.used +. volume_gb <= lv.spec.Config.bl_capacity_gb
@@ -139,6 +145,7 @@ let rec start_flush t ~k c =
     d.used <- d.used +. c.c_volume
   end;
   c.c_state <- Flushing;
+  t.flushes_started <- t.flushes_started + 1;
   (match lv.edge with None -> lv.flushing <- true | Some _ -> ());
   let flow =
     Io.start_flow (flush_pool t ~k) ~job:c.c_owner ~nodes:c.c_nodes ~kind:Io.Drain
@@ -152,6 +159,7 @@ and on_flush_done t ~k c =
   let deepest = k = Array.length t.levels - 1 in
   lv.used <- lv.used -. c.c_volume;
   c.c_flow <- None;
+  t.flushes_completed <- t.flushes_completed + 1;
   (match lv.edge with None -> lv.flushing <- false | Some _ -> ());
   if deepest then begin
     c.c_state <- Gone;

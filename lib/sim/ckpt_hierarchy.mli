@@ -111,3 +111,9 @@ val drains_pending : t -> int
 
 val writes_absorbed : t -> int
 val writes_spilled : t -> int
+
+val flushes_started : t -> int
+(** Drains begun out of any level (a failure may abort one in flight). *)
+
+val flushes_completed : t -> int
+(** Drains that landed one tier deeper (or on the PFS). *)

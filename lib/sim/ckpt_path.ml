@@ -12,19 +12,21 @@ module Io = Io_subsystem
    can decide on the capture before the pause mutates the instance. Equals
    [work_done] after {!pause_compute} bit-for-bit. *)
 let capture_content w inst =
-  let t = now w in
-  if t > inst.compute_start then inst.work_done +. (t -. inst.compute_start)
-  else inst.work_done
+  let t = w.clock.now in
+  if t > inst.fl.compute_start then inst.fl.work_done +. (t -. inst.fl.compute_start)
+  else inst.fl.work_done
 
 let rec schedule_ckpt_request w inst =
-  if w.ckpt_enabled && inst.total_work -. inst.work_done > eps_work then
-    arm w inst b_request ~at:(now w +. Float.max 0.0 (inst.period -. inst.ckpt_nominal))
+  if w.ckpt_enabled && inst.fl.total_work -. inst.fl.work_done > eps_work then
+    arm w inst b_request
+      ~at:(w.clock.now +. Float.max 0.0 (inst.fl.period -. inst.fl.ckpt_nominal))
 
 and on_ckpt_request w inst =
   emit_inst w inst Trace.Ckpt_requested;
   match inst.activity with
   | Computing ->
-      let left = inst.total_work -. inst.work_done -. (now w -. inst.compute_start) in
+      let f = inst.fl in
+      let left = f.total_work -. f.work_done -. (w.clock.now -. f.compute_start) in
       (* When the work runs out within [eps_work], no checkpoint: the
          work-done boundary ends the phase. *)
       if left > eps_work then begin
@@ -45,7 +47,7 @@ and on_ckpt_request w inst =
           else if Strategy.is_blocking w.cfg.Config.strategy then begin
             pause_compute w inst;
             inst.activity <- Waiting_ckpt;
-            inst.wait_start <- now w;
+            inst.fl.wait_start <- w.clock.now;
             Arbiter.submit w inst Req_ckpt inst.spec.Jobgen.ckpt_gb;
             Arbiter.try_grant w
           end
@@ -63,8 +65,8 @@ and on_ckpt_request w inst =
           Float.max w.snap.(inst.local_level).Config.sl_cost_s 1.0
         else 1.0
       in
-      arm w inst b_request ~at:(now w +. retry)
-  | Doing_io _ | Computing_pending | Waiting_io _ | Waiting_ckpt | Local_recovery ->
+      arm w inst b_request ~at:(w.clock.now +. retry)
+  | Doing_io | Computing_pending | Waiting_io | Waiting_ckpt | Local_recovery ->
       (* A request is armed only while the job computes or snapshots (it
          is consumed when it fires and disarmed on kill or completion),
          so a firing request always finds it in one of those states. *)
@@ -72,38 +74,38 @@ and on_ckpt_request w inst =
 
 and start_ckpt_flow w inst =
   emit_inst w inst Trace.Ckpt_started;
-  inst.ckpt_content <- inst.work_done;
+  inst.fl.ckpt_content <- inst.fl.work_done;
   let flow =
     Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind:Io.Ckpt
       ~volume_gb:inst.spec.Jobgen.ckpt_gb ~on_complete:inst.cb_ckpt_done
   in
-  inst.activity <- Doing_io (w.io, flow, Io.Ckpt)
+  doing_io inst w.io flow Io.Ckpt
 
 and try_hier_ckpt w h inst =
   let content = capture_content w inst in
   match
     Ckpt_hierarchy.write h ~owner:inst.spec.Jobgen.id ~job:inst.idx
       ~nodes:inst.spec.Jobgen.nodes ~volume_gb:inst.spec.Jobgen.ckpt_gb
-      ~content ~at:(now w) ~on_complete:inst.cb_ckpt_done
+      ~content ~at:w.clock.now ~on_complete:inst.cb_ckpt_done
   with
   | None -> false
   | Some (pool, flow) ->
       pause_compute w inst;
       emit_inst w inst Trace.Ckpt_started;
-      inst.ckpt_content <- inst.work_done;
-      inst.activity <- Doing_io (pool, flow, Io.Ckpt);
+      inst.fl.ckpt_content <- inst.fl.work_done;
+      doing_io inst pool flow Io.Ckpt;
       true
 
 and on_ckpt_done w inst =
   release_token w inst;
-  inst.committed <- inst.ckpt_content;
-  if tracing w then emit_inst w inst (Trace.Ckpt_committed { work = inst.ckpt_content });
+  inst.fl.committed <- inst.fl.ckpt_content;
+  if tracing w then emit_inst w inst (Trace.Ckpt_committed { work = inst.fl.ckpt_content });
   (* A global commit also refreshes every snapshot level's capture point:
      anything a snapshot would roll back to is at least this safe. *)
   for k = 0 to Array.length w.snap - 1 do
-    if inst.ckpt_content > inst.committed_local.(k) then
-      inst.committed_local.(k) <- inst.ckpt_content;
-    inst.local_safe_time.(k) <- now w
+    if inst.fl.ckpt_content > inst.committed_local.(k) then
+      inst.committed_local.(k) <- inst.fl.ckpt_content;
+    inst.local_safe_time.(k) <- w.clock.now
   done;
   (* Commits through the strategy's PFS path are durable below the
      hierarchy; record them so recovery weighs the PFS copy against
@@ -111,18 +113,18 @@ and on_ckpt_done w inst =
   (match w.hier with
   | Some h -> (
       match inst.activity with
-      | Doing_io (sub, _, _) when sub == w.io ->
+      | Doing_io when inst.io_sub == w.io ->
           Ckpt_hierarchy.note_pfs_commit h ~owner:inst.spec.Jobgen.id ~inst:inst.idx
-            ~content:inst.ckpt_content ~at:(now w)
+            ~content:inst.fl.ckpt_content ~at:w.clock.now
       | _ -> ())
   | None -> ());
   flush_uncommitted w inst Metrics.Work;
   if inst.has_ckpt then
     Stats.running_add
       w.interval_stats.(inst.spec.Jobgen.class_index)
-      (now w -. inst.last_commit_end);
+      (w.clock.now -. inst.fl.last_commit_end);
   inst.has_ckpt <- true;
-  inst.last_commit_end <- now w;
+  inst.fl.last_commit_end <- w.clock.now;
   w.ckpts_committed <- w.ckpts_committed + 1;
   schedule_ckpt_request w inst;
   start_compute w inst;
@@ -132,11 +134,13 @@ and on_ckpt_done w inst =
    through [w.h_grant_ckpt]). *)
 let grant_ckpt w (req : request) =
   let inst = req.r_inst in
-  Stats.running_add w.ckpt_wait_stats.(inst.spec.Jobgen.class_index) (now w -. req.r_at);
+  Stats.running_add
+    w.ckpt_wait_stats.(inst.spec.Jobgen.class_index)
+    (w.clock.now -. req.r_fl.r_at);
   (match inst.activity with
-  | Waiting_ckpt -> record_wait w inst ~from:inst.wait_start
+  | Waiting_ckpt -> record_wait w inst ~from:inst.fl.wait_start
   | Computing_pending -> pause_compute w inst
-  | Doing_io _ | Computing | Waiting_io _ | Local_ckpt | Local_recovery -> assert false);
+  | Doing_io | Computing | Waiting_io | Local_ckpt | Local_recovery -> assert false);
   start_ckpt_flow w inst;
   rearm w inst
 
@@ -145,8 +149,8 @@ let grant_ckpt w (req : request) =
 (* ------------------------------------------------------------------ *)
 
 let schedule_local_tick_at w inst k =
-  if w.ckpt_enabled && inst.total_work -. inst.work_done > eps_work then
-    arm w inst (b_tick k) ~at:(now w +. w.snap.(k).Config.sl_period_s)
+  if w.ckpt_enabled && inst.fl.total_work -. inst.fl.work_done > eps_work then
+    arm w inst (b_tick k) ~at:(w.clock.now +. w.snap.(k).Config.sl_period_s)
 
 let schedule_local_tick w inst =
   for k = 0 to Array.length w.snap - 1 do
@@ -156,16 +160,17 @@ let schedule_local_tick w inst =
 let on_local_tick w k inst =
   match inst.activity with
   | Computing ->
-      let left = inst.total_work -. inst.work_done -. (now w -. inst.compute_start) in
+      let f = inst.fl in
+      let left = f.total_work -. f.work_done -. (w.clock.now -. f.compute_start) in
       (* Within [eps_work] of the work running out, no snapshot. *)
       if left > eps_work then begin
         pause_compute w inst;
         inst.activity <- Local_ckpt;
         inst.local_level <- k;
-        inst.local_pause_start <- now w;
-        arm w inst b_pause ~at:(now w +. w.snap.(k).Config.sl_cost_s)
+        inst.fl.local_pause_start <- w.clock.now;
+        arm w inst b_pause ~at:(w.clock.now +. w.snap.(k).Config.sl_cost_s)
       end
-  | Doing_io _ | Computing_pending | Waiting_io _ | Waiting_ckpt | Local_ckpt ->
+  | Doing_io | Computing_pending | Waiting_io | Waiting_ckpt | Local_ckpt ->
       (* Busy with I/O-level activity (or another level's snapshot): try
          again one of this level's periods later. *)
       schedule_local_tick_at w inst k
@@ -173,14 +178,14 @@ let on_local_tick w k inst =
 
 let on_local_done w inst =
   let k = inst.local_level in
-  Metrics.record w.metrics ~t0:inst.local_pause_start ~t1:(now w)
+  Metrics.record w.metrics ~t0:inst.fl.local_pause_start ~t1:w.clock.now
     ~nodes:inst.spec.Jobgen.nodes Metrics.Local_ckpt;
   (* The snapshot captures the state at the pause. Work banked before this
      point survives failures this level rides out; it is counted as
      progress at the next soft rollback, an optimistic first-order
      treatment (a later hard failure hitting the successor before its
      first global commit would in reality re-lose it). *)
-  inst.committed_local.(k) <- inst.work_done;
-  inst.local_safe_time.(k) <- inst.local_pause_start;
+  inst.committed_local.(k) <- inst.fl.work_done;
+  inst.local_safe_time.(k) <- inst.fl.local_pause_start;
   schedule_local_tick_at w inst k;
   start_compute w inst

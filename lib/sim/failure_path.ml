@@ -7,21 +7,21 @@ module Interval_ledger = Cocheck_util.Interval_ledger
 
 let kill_inst w inst =
 
-  let t = now w in
+  let t = w.clock.now in
   (match inst.activity with
-  | Doing_io (sub, flow, kind) ->
-      abort_inst_flow w sub flow;
-      if kind = Io.Ckpt then begin
+  | Doing_io ->
+      abort_inst_flow w inst.io_sub inst.io_flow;
+      if inst.io_kind = Io.Ckpt then begin
         w.ckpts_aborted <- w.ckpts_aborted + 1;
         emit_inst w inst Trace.Ckpt_aborted
       end
   | Computing | Computing_pending -> pause_compute w inst
-  | Waiting_io _ | Waiting_ckpt -> record_wait w inst ~from:inst.wait_start
+  | Waiting_io | Waiting_ckpt -> record_wait w inst ~from:inst.fl.wait_start
   | Local_ckpt ->
-      Metrics.record w.metrics ~t0:inst.local_pause_start ~t1:t
+      Metrics.record w.metrics ~t0:inst.fl.local_pause_start ~t1:t
         ~nodes:inst.spec.Jobgen.nodes Metrics.Local_ckpt
   | Local_recovery ->
-      Metrics.record w.metrics ~t0:inst.wait_start ~t1:t ~nodes:inst.spec.Jobgen.nodes
+      Metrics.record w.metrics ~t0:inst.fl.wait_start ~t1:t ~nodes:inst.spec.Jobgen.nodes
         Metrics.Recovery_io);
   release_token w inst;
   disarm_all w inst;
@@ -38,15 +38,15 @@ let kill_inst w inst =
   (match w.hier with
   | Some h -> Ckpt_hierarchy.apply_failure h ~owner:inst.spec.Jobgen.id ~u
   | None -> ());
+  (* The shallowest surviving snapshot level; -1 when none survives. *)
   let soft_level =
-    let rec find k =
-      if k >= nsnap then None
-      else if u < w.snap.(k).Config.sl_survival then Some k
-      else find (k + 1)
-    in
-    find 0
+    let k = ref 0 in
+    while !k < nsnap && not (u < w.snap.(!k).Config.sl_survival) do
+      incr k
+    done;
+    if !k < nsnap then !k else -1
   in
-  let soft = soft_level <> None in
+  let soft = soft_level >= 0 in
   (* Work captured by the newest surviving snapshot survives the failure;
      everything ending after [safe] is lost. A hard failure keeps [safe] at
      −∞, losing the whole ledger. *)
@@ -69,7 +69,8 @@ let kill_inst w inst =
   if tracing w then emit_inst w inst (Trace.Job_killed { lost_work = lost_s });
 
   flush_partition w inst ~safe;
-  Metrics.record_enrolled w.metrics ~t0:inst.start_time ~t1:t ~nodes:inst.spec.Jobgen.nodes;
+  Metrics.record_enrolled w.metrics ~t0:inst.fl.start_time ~t1:t
+    ~nodes:inst.spec.Jobgen.nodes;
 
   Node_pool.release w.pool inst.nodes;
   live_free w.live inst;
@@ -86,7 +87,7 @@ let kill_inst w inst =
   in
   let base =
     match w.hier with
-    | None -> if soft then Float.max inst.committed local_best else inst.committed
+    | None -> if soft then Float.max inst.fl.committed local_best else inst.fl.committed
     | Some h ->
         (* With a hierarchy the failure may have destroyed the copies
            behind [committed]; only content with a surviving copy (in a
@@ -94,13 +95,13 @@ let kill_inst w inst =
         let surv = Ckpt_hierarchy.surviving_content h ~owner:inst.spec.Jobgen.id ~inst:inst.idx in
         if soft then Float.max surv local_best else surv
   in
-  let remaining = Float.max 0.0 (inst.total_work -. base) in
+  let remaining = Float.max 0.0 (inst.fl.total_work -. base) in
   w.restarts <- w.restarts + 1;
   Submit_queue.push_front w.queue
     {
       e_spec = inst.spec;
       e_remaining = remaining;
-      e_restart = (match soft_level with Some k -> Soft k | None -> Hard);
+      e_restart = (if soft then Soft soft_level else Hard);
       e_has_ckpt =
         (inst.has_ckpt || inst.entry_has_ckpt)
         && (match w.hier with
@@ -116,38 +117,39 @@ let kill_inst w inst =
   Lifecycle.try_start w;
   if w.uses_token then Arbiter.try_grant w
 
-let handle_failure w (e : Failure_trace.event) =
+let handle_failure w node =
   w.failures_seen <- w.failures_seen + 1;
   (* [owner_idx] names the victim's live slot (grants are tagged with it at
      alloc time), so the lookup is one array read — no hash probe, no
      option box — on a path that fires once per failure, millions of times
      in the year-scale runs. *)
-  let slot = Node_pool.owner_idx w.pool e.node in
+  let slot = Node_pool.owner_idx w.pool node in
   if slot < 0 then begin
     (* A failure striking an idle node; -1/-1 marks it in traces. *)
-    if tracing w then emit w ~job:(-1) ~inst:(-1) (Trace.Node_failure { node = e.node })
+    if tracing w then emit w ~job:(-1) ~inst:(-1) (Trace.Node_failure { node })
   end
   else begin
     let inst = w.live.lv.(slot) in
     (* Record the victim with the failure itself so traces can correlate a
        kill with its cause. *)
     if tracing w then
-      emit w ~job:inst.spec.Jobgen.id ~inst:inst.idx (Trace.Node_failure { node = e.node });
+      emit w ~job:inst.spec.Jobgen.id ~inst:inst.idx (Trace.Node_failure { node });
     w.failures_hitting_jobs <- w.failures_hitting_jobs + 1;
     kill_inst w inst
   end
 
-(* One callback serves the whole failure stream: it consumes the next
-   trace event and re-arms itself, so a multi-year trace costs a single
-   closure allocation instead of one per failure. *)
+(* One registered source serves the whole failure stream: it consumes the
+   next trace event and re-arms itself, so a multi-year trace costs a
+   single closure instead of one per failure. *)
 let schedule_failures w trace =
-  let rec fire _ =
-    let e = Failure_trace.next trace in
-    handle_failure w e;
-    arm ()
-  and arm () =
+  let src = ref Engine.no_source in
+  let arm () =
     let t = Failure_trace.peek_time trace in
     if t <= w.cfg.Config.horizon then
-      ignore (Engine.schedule_at w.engine ~kind:Ev_kind.failure ~time:t fire)
+      ignore (Engine.schedule_src w.engine ~kind:Ev_kind.failure ~time:t !src)
   in
+  src :=
+    Engine.source w.engine (fun _ ->
+        handle_failure w (Failure_trace.next_node trace);
+        arm ());
   arm ()

@@ -7,9 +7,9 @@ val kill_inst : Sim_types.w -> Sim_types.inst -> unit
     release its nodes and token, withdraw its arbiter requests, and
     requeue it at the head of the submission queue. *)
 
-val handle_failure : Sim_types.w -> Failure_trace.event -> unit
-(** Process one platform failure event (a no-op beyond counting when it
-    strikes an idle node). *)
+val handle_failure : Sim_types.w -> int -> unit
+(** Process one platform failure striking the given node (a no-op beyond
+    counting when the node is idle). *)
 
 val schedule_failures : Sim_types.w -> Failure_trace.t -> unit
 (** Lazily walk the failure trace onto the engine calendar up to the

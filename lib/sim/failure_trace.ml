@@ -12,13 +12,17 @@ let distribution_name = function
 
 type event = { time : float; node : int }
 
+(* The trace's clock and the drawn-ahead failure's time, in an all-float
+   record so each draw stores them unboxed. *)
+type times = { mutable clock : float; mutable ahead_time : float }
+
 type t = {
   rng : Rng.t;
   nodes : int;
   node_mtbf_s : float;
   draw_gap : Rng.t -> float;
-  mutable clock : float;
-  mutable lookahead : event option;
+  tm : times;
+  mutable ahead_node : int;  (* node of the drawn-ahead failure; -1 when none *)
   mutable count : int;
 }
 
@@ -49,8 +53,8 @@ let create ~rng ~nodes ~node_mtbf_s ?(distribution = Exponential) () =
     nodes;
     node_mtbf_s;
     draw_gap = gap_sampler ~nodes ~node_mtbf_s distribution;
-    clock = 0.0;
-    lookahead = None;
+    tm = { clock = 0.0; ahead_time = 0.0 };
+    ahead_node = -1;
     count = 0;
   }
 
@@ -59,29 +63,27 @@ let create ~rng ~nodes ~node_mtbf_s ?(distribution = Exponential) () =
    mean gap can sit below 1e-9 s, and a 1e-9 floor would silently inflate
    the realized failure rate's mean by 2× or more. Coincident failure
    times are fine — the calendar orders equal-time events by insertion. *)
-let draw t =
+let draw_ahead t =
   let dt = t.draw_gap t.rng in
-  let time = t.clock +. Float.max dt 0.0 in
-  t.clock <- time;
-  { time; node = Rng.int t.rng t.nodes }
-
-let next t =
-  match t.lookahead with
-  | Some e ->
-      t.lookahead <- None;
-      t.count <- t.count + 1;
-      e
-  | None ->
-      t.count <- t.count + 1;
-      draw t
+  let time = t.tm.clock +. Float.max dt 0.0 in
+  t.tm.clock <- time;
+  t.tm.ahead_time <- time;
+  t.ahead_node <- Rng.int t.rng t.nodes
 
 let peek_time t =
-  match t.lookahead with
-  | Some e -> e.time
-  | None ->
-      let e = draw t in
-      t.lookahead <- Some e;
-      e.time
+  if t.ahead_node < 0 then draw_ahead t;
+  t.tm.ahead_time
+
+let next_node t =
+  if t.ahead_node < 0 then draw_ahead t;
+  let node = t.ahead_node in
+  t.ahead_node <- -1;
+  t.count <- t.count + 1;
+  node
+
+let next t =
+  let time = peek_time t in
+  { time; node = next_node t }
 
 let generated t = t.count
 let system_mtbf t = t.node_mtbf_s /. float_of_int t.nodes

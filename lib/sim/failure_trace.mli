@@ -41,6 +41,10 @@ val create :
 val next : t -> event
 (** Generate the next failure (strictly increasing times). *)
 
+val next_node : t -> int
+(** {!next}'s node alone, allocating nothing: the simulator's failure
+    stream reads the time with {!peek_time} when it schedules the event. *)
+
 val peek_time : t -> float
 (** Time of the failure {!next} would return, without consuming it. *)
 

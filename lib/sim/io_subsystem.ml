@@ -60,6 +60,7 @@ type flow = int
    flow harmlessly (stale generation -> no-op), and storing one allocates
    nothing. *)
 
+let no_flow = -1
 let slot_bits = 20
 let slot_mask = (1 lsl slot_bits) - 1
 
@@ -78,14 +79,15 @@ let s_v_seg_hi = 5
 
 type t = {
   engine : Engine.t;
+  clock : Engine.clock;  (* [clock.now] is [Engine.now engine], read unboxed *)
   metrics : Metrics.t;
   bandwidth : float;
   sharing : sharing;
-  heap : int Pqueue.t;  (* pool slots keyed by virtual completion deadline *)
+  heap : Pqueue.t;  (* pool slots keyed by virtual completion deadline *)
   s : float array;  (* mutable float scalars, unboxed; s_* indices *)
   mutable nflows : int;
   mutable next_ev : Engine.handle;  (* THE completion event; Engine.none when absent *)
-  mutable cb_completion : Engine.t -> unit;  (* recycled completion callback *)
+  mutable src_completion : Engine.source;  (* its callback, registered once *)
   seg_lo : float;  (* measurement segment, cached from the ledger *)
   seg_hi : float;
   mutable seg_lo_crossed : bool;  (* whether s_v_seg_lo holds a value *)
@@ -97,10 +99,10 @@ type t = {
   mutable f_job : int array;
   mutable f_nodes : int array;
   mutable f_kind : io_kind array;
-  mutable f_heap_h : int Pqueue.handle array;  (* null_handle when absent *)
+  mutable f_heap_h : Pqueue.handle array;  (* null_handle when absent *)
   mutable f_zv_ev : Engine.handle array;  (* zero-volume event; none when absent *)
   mutable f_on_complete : (unit -> unit) array;
-  mutable f_zv_cb : (Engine.t -> unit) array;  (* recycled per-slot zero-volume callback *)
+  mutable f_zv_src : Engine.source array;  (* per-slot zero-volume completion source *)
   mutable f_volume : float array;
   mutable f_weight : float array;  (* virtual-progress multiplier: nodes, or 1 unshared *)
   mutable f_v_start : float array;  (* virtual clock at admission *)
@@ -127,8 +129,9 @@ let free_slot t i =
   t.free_slots.(t.free_n) <- i;
   t.free_n <- t.free_n + 1
 
-(* The recycled zero-volume completion: completes through the calendar so
-   observers see a consistent order; built once per slot, not per flow. *)
+(* The zero-volume completion: completes through the calendar so
+   observers see a consistent order; registered once per slot, not per
+   flow. *)
 let zv_fire t i _engine =
   t.f_zv_ev.(i) <- Engine.none;
   if t.f_state.(i) = st_zero then begin
@@ -144,7 +147,7 @@ let grow_array a cap fill =
 
 let init_slots t ~from =
   for i = t.cap - 1 downto from do
-    t.f_zv_cb.(i) <- zv_fire t i;
+    t.f_zv_src.(i) <- Engine.source t.engine (zv_fire t i);
     t.free_slots.(t.free_n) <- i;
     t.free_n <- t.free_n + 1
   done
@@ -161,7 +164,7 @@ let grow t =
   t.f_heap_h <- grow_array t.f_heap_h cap Pqueue.null_handle;
   t.f_zv_ev <- grow_array t.f_zv_ev cap Engine.none;
   t.f_on_complete <- grow_array t.f_on_complete cap nop;
-  t.f_zv_cb <- grow_array t.f_zv_cb cap ignore;
+  t.f_zv_src <- grow_array t.f_zv_src cap Engine.no_source;
   t.f_volume <- grow_array t.f_volume cap 0.0;
   t.f_weight <- grow_array t.f_weight cap 0.0;
   t.f_v_start <- grow_array t.f_v_start cap 0.0;
@@ -178,7 +181,7 @@ let alloc_slot t =
   t.free_n <- t.free_n - 1;
   t.free_slots.(t.free_n)
 
-let slope t =
+let[@inline] slope t =
   match t.sharing with
   | `Unshared -> t.bandwidth
   | `Linear -> if t.s.(s_weight) > 0.0 then t.bandwidth /. t.s.(s_weight) else 0.0
@@ -191,7 +194,7 @@ let slope t =
 (* Bring the virtual clock to the engine's current time. Must run before
    any membership change, while the old slope is still in force. *)
 let advance t =
-  let now = Engine.now t.engine in
+  let now = t.clock.now in
   if now > t.s.(s_t_last) then begin
     let sl = slope t in
     if (not t.seg_lo_crossed) && now >= t.seg_lo then begin
@@ -210,7 +213,7 @@ let advance t =
    the segment. The progress fraction is the flow's mean achieved rate over
    the clipped span relative to nominal bandwidth, read off the virtual
    clock; the clamp absorbs float residue on very short spans. *)
-let emit_weighted t i ~now =
+let[@inline] emit_weighted t i ~now =
   let a = Float.max t.f_t_emit.(i) t.seg_lo and b = Float.min now t.seg_hi in
   if b > a then begin
     let va =
@@ -272,8 +275,8 @@ let drop t i =
 (* Retime the single completion event to the heap minimum. Simultaneous
    completions resolve as a cascade of zero-delay events, preserving the
    one-event invariant. The heap root is read piecewise and the calendar
-   event re-armed through the recycled [cb_completion], so per-completion
-   bookkeeping allocates nothing. *)
+   event re-armed through the registered [src_completion], so
+   per-completion bookkeeping allocates nothing. *)
 let rec reschedule_next t =
   if Pqueue.is_empty t.heap then begin
     if not (Engine.is_none t.next_ev) then begin
@@ -290,7 +293,7 @@ let rec reschedule_next t =
          || Engine.reschedule t.engine t.next_ev ~time)
     in
     if not retimed then
-      t.next_ev <- Engine.schedule_at t.engine ~kind:Ev_kind.io ~time t.cb_completion
+      t.next_ev <- Engine.schedule_src t.engine ~kind:Ev_kind.io ~time t.src_completion
   end
 
 and on_next_completion t _engine =
@@ -319,6 +322,7 @@ let create ~engine ~metrics ~bandwidth_gbs ~sharing =
   let t =
     {
       engine;
+      clock = Engine.clock engine;
       metrics;
       bandwidth = bandwidth_gbs;
       sharing;
@@ -326,7 +330,7 @@ let create ~engine ~metrics ~bandwidth_gbs ~sharing =
       s;
       nflows = 0;
       next_ev = Engine.none;
-      cb_completion = ignore;
+      src_completion = Engine.no_source;
       seg_lo;
       seg_hi;
       seg_lo_crossed = now >= seg_lo;
@@ -340,7 +344,7 @@ let create ~engine ~metrics ~bandwidth_gbs ~sharing =
       f_heap_h = Array.make cap Pqueue.null_handle;
       f_zv_ev = Array.make cap Engine.none;
       f_on_complete = Array.make cap nop;
-      f_zv_cb = Array.make cap ignore;
+      f_zv_src = Array.make cap Engine.no_source;
       f_volume = Array.make cap 0.0;
       f_weight = Array.make cap 0.0;
       f_v_start = Array.make cap 0.0;
@@ -352,14 +356,14 @@ let create ~engine ~metrics ~bandwidth_gbs ~sharing =
       free_n = 0;
     }
   in
-  t.cb_completion <- on_next_completion t;
+  t.src_completion <- Engine.source engine (on_next_completion t);
   init_slots t ~from:0;
   t
 
 let start_flow t ~job ~nodes ~kind ~volume_gb ~on_complete =
   if nodes <= 0 then invalid_arg "Io_subsystem.start_flow: non-positive node count";
   if volume_gb < 0.0 then invalid_arg "Io_subsystem.start_flow: negative volume";
-  let now = Engine.now t.engine in
+  let now = t.clock.now in
   let i = alloc_slot t in
   let h = i lor (t.f_gen.(i) lsl slot_bits) in
   t.f_job.(i) <- job;
@@ -377,8 +381,7 @@ let start_flow t ~job ~nodes ~kind ~volume_gb ~on_complete =
     t.f_v_start.(i) <- 0.0;
     t.f_v_done.(i) <- 0.0;
     t.f_v_emit.(i) <- 0.0;
-    t.f_zv_ev.(i) <-
-      Engine.schedule_after t.engine ~kind:Ev_kind.io ~delay:0.0 t.f_zv_cb.(i);
+    t.f_zv_ev.(i) <- Engine.schedule_src t.engine ~kind:Ev_kind.io ~time:now t.f_zv_src.(i);
     h
   end
   else begin
@@ -441,7 +444,7 @@ let active_rate t h =
 
 (* Virtual clock extrapolated to the present without mutating state: the
    slope is constant since the last membership change. *)
-let vnow t = t.s.(s_vclock) +. ((Engine.now t.engine -. t.s.(s_t_last)) *. slope t)
+let vnow t = t.s.(s_vclock) +. ((t.clock.now -. t.s.(s_t_last)) *. slope t)
 
 let remaining_gb t h =
   let i = slot_of t h in

@@ -47,7 +47,11 @@ val io_kind_name : io_kind -> string
     no node-seconds. *)
 
 type t
-type flow
+
+type flow [@@immediate]
+
+val no_flow : flow
+(** A handle that never designates a live flow: {!abort_flow} ignores it. *)
 
 val create :
   engine:Cocheck_des.Engine.t ->

@@ -20,94 +20,57 @@ let rec try_start w =
           try_start w)
 
 and start_instance w entry nodes =
-
   let ci = entry.e_spec.Jobgen.class_index in
   let nsnap = Array.length w.snap in
   let p = w.inst_free in
   let inst =
     if p.inf_n > 0 then begin
-      (* Refill a retired record. Its recycled callbacks (installed when
-         the record was first built) stay in place — they dereference the
-         record at fire time, so they act on this, the current, tenant. *)
+      (* Refill a retired record. Its sources and recycled callbacks
+         (installed when the record was first built) stay in place — they
+         dereference the record at fire time, so they act on this, the
+         current, tenant. [due] is all [infinity] and [next_ev] is
+         [Engine.none]: the previous tenant's kill or completion disarmed
+         every boundary. *)
       p.inf_n <- p.inf_n - 1;
       let i = p.inf.(p.inf_n) in
-      i.idx <- w.next_inst;
       i.spec <- entry.e_spec;
-      i.total_work <- entry.e_remaining;
-      i.entry_has_ckpt <- entry.e_has_ckpt;
-      i.restarts <- entry.e_restarts;
       i.nodes <- nodes;
-      i.start_time <- now w;
-      i.period <- w.periods.(ci);
-      i.ckpt_nominal <- w.ckpt_nominals.(ci);
-      i.activity <- Computing;
-      i.work_done <- 0.0;
-      i.committed <- 0.0;
-      i.has_ckpt <- false;
-      i.compute_start <- now w;
       Interval_ledger.clear i.uncommitted;
-      i.last_commit_end <- now w;
-      i.wait_start <- now w;
-      i.ckpt_content <- 0.0;
-      i.holds_token <- false;
-      Array.fill i.committed_local 0 nsnap 0.0;
-      Array.fill i.local_safe_time 0 nsnap (now w);
-      i.local_level <- 0;
-      i.local_pause_start <- now w;
-      (* [due] is all [infinity] and [next_ev] is [Engine.none]: the
-         previous tenant's kill or completion disarmed every boundary. *)
       i
     end
     else begin
-      let i =
-        {
-          idx = w.next_inst;
-          spec = entry.e_spec;
-          total_work = entry.e_remaining;
-          entry_has_ckpt = entry.e_has_ckpt;
-          restarts = entry.e_restarts;
-          nodes;
-          start_time = now w;
-          period = w.periods.(ci);
-          ckpt_nominal = w.ckpt_nominals.(ci);
-          activity = Computing;
-          work_done = 0.0;
-          committed = 0.0;
-          has_ckpt = false;
-          compute_start = now w;
-          uncommitted = Interval_ledger.create ();
-          last_commit_end = now w;
-          wait_start = now w;
-          io_start = now w;
-          ckpt_content = 0.0;
-          holds_token = false;
-          (* Zero-length arrays are shared atoms: legacy (snapshot-free)
-             configs allocate nothing extra here. *)
-          committed_local = Array.make nsnap 0.0;
-          local_safe_time = Array.make nsnap (now w);
-          local_level = 0;
-          local_pause_start = now w;
-          due = Array.make (boundary_slots ~levels:nsnap) infinity;
-          due_rank = Array.make (boundary_slots ~levels:nsnap) 0;
-          next_ev = Engine.none;
-          next_ev_rank = -1;
-          cb_boundary = ignore;
-          cb_ckpt_done = ignore;
-          live_slot = -1;
-        }
-      in
-      (* The recycled callbacks: one closure each per record, surviving
-         the record's reuse. *)
-      i.cb_boundary <-
-        (fun _ ->
-          i.next_ev <- Engine.none;
-          on_boundary w i);
+      let i = blank_inst ~spec:entry.e_spec ~nodes ~io:w.io ~nsnap in
+      i.src_boundary <-
+        Engine.source w.engine (fun _ ->
+            i.next_ev <- Engine.none;
+            on_boundary w i);
       i.cb_ckpt_done <- (fun () -> Ckpt_path.on_ckpt_done w i);
+      i.cb_io_done <- (fun () -> on_blocking_io_done w i i.io_kind);
       i
     end
   in
-
-
+  let t = w.clock.now in
+  inst.idx <- w.next_inst;
+  inst.entry_has_ckpt <- entry.e_has_ckpt;
+  inst.restarts <- entry.e_restarts;
+  inst.activity <- Computing;
+  inst.has_ckpt <- false;
+  inst.holds_token <- false;
+  inst.local_level <- 0;
+  let f = inst.fl in
+  f.total_work <- entry.e_remaining;
+  f.start_time <- t;
+  f.period <- w.periods.(ci);
+  f.ckpt_nominal <- w.ckpt_nominals.(ci);
+  f.work_done <- 0.0;
+  f.committed <- 0.0;
+  f.compute_start <- t;
+  f.last_commit_end <- t;
+  f.wait_start <- t;
+  f.ckpt_content <- 0.0;
+  f.local_pause_start <- t;
+  Array.fill inst.committed_local 0 nsnap 0.0;
+  Array.fill inst.local_safe_time 0 nsnap t;
   w.next_inst <- w.next_inst + 1;
   w.jobs_started <- w.jobs_started + 1;
   (* Claims the slot the [Node_pool.alloc] grant above was tagged with:
@@ -124,8 +87,8 @@ and start_instance w entry nodes =
       let k = min k (nsnap - 1) in
       inst.activity <- Local_recovery;
       inst.local_level <- k;
-      inst.wait_start <- now w;
-      arm w inst b_pause ~at:(now w +. w.snap.(k).Config.sl_recovery_s);
+      inst.fl.wait_start <- w.clock.now;
+      arm w inst b_pause ~at:(w.clock.now +. w.snap.(k).Config.sl_recovery_s);
       rearm w inst
   | Fresh | Soft _ | Hard ->
       let volume =
@@ -140,6 +103,7 @@ and start_instance w entry nodes =
    strategy; under a token discipline they queue, otherwise they start at
    once. *)
 and begin_blocking_io w inst kind volume =
+  inst.io_kind <- kind;
   let fast =
     (* Fast restart: the newest surviving checkpoint is still in a buffer
        tier, so the recovery read goes at that tier's speed. *)
@@ -152,39 +116,36 @@ and begin_blocking_io w inst kind volume =
             let pool, flow =
               Ckpt_hierarchy.read h ~owner:inst.spec.Jobgen.id ~job:inst.idx
                 ~nodes:inst.spec.Jobgen.nodes ~volume_gb:volume ~level
-                ~on_complete:(fun () -> on_blocking_io_done w inst kind)
+                ~on_complete:inst.cb_io_done
             in
-            inst.activity <- Doing_io (pool, flow, kind);
+            doing_io inst pool flow kind;
             true
         | None -> false)
     | None -> false
   in
   if fast then ()
-  else if volume <= 0.0 then begin
+  else if volume <= 0.0 then
     (* No bytes to move: complete through the flow engine's zero-volume
        path (an immediate event a kill can still abort), without taking the
        token. *)
-    let flow =
-      Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind ~volume_gb:0.0
-        ~on_complete:(fun () -> on_blocking_io_done w inst kind)
-    in
-    inst.activity <- Doing_io (w.io, flow, kind)
-  end
+    start_blocking_flow w inst kind 0.0
   else if w.uses_token then begin
-    inst.activity <- Waiting_io kind;
-    inst.wait_start <- now w;
-
+    inst.activity <- Waiting_io;
+    inst.fl.wait_start <- w.clock.now;
     Arbiter.submit w inst (rkind_io kind) volume;
     Arbiter.try_grant w
   end
   else begin
-    inst.io_start <- now w;
-    let flow =
-      Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind ~volume_gb:volume
-        ~on_complete:(fun () -> on_blocking_io_done w inst kind)
-    in
-    inst.activity <- Doing_io (w.io, flow, kind)
+    inst.fl.io_start <- w.clock.now;
+    start_blocking_flow w inst kind volume
   end
+
+and start_blocking_flow w inst kind volume =
+  let flow =
+    Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind ~volume_gb:volume
+      ~on_complete:inst.cb_io_done
+  in
+  doing_io inst w.io flow kind
 
 (* Regular input/output transfers report their dilation factor: actual
    over nominal (full-bandwidth) duration, timed from [io_start]. Their
@@ -199,7 +160,8 @@ and emit_io_done w inst kind =
   in
   if volume > 0.0 then
     emit_inst w inst
-      (Trace.Io_done { dilation = (now w -. inst.io_start) /. (volume /. bandwidth w) })
+      (Trace.Io_done
+         { dilation = (w.clock.now -. inst.fl.io_start) /. (volume /. bandwidth w) })
 
 and on_blocking_io_done w inst kind =
   if tracing w then emit_io_done w inst kind;
@@ -210,8 +172,8 @@ and on_blocking_io_done w inst kind =
          request lands one (P − C) from now (subsequent requests measure
          from each commit's end, Section 2). *)
       emit_inst w inst Trace.Input_done;
-      inst.last_commit_end <- now w;
-      Array.fill inst.local_safe_time 0 (Array.length inst.local_safe_time) (now w);
+      inst.fl.last_commit_end <- w.clock.now;
+      Array.fill inst.local_safe_time 0 (Array.length inst.local_safe_time) w.clock.now;
       Ckpt_path.schedule_ckpt_request w inst;
       Ckpt_path.schedule_local_tick w inst;
       start_compute w inst
@@ -229,11 +191,11 @@ and on_boundary w inst =
   else if b = b_pause then begin
     match inst.activity with
     | Local_recovery ->
-        Metrics.record w.metrics ~t0:inst.wait_start ~t1:(now w)
+        Metrics.record w.metrics ~t0:inst.fl.wait_start ~t1:w.clock.now
           ~nodes:inst.spec.Jobgen.nodes Metrics.Recovery_io;
         on_blocking_io_done w inst Io.Recovery
     | Local_ckpt -> Ckpt_path.on_local_done w inst
-    | Doing_io _ | Computing | Computing_pending | Waiting_io _ | Waiting_ckpt -> assert false
+    | Doing_io | Computing | Computing_pending | Waiting_io | Waiting_ckpt -> assert false
   end
   else Ckpt_path.on_local_tick w (b - b_tick 0) inst;
   rearm w inst
@@ -248,7 +210,7 @@ and on_work_complete w inst =
 and finish_job w inst =
   emit_inst w inst Trace.Job_completed;
   flush_uncommitted w inst Metrics.Work;
-  Metrics.record_enrolled w.metrics ~t0:inst.start_time ~t1:(now w)
+  Metrics.record_enrolled w.metrics ~t0:inst.fl.start_time ~t1:w.clock.now
     ~nodes:inst.spec.Jobgen.nodes;
   Node_pool.release w.pool inst.nodes;
   live_free w.live inst;
@@ -264,11 +226,6 @@ and finish_job w inst =
 let grant_io w (req : request) =
   let inst = req.r_inst in
   let kind = match req.r_kind with Req_io k -> k | Req_ckpt -> assert false in
-  record_wait w inst ~from:inst.wait_start;
-  inst.io_start <- now w;
-  let flow =
-    Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind
-      ~volume_gb:req.r_volume
-      ~on_complete:(fun () -> on_blocking_io_done w inst kind)
-  in
-  inst.activity <- Doing_io (w.io, flow, kind)
+  record_wait w inst ~from:inst.fl.wait_start;
+  inst.fl.io_start <- w.clock.now;
+  start_blocking_flow w inst kind req.r_fl.r_volume

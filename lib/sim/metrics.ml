@@ -63,7 +63,7 @@ let[@inline] record t ~t0 ~t1 ~nodes kind =
     t.totals.(i) <- t.totals.(i) +. (span *. float_of_int nodes)
   end
 
-let record_weighted t ~t0 ~t1 ~nodes ~fraction ~progress ~waste =
+let[@inline] record_weighted t ~t0 ~t1 ~nodes ~fraction ~progress ~waste =
   if fraction < -1e-9 || fraction > 1.0 +. 1e-9 then
     invalid_arg "Metrics.record_weighted: fraction outside [0,1]";
   let fraction = Float.min 1.0 (Float.max 0.0 fraction) in
@@ -75,7 +75,7 @@ let record_weighted t ~t0 ~t1 ~nodes ~fraction ~progress ~waste =
     t.totals.(wi) <- t.totals.(wi) +. (ns *. (1.0 -. fraction))
   end
 
-let record_enrolled t ~t0 ~t1 ~nodes =
+let[@inline] record_enrolled t ~t0 ~t1 ~nodes =
   if nodes < 0 then invalid_arg "Metrics.record_enrolled: negative node count";
   let span = clipped_span t ~t0 ~t1 in
   t.enrolled <- t.enrolled +. (span *. float_of_int nodes)

@@ -32,44 +32,60 @@ type entry = {
   e_restarts : int;
 }
 
+(* What an instance is doing. Every constructor is constant, so the type
+   is immediate and a store is a plain word write; the transfer in flight
+   ([Doing_io]) or awaited ([Waiting_io]) is described by the instance's
+   [io_sub], [io_flow] and [io_kind] fields. *)
 type activity =
-  | Doing_io of Io.t * Io.flow * Io.io_kind
+  | Doing_io  (* a blocking or checkpoint transfer: [io_flow] on [io_sub] *)
   | Computing
   | Computing_pending  (* non-blocking: computing with a checkpoint request out *)
-  | Waiting_io of Io.io_kind
+  | Waiting_io  (* a blocking transfer of [io_kind] queued for the token *)
   | Waiting_ckpt  (* blocking FCFS: idle until the token grants the commit *)
   | Local_ckpt  (* two-level: paused for a node-local snapshot *)
   | Local_recovery  (* two-level: restarting from node-local state *)
 
-(* Instance records are pooled ({!Lifecycle.start_instance} refills a
-   retired record instead of allocating one per start, the restart-storm
-   hot path), so every scalar field is mutable; the container fields
-   (ledger, per-snapshot-level arrays, recycled callbacks) are reused in
-   place — their sizes depend only on the run's config, never on the
-   instance. A record must only be released once every boundary is
-   disarmed (its one calendar event cancelled) and every flow aborted: the
-   recycled callbacks stay installed across reuses and act on whichever
-   instance currently owns the record. *)
-type inst = {
-  mutable idx : int;
-  mutable spec : Jobgen.spec;
+(* The instance's mutable floats. A record of floats only is stored flat,
+   so assigning a field writes the double in place; the same field in a
+   mixed record would box a fresh float and go through the write barrier
+   on every store. *)
+type inst_floats = {
   mutable total_work : float;
-  mutable entry_has_ckpt : bool;
-  mutable restarts : int;
-  mutable nodes : Node_pool.allocation;
   mutable start_time : float;
   mutable period : float;  (* P_i under the strategy's period rule *)
   mutable ckpt_nominal : float;  (* C_i at full bandwidth *)
-  mutable activity : activity;
   mutable work_done : float;
   mutable committed : float;
-  mutable has_ckpt : bool;  (* committed during this instance *)
   mutable compute_start : float;
-  uncommitted : Interval_ledger.t;  (* work intervals since last commit *)
   mutable last_commit_end : float;
   mutable wait_start : float;
   mutable io_start : float;  (* start of the blocking transfer in flight *)
   mutable ckpt_content : float;  (* work level a commit in flight captures *)
+  mutable local_pause_start : float;
+}
+
+(* Instance records are pooled ({!Lifecycle.start_instance} refills a
+   retired record instead of allocating one per start, the restart-storm
+   hot path), so every scalar field is mutable; the container fields
+   (float record, ledger, per-snapshot-level arrays, sources and recycled
+   callbacks) are reused in place — their sizes depend only on the run's
+   config, never on the instance. A record must only be released once
+   every boundary is disarmed (its one calendar event cancelled) and every
+   flow aborted: the sources and callbacks stay installed across reuses
+   and act on whichever instance currently owns the record. *)
+type inst = {
+  mutable idx : int;
+  mutable spec : Jobgen.spec;
+  fl : inst_floats;
+  mutable entry_has_ckpt : bool;
+  mutable restarts : int;
+  mutable nodes : Node_pool.allocation;
+  mutable activity : activity;
+  mutable io_sub : Io.t;  (* subsystem of the last transfer started *)
+  mutable io_flow : Io.flow;
+  mutable io_kind : Io.io_kind;  (* kind of the transfer in flight or awaited *)
+  mutable has_ckpt : bool;  (* committed during this instance *)
+  uncommitted : Interval_ledger.t;  (* work intervals since last commit *)
   mutable holds_token : bool;
   (* Multilevel (snapshot-level) checkpointing state, one slot per
      {!Config.snapshot_level} (shallow → deep; all empty-array atoms when
@@ -77,7 +93,6 @@ type inst = {
   committed_local : float array;  (* work level of each level's newest snapshot *)
   local_safe_time : float array;  (* wall time of that capture point *)
   mutable local_level : int;  (* level of the in-flight snapshot/recovery *)
-  mutable local_pause_start : float;
   (* The instance's own boundaries, one slot each (see {!b_work_done}):
      the due time, [infinity] when unarmed, and the FIFO rank drawn when
      it was armed ({!Engine.draw_rank}). Only the first boundary sits on
@@ -88,14 +103,80 @@ type inst = {
   due_rank : int array;
   mutable next_ev : Engine.handle;
   mutable next_ev_rank : int;
-  (* Recycled callbacks, built once per record ({!Lifecycle.start_instance}
-     installs them): [next_ev] always fires [cb_boundary], and every
-     checkpoint transfer completes through [cb_ckpt_done], instead of
-     allocating a fresh closure per event or flow. *)
-  mutable cb_boundary : Engine.t -> unit;
+  (* Registered once per record ({!Lifecycle.start_instance} installs
+     them): [next_ev] always fires [src_boundary], every checkpoint
+     transfer completes through [cb_ckpt_done] and every blocking transfer
+     through [cb_io_done], instead of allocating a fresh closure per event
+     or flow. *)
+  mutable src_boundary : Engine.source;
   mutable cb_ckpt_done : unit -> unit;
+  mutable cb_io_done : unit -> unit;
   mutable live_slot : int;  (* slot in [w.live] while holding nodes; -1 otherwise *)
 }
+
+(* Boundary slots of [inst.due]. A compute phase ends at the first of
+   three: the work running out, the checkpoint request, a snapshot tick;
+   a snapshot pause or a local-recovery delay ends at [b_pause]. *)
+let b_work_done = 0
+let b_pause = 1  (* end of a snapshot pause or of a local-recovery delay *)
+let b_request = 2
+let[@inline] b_tick k = 3 + k
+let boundary_slots ~levels = 3 + levels
+
+(* A record with every float zero and no source or callback installed:
+   {!Lifecycle.start_instance} fills it in; tests drive the arbiters with
+   it directly. *)
+let blank_inst ~spec ~nodes ~io ~nsnap =
+  {
+    idx = -1;
+    spec;
+    fl =
+      {
+        total_work = 0.0;
+        start_time = 0.0;
+        period = 0.0;
+        ckpt_nominal = 0.0;
+        work_done = 0.0;
+        committed = 0.0;
+        compute_start = 0.0;
+        last_commit_end = 0.0;
+        wait_start = 0.0;
+        io_start = 0.0;
+        ckpt_content = 0.0;
+        local_pause_start = 0.0;
+      };
+    entry_has_ckpt = false;
+    restarts = 0;
+    nodes;
+    activity = Computing;
+    io_sub = io;
+    io_flow = Io.no_flow;
+    io_kind = Io.Input;
+    has_ckpt = false;
+    uncommitted = Interval_ledger.create ();
+    holds_token = false;
+    (* Zero-length arrays are shared atoms: legacy (snapshot-free) configs
+       allocate nothing extra here. *)
+    committed_local = Array.make nsnap 0.0;
+    local_safe_time = Array.make nsnap 0.0;
+    local_level = 0;
+    due = Array.make (boundary_slots ~levels:nsnap) infinity;
+    due_rank = Array.make (boundary_slots ~levels:nsnap) 0;
+    next_ev = Engine.none;
+    next_ev_rank = -1;
+    src_boundary = Engine.no_source;
+    cb_ckpt_done = ignore;
+    cb_io_done = ignore;
+    live_slot = -1;
+  }
+
+(* Enter [Doing_io] for [flow] on [sub]. Nearly every transfer runs on the
+   PFS, so the subsystem pointer is written only when it changes. *)
+let[@inline] doing_io inst sub flow kind =
+  if inst.io_sub != sub then inst.io_sub <- sub;
+  inst.io_flow <- flow;
+  inst.io_kind <- kind;
+  inst.activity <- Doing_io
 
 type rkind = Req_ckpt | Req_io of Io.io_kind
 
@@ -117,7 +198,8 @@ let rkind_io : Io.io_kind -> rkind = function
 
 (* Requests are pooled: every field but [r_key] is mutable so
    {!Arbiter.submit} can refill a recycled record instead of allocating
-   one per submission. [r_key] is permanent: the record's build number,
+   one per submission; the two floats live in a flat all-float record.
+   [r_key] is permanent: the record's build number,
    given once when {!Arbiter.submit} builds it (the count of records
    built so far), so keys stay dense and bounded by the deepest backlog
    ever seen — the Least-Waste aggregate indexes a flat array with them.
@@ -125,15 +207,26 @@ let rkind_io : Io.io_kind -> rkind = function
    holding this record, or [-1] while the record is outside the pool; a
    pool slot is live exactly when its record's [r_slot] points back at it,
    which is what lets the pool drop its id → slot hash table. *)
+type req_floats = { mutable r_volume : float; mutable r_at : float }
+
 type request = {
   r_key : int;
   mutable r_inst : inst;
   mutable r_kind : rkind;
-  mutable r_volume : float;
-  mutable r_at : float;
+  r_fl : req_floats;
   mutable r_cancelled : bool;
   mutable r_slot : int;
 }
+
+let make_request ~key ~inst ~kind ~volume ~at =
+  {
+    r_key = key;
+    r_inst = inst;
+    r_kind = kind;
+    r_fl = { r_volume = volume; r_at = at };
+    r_cancelled = false;
+    r_slot = -1;
+  }
 
 (* The recycling stack for retired request records. It lives outside [w]
    (created before the arbiter, which is built inside the [w] literal) so
@@ -275,6 +368,7 @@ type w = {
   cfg : Config.t;
   classes : App_class.t array;
   engine : Engine.t;
+  clock : Engine.clock;  (* the engine's clock cell: [w.clock.now] is the time *)
   metrics : Metrics.t;
   io : Io.t;
   pool : Node_pool.t;
@@ -312,25 +406,15 @@ type w = {
 }
 
 let eps_work = 1e-6
-let now w = Engine.now w.engine
 let bandwidth w = w.cfg.Config.platform.Platform.bandwidth_gbs
 
 let unwired : 'a. 'a -> unit =
  fun _ -> invalid_arg "Sim_types: continuation used before Simulator.run wired it"
 
-(* Boundary slots of [inst.due]. A compute phase ends at the first of
-   three: the work running out, the checkpoint request, a snapshot tick;
-   a snapshot pause or a local-recovery delay ends at [b_pause]. *)
-let b_work_done = 0
-let b_pause = 1  (* end of a snapshot pause or of a local-recovery delay *)
-let b_request = 2
-let[@inline] b_tick k = 3 + k
-let boundary_slots ~levels = 3 + levels
-
 (* Arm boundary [b] at [at]. Its rank is drawn now, so among events due
    at the same time it fires where an event scheduled now would, however
    late the handle reaches the calendar. *)
-let arm w inst b ~at =
+let[@inline] arm w inst b ~at =
   inst.due.(b) <- at;
   inst.due_rank.(b) <- Engine.draw_rank w.engine
 
@@ -373,7 +457,7 @@ let rearm w inst =
           match inst.activity with Local_recovery -> Ev_kind.job | _ -> Ev_kind.ckpt
         else Ev_kind.ckpt
       in
-      inst.next_ev <- Engine.schedule_ranked w.engine ~kind ~time ~rank inst.cb_boundary;
+      inst.next_ev <- Engine.schedule_ranked w.engine ~kind ~time ~rank inst.src_boundary;
       inst.next_ev_rank <- rank
     end
     else if rank <> inst.next_ev_rank then begin
@@ -391,9 +475,9 @@ let disarm_all w inst =
    [compute_start + max(left, 0)]. *)
 let start_compute w inst =
   inst.activity <- Computing;
-  inst.compute_start <- now w;
+  inst.fl.compute_start <- w.clock.now;
   arm w inst b_work_done
-    ~at:(inst.compute_start +. Float.max (inst.total_work -. inst.work_done) 0.0);
+    ~at:(inst.fl.compute_start +. Float.max (inst.fl.total_work -. inst.fl.work_done) 0.0);
   rearm w inst
 
 (* Close the open compute interval: bank the work and remember the interval
@@ -403,10 +487,10 @@ let pause_compute w inst =
   | Computing | Computing_pending -> ()
   | _ -> invalid_arg "Simulator.pause_compute: not computing");
   disarm inst b_work_done;
-  let t = now w in
-  if t > inst.compute_start then begin
-    inst.work_done <- inst.work_done +. (t -. inst.compute_start);
-    Interval_ledger.push inst.uncommitted ~lo:inst.compute_start ~hi:t
+  let t = w.clock.now in
+  if t > inst.fl.compute_start then begin
+    inst.fl.work_done <- inst.fl.work_done +. (t -. inst.fl.compute_start);
+    Interval_ledger.push inst.uncommitted ~lo:inst.fl.compute_start ~hi:t
   end
 
 (* Flush order contract: the retired list ledger kept its head newest, so
@@ -425,7 +509,7 @@ let flush_uncommitted w inst kind =
    survive as work (the multilevel soft-restart path); [safe = neg_infinity]
    loses everything. Lost intervals flush first, then kept ones, each subset
    newest-first — the exact record order of the old two-pass list flush. *)
-let flush_partition w inst ~safe =
+let[@inline] flush_partition w inst ~safe =
   let led = inst.uncommitted in
   let n = Interval_ledger.length led in
   for i = n - 1 downto 0 do
@@ -440,12 +524,12 @@ let flush_partition w inst ~safe =
   done;
   Interval_ledger.clear led
 
-let record_wait w inst ~from =
-  Metrics.record w.metrics ~t0:from ~t1:(now w) ~nodes:inst.spec.nodes Metrics.Wait
+let[@inline] record_wait w inst ~from =
+  Metrics.record w.metrics ~t0:from ~t1:w.clock.now ~nodes:inst.spec.nodes Metrics.Wait
 
 let emit w ~job ~inst kind =
   match w.observe with
-  | Some f -> f { Trace.time = now w; job; inst; kind }
+  | Some f -> f { Trace.time = w.clock.now; job; inst; kind }
   | None -> ()
 
 let emit_inst w (inst : inst) kind = emit w ~job:inst.spec.Jobgen.id ~inst:inst.idx kind

@@ -39,6 +39,8 @@ type result = {
       (* raw node-seconds rolled back per class, not segment-clipped *)
   token_grants : int;
   candidates_scored : int;
+  flushes_started : int;
+  flushes_completed : int;
 }
 
 type snapshot = {
@@ -79,11 +81,11 @@ let snapshot_of w =
     (fun _ inst ->
       match inst.activity with
       | Computing | Computing_pending -> incr computing
-      | Doing_io _ -> incr in_io
-      | Waiting_io _ | Waiting_ckpt | Local_ckpt | Local_recovery -> incr waiting)
+      | Doing_io -> incr in_io
+      | Waiting_io | Waiting_ckpt | Local_ckpt | Local_recovery -> incr waiting)
     w.insts;
   {
-    snap_time = now w;
+    snap_time = w.clock.now;
     free_nodes = Node_pool.free_count w.pool;
     used_nodes = Node_pool.used_count w.pool;
     queued_jobs = Submit_queue.length w.queue;
@@ -101,18 +103,22 @@ let snapshot_of w =
     waste_by_kind = Metrics.by_kind w.metrics;
   }
 
-(* Probes ride the engine calendar at t = dt, 2dt, ...; read-only, so they
-   cannot perturb the schedule (FIFO ordering at equal times aside, the
-   probe closures touch no simulation state). *)
+(* Probes ride the engine calendar at t = dt, 2dt, ... through one
+   registered source; read-only, so they cannot perturb the schedule (FIFO
+   ordering at equal times aside, the probe touches no simulation
+   state). *)
 let schedule_probes w ~dt observe =
   if not (Float.is_finite dt && dt > 0.0) then
     invalid_arg "Simulator.run: sample interval must be positive";
-  let rec tick _ =
-    observe (snapshot_of w);
-    if now w +. dt <= w.cfg.horizon then
-      ignore (Engine.schedule_after w.engine ~kind:Ev_kind.probe ~delay:dt tick)
+  let src = ref Engine.no_source in
+  let arm () =
+    ignore (Engine.schedule_src w.engine ~kind:Ev_kind.probe ~time:(w.clock.now +. dt) !src)
   in
-  ignore (Engine.schedule_after w.engine ~kind:Ev_kind.probe ~delay:dt tick)
+  src :=
+    Engine.source w.engine (fun _ ->
+        observe (snapshot_of w);
+        if w.clock.now +. dt <= w.cfg.horizon then arm ());
+  arm ()
 
 (* ------------------------------------------------------------------ *)
 (* Top level.                                                           *)
@@ -127,17 +133,17 @@ let finalize w =
   List.iter
     (fun inst ->
       (match inst.activity with
-      | Doing_io (sub, flow, _) -> abort_inst_flow w sub flow
+      | Doing_io -> abort_inst_flow w inst.io_sub inst.io_flow
       | Computing | Computing_pending -> pause_compute w inst
-      | Waiting_io _ | Waiting_ckpt -> record_wait w inst ~from:inst.wait_start
+      | Waiting_io | Waiting_ckpt -> record_wait w inst ~from:inst.fl.wait_start
       | Local_ckpt ->
-          Metrics.record w.metrics ~t0:inst.local_pause_start ~t1:t
+          Metrics.record w.metrics ~t0:inst.fl.local_pause_start ~t1:t
             ~nodes:inst.spec.Jobgen.nodes Metrics.Local_ckpt
       | Local_recovery ->
-          Metrics.record w.metrics ~t0:inst.wait_start ~t1:t ~nodes:inst.spec.Jobgen.nodes
+          Metrics.record w.metrics ~t0:inst.fl.wait_start ~t1:t ~nodes:inst.spec.Jobgen.nodes
             Metrics.Recovery_io);
       flush_uncommitted w inst Metrics.Work;
-      Metrics.record_enrolled w.metrics ~t0:inst.start_time ~t1:t
+      Metrics.record_enrolled w.metrics ~t0:inst.fl.start_time ~t1:t
         ~nodes:inst.spec.Jobgen.nodes)
     running
 
@@ -216,6 +222,7 @@ let run ?specs ?observe ?sample ?on_engine (cfg : Config.t) =
       cfg;
       classes;
       engine;
+      clock = Engine.clock engine;
       metrics;
       io;
       pool = Node_pool.create ~nodes:cfg.platform.Platform.nodes;
@@ -327,6 +334,10 @@ let run ?specs ?observe ?sample ?on_engine (cfg : Config.t) =
         (Array.mapi (fun i c -> (c.App_class.name, w.lost_ns_by_class.(i))) classes);
     token_grants = arb.arb_granted;
     candidates_scored = arb.arb_scored;
+    flushes_started =
+      (match w.hier with Some h -> Ckpt_hierarchy.flushes_started h | None -> 0);
+    flushes_completed =
+      (match w.hier with Some h -> Ckpt_hierarchy.flushes_completed h | None -> 0);
   }
 
 let waste_ratio ~(strategy : result) ~(baseline : result) =

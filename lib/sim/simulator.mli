@@ -49,6 +49,12 @@ type result = {
   candidates_scored : int;
       (** pending requests whose Eq. (1)/(2) waste (Least-Waste) or
           exposure (Greedy-Exposure) a grant evaluated; 0 under FIFO *)
+  flushes_started : int;
+      (** checkpoint-hierarchy drains begun, every level; 0 without
+          buffer levels *)
+  flushes_completed : int;
+      (** hierarchy drains that landed one tier deeper; the rest were
+          aborted by failures or cut by the horizon *)
 }
 
 type snapshot = {

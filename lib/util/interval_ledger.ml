@@ -46,7 +46,7 @@ let[@inline] clear t = t.len <- 0
 (* Σ (hi − lo) over intervals with [hi > safe], newest first with seed 0.0 —
    the exact fold the failure path ran over the partitioned list, so the
    lost-work float is bit-identical. *)
-let lost_above t ~safe =
+let[@inline] lost_above t ~safe =
   let acc = ref 0.0 in
   for i = t.len - 1 downto 0 do
     let hi = Array.unsafe_get t.hi i in

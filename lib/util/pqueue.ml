@@ -13,6 +13,11 @@
      integer naming the entry for its whole stay — and never move;
    - a handle is one tagged integer, [(generation lsl 30) lor slot].
 
+   Payloads are integers (the engine's source ids, the flow scheduler's
+   slots), so every array but [prio] is an [int array]: no store goes
+   through the write barrier, and a freed slot needs no filler to stop it
+   pinning a value against the GC.
+
    Slots are drawn from a freelist stack and recycled. Each recycling bumps
    the slot's generation, so a stale handle (popped, removed or cleared)
    can never alias the slot's next tenant: [mem] checks the generation
@@ -20,25 +25,20 @@
    33-bit and monotone per slot; wrap-around would need ~8e9 reuses of a
    single slot.
 
-   Dead slots must not pin their last value against the GC, but a generic
-   ['a array] has no fabricated null to store. The queue instead keeps the
-   first value it ever sees as a permanent filler ([filler], an array of
-   length 0 or 1 so reads stay match-free) and overwrites dead slots with
-   it on every free — exactly one caller value is pinned for the queue's
-   lifetime, and everything else is collectable as soon as it leaves.
+   Sifts are hole-based loops: the moving element rides in locals and each
+   step shifts one element into the hole (4 array stores) instead of
+   swapping (8), writing the mover once at its final position. They are
+   inlined, as are [add_seq] and [update_seq]: a recursive or out-of-line
+   sift would take the priority as a boxed argument. *)
 
-   Sifts are hole-based: the moving element rides in registers/arguments
-   and each step shifts one element into the hole (4 array stores) instead
-   of swapping (8), writing the mover once at its final position. *)
-
-type 'a handle = int
+type handle = int
 
 let slot_bits = 30
 let slot_mask = (1 lsl slot_bits) - 1
-let null_handle : 'a handle = -1
+let null_handle = -1
 let is_null h = h < 0
 
-type 'a t = {
+type t = {
   (* heap-position-indexed *)
   mutable prio : float array;
   mutable seq : int array;
@@ -47,8 +47,7 @@ type 'a t = {
   mutable pos : int array;  (* slot -> heap position; -1 when free *)
   mutable gen : int array;  (* slot -> generation of the current tenancy *)
   mutable tag : int array;
-  mutable value : 'a array;  (* free slots hold the filler *)
-  mutable filler : 'a array;  (* [||] until the first add, then [| dummy |] *)
+  mutable value : int array;
   mutable free : int array;  (* freelist stack of recycled slots *)
   mutable free_top : int;
   mutable slots_used : int;  (* slot high-water mark *)
@@ -65,7 +64,6 @@ let create () =
     gen = [||];
     tag = [||];
     value = [||];
-    filler = [||];
     free = [||];
     free_top = 0;
     slots_used = 0;
@@ -77,39 +75,36 @@ let length t = t.size
 let is_empty t = t.size = 0
 
 (* Every live entry owns exactly one slot, so one capacity serves both the
-   position arrays and the slot arrays. The incoming value seeds the
-   filler, so the queue never fabricates an ['a]. *)
-let ensure_capacity t v =
+   position arrays and the slot arrays. *)
+let grow t =
   let cap = Array.length t.prio in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let fill = if Array.length t.filler = 0 then v else t.filler.(0) in
-    let grow_int a = let n = Array.make ncap 0 in Array.blit a 0 n 0 cap; n in
-    let nprio = Array.make ncap 0.0 in
-    Array.blit t.prio 0 nprio 0 cap;
-    t.prio <- nprio;
-    t.seq <- grow_int t.seq;
-    t.hslot <- grow_int t.hslot;
-    let npos = Array.make ncap (-1) in
-    Array.blit t.pos 0 npos 0 cap;
-    t.pos <- npos;
-    t.gen <- grow_int t.gen;
-    t.tag <- grow_int t.tag;
-    let nvalue = Array.make ncap fill in
-    Array.blit t.value 0 nvalue 0 t.slots_used;
-    t.value <- nvalue;
-    t.free <- grow_int t.free;
-    if Array.length t.filler = 0 then t.filler <- [| fill |]
-  end
+  let ncap = if cap = 0 then 16 else cap * 2 in
+  let grow_int a fill =
+    let n = Array.make ncap fill in
+    Array.blit a 0 n 0 cap;
+    n
+  in
+  let nprio = Array.make ncap 0.0 in
+  Array.blit t.prio 0 nprio 0 cap;
+  t.prio <- nprio;
+  t.seq <- grow_int t.seq 0;
+  t.hslot <- grow_int t.hslot 0;
+  t.pos <- grow_int t.pos (-1);
+  t.gen <- grow_int t.gen 0;
+  t.tag <- grow_int t.tag 0;
+  t.value <- grow_int t.value 0;
+  t.free <- grow_int t.free 0
 
-let alloc_slot t =
+let[@inline never] slot_overflow () = invalid_arg "Pqueue: slot capacity exceeded"
+
+let[@inline] alloc_slot t =
   if t.free_top > 0 then begin
     t.free_top <- t.free_top - 1;
     t.free.(t.free_top)
   end
   else begin
     let s = t.slots_used in
-    if s = slot_mask then invalid_arg "Pqueue: slot capacity exceeded";
+    if s = slot_mask then slot_overflow ();
     t.slots_used <- s + 1;
     s
   end
@@ -117,67 +112,71 @@ let alloc_slot t =
 (* Bumping the generation here (not at alloc) invalidates every handle of
    the finished tenancy at once; the next tenant's handles carry the bumped
    value. *)
-let free_slot t slot =
+let[@inline] free_slot t slot =
   t.pos.(slot) <- -1;
   t.gen.(slot) <- t.gen.(slot) + 1;
-  t.value.(slot) <- t.filler.(0);
   t.free.(t.free_top) <- slot;
   t.free_top <- t.free_top + 1
 
-(* Hole-based sifts: (p, s, slot) is the element in flight; [i] is the hole. *)
+(* Hole-based sifts: (p, s, slot) is the element in flight; [i] is the
+   hole. Each ends by writing the mover at the hole it stopped at. *)
 let[@inline] place t i p s slot =
   t.prio.(i) <- p;
   t.seq.(i) <- s;
   t.hslot.(i) <- slot;
   t.pos.(slot) <- i
 
-let rec sift_up t i p s slot =
-  if i = 0 then place t i p s slot
-  else begin
-    let parent = (i - 1) / 2 in
+(* Shift the element at heap position [src] into the hole at [dst]. *)
+let[@inline] shift t ~src ~dst =
+  t.prio.(dst) <- t.prio.(src);
+  t.seq.(dst) <- t.seq.(src);
+  let moved = t.hslot.(src) in
+  t.hslot.(dst) <- moved;
+  t.pos.(moved) <- dst
+
+let[@inline] sift_up t i p s slot =
+  let hole = ref i and moving = ref true in
+  while !moving && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
     let pp = t.prio.(parent) in
     if p < pp || (p = pp && s < t.seq.(parent)) then begin
-      t.prio.(i) <- pp;
-      t.seq.(i) <- t.seq.(parent);
-      let ps = t.hslot.(parent) in
-      t.hslot.(i) <- ps;
-      t.pos.(ps) <- i;
-      sift_up t parent p s slot
+      shift t ~src:parent ~dst:!hole;
+      hole := parent
     end
-    else place t i p s slot
-  end
+    else moving := false
+  done;
+  place t !hole p s slot
 
-let rec sift_down t i p s slot =
-  let l = (2 * i) + 1 in
-  if l >= t.size then place t i p s slot
-  else begin
-    let r = l + 1 in
-    let c =
-      if r < t.size
-         && (t.prio.(r) < t.prio.(l)
-            || (t.prio.(r) = t.prio.(l) && t.seq.(r) < t.seq.(l)))
-      then r
-      else l
-    in
-    let pc = t.prio.(c) in
-    if pc < p || (pc = p && t.seq.(c) < s) then begin
-      t.prio.(i) <- pc;
-      t.seq.(i) <- t.seq.(c);
-      let cs = t.hslot.(c) in
-      t.hslot.(i) <- cs;
-      t.pos.(cs) <- i;
-      sift_down t c p s slot
+let[@inline] sift_down t i p s slot =
+  let hole = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !hole) + 1 in
+    if l >= t.size then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < t.size
+           && (t.prio.(r) < t.prio.(l) || (t.prio.(r) = t.prio.(l) && t.seq.(r) < t.seq.(l)))
+        then r
+        else l
+      in
+      let pc = t.prio.(c) in
+      if pc < p || (pc = p && t.seq.(c) < s) then begin
+        shift t ~src:c ~dst:!hole;
+        hole := c
+      end
+      else moving := false
     end
-    else place t i p s slot
-  end
+  done;
+  place t !hole p s slot
 
 let take_seq t =
   let s = t.next_seq in
   t.next_seq <- s + 1;
   s
 
-let add_seq t ~priority ~seq ~tag v =
-  ensure_capacity t v;
+let[@inline] add_seq t ~priority ~seq ~tag v =
+  if t.size = Array.length t.prio then grow t;
   let slot = alloc_slot t in
   t.value.(slot) <- v;
   t.tag.(slot) <- tag;
@@ -186,8 +185,8 @@ let add_seq t ~priority ~seq ~tag v =
   sift_up t i priority seq slot;
   (t.gen.(slot) lsl slot_bits) lor slot
 
-let add_tagged t ~priority ~tag v = add_seq t ~priority ~seq:(take_seq t) ~tag v
-let add t ~priority v = add_tagged t ~priority ~tag:0 v
+let[@inline] add_tagged t ~priority ~tag v = add_seq t ~priority ~seq:(take_seq t) ~tag v
+let[@inline] add t ~priority v = add_tagged t ~priority ~tag:0 v
 
 let remove_at t i =
   free_slot t t.hslot.(i);
@@ -223,22 +222,24 @@ let pop_tagged t =
     Some (p, tag, v)
   end
 
+let[@inline never] empty name = invalid_arg ("Pqueue." ^ name ^ ": empty queue")
+
 (* Allocation-free root accessors for the event loop: [pop]/[peek] box a
    tuple and an option per call, which at calendar rates is real churn. *)
 let[@inline] min_priority t =
-  if t.size = 0 then invalid_arg "Pqueue.min_priority: empty queue";
+  if t.size = 0 then empty "min_priority";
   t.prio.(0)
 
 let[@inline] min_tag t =
-  if t.size = 0 then invalid_arg "Pqueue.min_tag: empty queue";
+  if t.size = 0 then empty "min_tag";
   t.tag.(t.hslot.(0))
 
 let[@inline] min_value t =
-  if t.size = 0 then invalid_arg "Pqueue.min_value: empty queue";
+  if t.size = 0 then empty "min_value";
   t.value.(t.hslot.(0))
 
 let drop_min t =
-  if t.size = 0 then invalid_arg "Pqueue.drop_min: empty queue";
+  if t.size = 0 then empty "drop_min";
   remove_at t 0
 
 let peek t = if t.size = 0 then None else Some (t.prio.(0), t.value.(t.hslot.(0)))
@@ -257,10 +258,13 @@ let remove t h =
   else false
 
 let priority_of t h = if mem t h then Some t.prio.(t.pos.(h land slot_mask)) else None
-let priority_is t h p = mem t h && t.prio.(t.pos.(h land slot_mask)) = p
+let[@inline] priority_is t h p = mem t h && t.prio.(t.pos.(h land slot_mask)) = p
 let tag_of t h = if mem t h then Some t.tag.(h land slot_mask) else None
+let value_of t h =
+  if not (mem t h) then invalid_arg "Pqueue.value_of: dead handle";
+  t.value.(h land slot_mask)
 
-let update_seq t h ~priority ~seq =
+let[@inline] update_seq t h ~priority ~seq =
   if mem t h then begin
     let slot = h land slot_mask in
     let i = t.pos.(slot) in
@@ -273,7 +277,7 @@ let update_seq t h ~priority ~seq =
 
 (* An equal-priority retime is a no-op: the seq (FIFO rank) is pinned at
    add time, so the heap invariant still holds untouched. *)
-let update_priority t h ~priority =
+let[@inline] update_priority t h ~priority =
   mem t h
   &&
   let i = t.pos.(h land slot_mask) in

@@ -1,4 +1,4 @@
-(** Growable binary min-heap with stable handles.
+(** Growable binary min-heap of integer payloads with stable handles.
 
     The discrete-event calendar needs three operations fast: insert, extract
     the minimum, and cancel an arbitrary pending entry (a checkpoint
@@ -9,59 +9,59 @@
     sequence number breaking ties FIFO, so equal-time events pop in insertion
     order — a requirement for deterministic simulation.
 
-    The layout is struct-of-arrays: priorities live in a flat [float array],
-    bookkeeping in [int array]s, and a handle is a single tagged integer
-    (generation + recycled slot), so [add]/[pop]/[update_priority] allocate
-    nothing. One caveat follows from the representation: the first value
-    ever added is retained as the internal null filler for the queue's
-    lifetime (every other value is released as soon as it leaves). *)
+    An entry carries two integers: its payload (the engine's source id, the
+    flow scheduler's slot) and a small tag. The layout is struct-of-arrays:
+    priorities live in a flat [float array], everything else in
+    [int array]s, and a handle is a single tagged integer (generation +
+    recycled slot), so [add]/[pop]/[update_priority] allocate nothing and
+    store no heap pointer. The sifts are inlined loops: a priority handed
+    to {!add_seq} or {!update_seq} by an inlining caller is never boxed. *)
 
-type 'a t
+type t
 
-type 'a handle
+type handle [@@immediate]
 (** A recycled integer slot tagged with a generation: immediate (no heap
-    block), and stale handles never alias a slot's next tenant. *)
+    block, and an [handle array] store is a plain word write), and stale
+    handles never alias a slot's next tenant. *)
 
-val create : unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val create : unit -> t
+val length : t -> int
+val is_empty : t -> bool
 
-val null_handle : 'a handle
+val null_handle : handle
 (** A handle that is never live ({!mem} is [false], {!remove} is a no-op);
     the idiomatic "no event" sentinel where an [option] wrapper would cost
     an allocation per store. *)
 
-val is_null : 'a handle -> bool
+val is_null : handle -> bool
 (** Whether the handle is {!null_handle}. A non-null handle may still be
     dead (popped or removed); {!mem} is the liveness test. *)
 
-val add : 'a t -> priority:float -> 'a -> 'a handle
+val add : t -> priority:float -> int -> handle
 (** Insert; the handle stays valid until the element is popped or removed.
     Equivalent to {!add_tagged} with [tag = 0]. *)
 
-val add_tagged : 'a t -> priority:float -> tag:int -> 'a -> 'a handle
-(** Insert with a small integer tag carried alongside the value. The tag
-    costs no extra allocation (it is a field of the entry the heap stores
-    anyway) and is read back by {!pop_tagged} and {!tag_of} — the
-    discrete-event engine uses it to attribute fired and cancelled events
-    to a kind without wrapping payload closures. *)
+val add_tagged : t -> priority:float -> tag:int -> int -> handle
+(** Insert with a small integer tag carried alongside the payload, read
+    back by {!pop_tagged}, {!min_tag} and {!tag_of} — the discrete-event
+    engine uses it to attribute fired and cancelled events to a kind. *)
 
-val take_seq : 'a t -> int
+val take_seq : t -> int
 (** Draw the sequence number the next {!add} would get: numbers are
     handed out in increasing order, shared with {!add}, so an entry
     inserted later under a number drawn now ranks among equal priorities
     exactly as if it had been added now. *)
 
-val add_seq : 'a t -> priority:float -> seq:int -> tag:int -> 'a -> 'a handle
+val add_seq : t -> priority:float -> seq:int -> tag:int -> int -> handle
 (** {!add_tagged} under a sequence number drawn earlier by {!take_seq}. *)
 
-val pop : 'a t -> (float * 'a) option
+val pop : t -> (float * int) option
 (** Remove and return the smallest-priority element (FIFO among ties). *)
 
-val pop_tagged : 'a t -> (float * int * 'a) option
-(** {!pop}, also returning the entry's tag. *)
+val pop_tagged : t -> (float * int * int) option
+(** {!pop}, also returning the entry's tag: [(priority, tag, payload)]. *)
 
-val peek : 'a t -> (float * 'a) option
+val peek : t -> (float * int) option
 
 (** {2 Allocation-free root access}
 
@@ -70,31 +70,35 @@ val peek : 'a t -> (float * 'a) option
     nothing. All four raise [Invalid_argument] on an empty queue — guard
     with {!is_empty}. *)
 
-val min_priority : 'a t -> float
-val min_tag : 'a t -> int
-val min_value : 'a t -> 'a
+val min_priority : t -> float
+val min_tag : t -> int
+val min_value : t -> int
 
-val drop_min : 'a t -> unit
+val drop_min : t -> unit
 (** Remove the root ({!min_priority}'s entry) without returning it. *)
 
-val remove : 'a t -> 'a handle -> bool
+val remove : t -> handle -> bool
 (** [remove t h] cancels the entry behind [h]. Returns [false] when the
     entry already left the heap (popped or removed); idempotent. *)
 
-val mem : 'a t -> 'a handle -> bool
+val mem : t -> handle -> bool
 (** Whether the handle still designates a live entry. *)
 
-val priority_of : 'a t -> 'a handle -> float option
+val priority_of : t -> handle -> float option
 (** The current priority behind a live handle. *)
 
-val priority_is : 'a t -> 'a handle -> float -> bool
+val priority_is : t -> handle -> float -> bool
 (** [priority_is t h p] is [priority_of t h = Some p] without the option
     and boxed-float allocation; [false] for dead handles. *)
 
-val tag_of : 'a t -> 'a handle -> int option
+val tag_of : t -> handle -> int option
 (** The tag behind a live handle ([0] unless inserted by {!add_tagged}). *)
 
-val update_priority : 'a t -> 'a handle -> priority:float -> bool
+val value_of : t -> handle -> int
+(** The payload behind a live handle; raises [Invalid_argument] on a dead
+    one. *)
+
+val update_priority : t -> handle -> priority:float -> bool
 (** [update_priority t h ~priority] moves the entry behind [h] to a new
     priority in O(log n), keeping the handle valid and preserving the
     entry's sequence number (its FIFO rank among equal priorities).
@@ -102,13 +106,13 @@ val update_priority : 'a t -> 'a handle -> priority:float -> bool
     The single-completion-event I/O calendar reschedules through this
     instead of a cancel + re-insert pair. *)
 
-val update_seq : 'a t -> 'a handle -> priority:float -> seq:int -> bool
+val update_seq : t -> handle -> priority:float -> seq:int -> bool
 (** {!update_priority} that also gives the entry a new sequence number
     (drawn by {!take_seq}): the handle stays valid and now ranks as the
     entry added under [seq] would. [false] when the entry already left
     the heap. *)
 
-val clear : 'a t -> unit
+val clear : t -> unit
 
-val to_sorted_list : 'a t -> (float * 'a) list
+val to_sorted_list : t -> (float * int) list
 (** Non-destructive snapshot in pop order; O(n log n), for tests. *)

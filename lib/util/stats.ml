@@ -1,16 +1,19 @@
-type running = { mutable n : int; mutable mu : float; mutable m2 : float }
+(* [| n; mean; M2 |] in one flat float array, so an update stores its
+   three numbers unboxed; the count is exact as a float up to 2^53. *)
+type running = float array
 
-let running_create () = { n = 0; mu = 0.0; m2 = 0.0 }
+let running_create () = [| 0.0; 0.0; 0.0 |]
 
-let running_add r x =
-  r.n <- r.n + 1;
-  let delta = x -. r.mu in
-  r.mu <- r.mu +. (delta /. float_of_int r.n);
-  r.m2 <- r.m2 +. (delta *. (x -. r.mu))
+let[@inline] running_add r x =
+  let n = r.(0) +. 1.0 in
+  r.(0) <- n;
+  let delta = x -. r.(1) in
+  r.(1) <- r.(1) +. (delta /. n);
+  r.(2) <- r.(2) +. (delta *. (x -. r.(1)))
 
-let running_count r = r.n
-let running_mean r = if r.n = 0 then nan else r.mu
-let running_variance r = if r.n < 2 then nan else r.m2 /. float_of_int (r.n - 1)
+let running_count r = int_of_float r.(0)
+let running_mean r = if r.(0) = 0.0 then nan else r.(1)
+let running_variance r = if r.(0) < 2.0 then nan else r.(2) /. (r.(0) -. 1.0)
 let running_stddev r = sqrt (running_variance r)
 
 let mean xs =

@@ -126,17 +126,17 @@ let to_candidate ~bandwidth_gbs ~now (r : request) =
         {
           Candidate.key = r.r_key;
           nodes = r.r_inst.spec.nodes;
-          service_s = r.r_volume /. bandwidth_gbs;
-          waited_s = now -. r.r_at;
+          service_s = r.r_fl.r_volume /. bandwidth_gbs;
+          waited_s = now -. r.r_fl.r_at;
         }
   | Req_ckpt ->
       Candidate.Ckpt
         {
           Candidate.key = r.r_key;
           nodes = r.r_inst.spec.nodes;
-          ckpt_s = r.r_inst.ckpt_nominal;
-          exposed_s = now -. r.r_inst.last_commit_end;
-          recovery_s = r.r_inst.ckpt_nominal;
+          ckpt_s = r.r_inst.fl.ckpt_nominal;
+          exposed_s = now -. r.r_inst.fl.last_commit_end;
+          recovery_s = r.r_inst.fl.ckpt_nominal;
         }
 
 let arbiter ~node_mtbf_s ~bandwidth_gbs () : arbiter =

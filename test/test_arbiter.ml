@@ -13,6 +13,13 @@ let mtbf_s = 2.0 *. 365.0 *. 86400.0
 let bandwidth_gbs = 40.0
 let node_pool = Node_pool.create ~nodes:1_000_000
 
+(* The arbiters never touch an instance's transfer; the record still
+   names a subsystem. *)
+let placeholder_io =
+  Io.create ~engine:(Cocheck_des.Engine.create ())
+    ~metrics:(Cocheck_sim.Metrics.create ~seg_start:0.0 ~seg_end:1.0)
+    ~bandwidth_gbs:1.0 ~sharing:`Linear
+
 let mk_inst ~idx ~nodes ~last_commit_end =
   let spec =
     {
@@ -27,54 +34,25 @@ let mk_inst ~idx ~nodes ~last_commit_end =
       steady_io_gb = 0.0;
     }
   in
-  {
-    T.idx;
-    spec;
-    total_work = 1e6;
-    entry_has_ckpt = false;
-    restarts = 0;
-    nodes = Option.get (Node_pool.alloc node_pool ~job:idx ~count:nodes);
-    start_time = 0.0;
-    period = 3600.0;
-    ckpt_nominal = spec.Jobgen.ckpt_gb /. bandwidth_gbs;
-    activity = T.Computing_pending;
-    work_done = 0.0;
-    committed = 0.0;
-    has_ckpt = false;
-    compute_start = 0.0;
-    uncommitted = Cocheck_util.Interval_ledger.create ();
-    last_commit_end;
-    wait_start = 0.0;
-    io_start = 0.0;
-    ckpt_content = 0.0;
-    holds_token = false;
-    committed_local = [||];
-    local_safe_time = [||];
-    local_level = 0;
-    local_pause_start = 0.0;
-    due = Array.make (T.boundary_slots ~levels:0) infinity;
-    due_rank = Array.make (T.boundary_slots ~levels:0) 0;
-    next_ev = T.Engine.none;
-    next_ev_rank = -1;
-    cb_boundary = ignore;
-    cb_ckpt_done = ignore;
-    live_slot = -1;
-  }
+  let inst =
+    T.blank_inst ~spec ~nsnap:0
+      ~nodes:(Option.get (Node_pool.alloc node_pool ~job:idx ~count:nodes))
+      ~io:placeholder_io
+  in
+  inst.T.idx <- idx;
+  inst.T.activity <- T.Computing_pending;
+  inst.T.fl.T.total_work <- 1e6;
+  inst.T.fl.T.period <- 3600.0;
+  inst.T.fl.T.ckpt_nominal <- spec.Jobgen.ckpt_gb /. bandwidth_gbs;
+  inst.T.fl.T.last_commit_end <- last_commit_end;
+  inst
 
 let next_id = ref 0
 
 let mk_request ?(kind = T.Req_ckpt) ?(volume = 100.0) ?(at = 0.0) inst =
-  let r_key = !next_id in
+  let key = !next_id in
   incr next_id;
-  {
-    T.r_key;
-    r_inst = inst;
-    r_kind = kind;
-    r_volume = volume;
-    r_at = at;
-    r_cancelled = false;
-    r_slot = -1;
-  }
+  T.make_request ~key ~inst ~kind ~volume ~at
 
 let drain ~now (module A : Arbiter.S) =
   let rec go acc =
@@ -184,17 +162,17 @@ let test_least_waste_matches_oracle () =
             {
               Candidate.key = r.T.r_key;
               nodes = r.T.r_inst.T.spec.Jobgen.nodes;
-              service_s = r.T.r_volume /. bandwidth_gbs;
-              waited_s = now -. r.T.r_at;
+              service_s = r.T.r_fl.T.r_volume /. bandwidth_gbs;
+              waited_s = now -. r.T.r_fl.T.r_at;
             }
       | T.Req_ckpt ->
           Candidate.Ckpt
             {
               Candidate.key = r.T.r_key;
               nodes = r.T.r_inst.T.spec.Jobgen.nodes;
-              ckpt_s = r.T.r_inst.T.ckpt_nominal;
-              exposed_s = now -. r.T.r_inst.T.last_commit_end;
-              recovery_s = r.T.r_inst.T.ckpt_nominal;
+              ckpt_s = r.T.r_inst.T.fl.T.ckpt_nominal;
+              exposed_s = now -. r.T.r_inst.T.fl.T.last_commit_end;
+              recovery_s = r.T.r_inst.T.fl.T.ckpt_nominal;
             }
     in
     Option.map Candidate.key (Lw_reference.select ~node_mtbf_s:mtbf_s (List.map to_candidate pool))

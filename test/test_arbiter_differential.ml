@@ -18,6 +18,13 @@ module Jobgen = Cocheck_model.Jobgen
 module Candidate = Lw_reference.Candidate
 module Rng = Cocheck_util.Rng
 
+(* The arbiters never touch an instance's transfer; the record still
+   names a subsystem. *)
+let placeholder_io =
+  Io.create ~engine:(Cocheck_des.Engine.create ())
+    ~metrics:(Cocheck_sim.Metrics.create ~seg_start:0.0 ~seg_end:1.0)
+    ~bandwidth_gbs:1.0 ~sharing:`Linear
+
 let mk_inst ~pool ~idx ~nodes ~last_commit_end ~ckpt_gb ~bandwidth_gbs =
   let spec =
     {
@@ -32,39 +39,18 @@ let mk_inst ~pool ~idx ~nodes ~last_commit_end ~ckpt_gb ~bandwidth_gbs =
       steady_io_gb = 0.0;
     }
   in
-  {
-    T.idx;
-    spec;
-    total_work = 1e6;
-    entry_has_ckpt = false;
-    restarts = 0;
-    nodes = Option.get (Node_pool.alloc pool ~job:idx ~count:nodes);
-    start_time = 0.0;
-    period = 3600.0;
-    ckpt_nominal = spec.Jobgen.ckpt_gb /. bandwidth_gbs;
-    activity = T.Computing_pending;
-    work_done = 0.0;
-    committed = 0.0;
-    has_ckpt = false;
-    compute_start = 0.0;
-    uncommitted = Cocheck_util.Interval_ledger.create ();
-    last_commit_end;
-    wait_start = 0.0;
-    io_start = 0.0;
-    ckpt_content = 0.0;
-    holds_token = false;
-    committed_local = [||];
-    local_safe_time = [||];
-    local_level = 0;
-    local_pause_start = 0.0;
-    due = Array.make (T.boundary_slots ~levels:0) infinity;
-    due_rank = Array.make (T.boundary_slots ~levels:0) 0;
-    next_ev = T.Engine.none;
-    next_ev_rank = -1;
-    cb_boundary = ignore;
-    cb_ckpt_done = ignore;
-    live_slot = -1;
-  }
+  let inst =
+    T.blank_inst ~spec ~nsnap:0
+      ~nodes:(Option.get (Node_pool.alloc pool ~job:idx ~count:nodes))
+      ~io:placeholder_io
+  in
+  inst.T.idx <- idx;
+  inst.T.activity <- T.Computing_pending;
+  inst.T.fl.T.total_work <- 1e6;
+  inst.T.fl.T.period <- 3600.0;
+  inst.T.fl.T.ckpt_nominal <- spec.Jobgen.ckpt_gb /. bandwidth_gbs;
+  inst.T.fl.T.last_commit_end <- last_commit_end;
+  inst
 
 (* ------------------------------------------------------------------ *)
 (* Randomized schedules                                                 *)
@@ -140,18 +126,12 @@ let run_schedule ~ctx (s : schedule) =
   let live : T.request list ref = ref [] in
   let next_id = ref 0 in
   let mk_pair ~inst ~is_io ~volume ~at =
-    let r_key = !next_id in
+    let key = !next_id in
     incr next_id;
     let mk () =
-      {
-        T.r_key;
-        r_inst = inst;
-        r_kind = (if is_io then T.Req_io Io.Input else T.Req_ckpt);
-        r_volume = volume;
-        r_at = at;
-        r_cancelled = false;
-        r_slot = -1;
-      }
+      T.make_request ~key ~inst
+        ~kind:(if is_io then T.Req_io Io.Input else T.Req_ckpt)
+        ~volume ~at
     in
     (mk (), mk ())
   in

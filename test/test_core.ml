@@ -205,6 +205,43 @@ let test_lower_bound_cielo_40_flagship () =
     true
     (r.waste > 0.45 && r.waste < 0.56)
 
+(* The first-order model has a domain. Cielo at 160 GB/s sits inside it;
+   at 40 GB/s the constrained Silverton period (about 16 ks) passes its
+   4096-node job MTBF (about 15.4 ks); the prospective machine at 40 GB/s
+   sums to a waste past 1; and a class whose checkpoint costs its whole
+   job MTBF gets a Daly period beyond that MTBF while the platform waste
+   stays below 1. *)
+let test_lower_bound_domain () =
+  let domain_name = function
+    | Lower_bound.In_model -> "in model"
+    | Waste_reaches_one -> "waste reaches 1"
+    | Period_reaches_mtbf { class_index; _ } -> Printf.sprintf "period of %d" class_index
+  in
+  let check what expected r =
+    Alcotest.(check string) what expected (domain_name r.Lower_bound.domain)
+  in
+  let at p =
+    let counts = Waste.steady_state_counts ~classes:Apex.lanl_workload ~platform:p in
+    Lower_bound.solve_model ~classes:counts ~platform:p ()
+  in
+  check "Cielo at 160 GB/s" "in model" (at (Platform.cielo ~bandwidth_gbs:160.0 ()));
+  check "Cielo at 40 GB/s" "period of 2" (at (Platform.cielo ~bandwidth_gbs:40.0 ()));
+  let r = at (Platform.prospective ~bandwidth_gbs:40.0 ()) in
+  check "prospective at 40 GB/s" "waste reaches 1" r;
+  Alcotest.(check bool) "its waste is past 1" true (r.waste >= 1.0);
+  let mtbf_s = Units.years 1.0 in
+  let r =
+    Lower_bound.solve
+      {
+        Lower_bound.classes =
+          [ load ~n:1.0 ~q:10 ~c:1.0; load ~n:1.0 ~q:100 ~c:(mtbf_s /. 100.0) ];
+        total_nodes = 10_000;
+        node_mtbf_s = mtbf_s;
+      }
+  in
+  check "checkpoint as long as the MTBF" "period of 1" r;
+  Alcotest.(check bool) "waste still below 1" true (r.waste < 1.0)
+
 let test_lower_bound_optimal_among_feasible =
   (* The KKT periods minimise the platform waste among random feasible
      period vectors (F <= 1). *)
@@ -577,6 +614,7 @@ let () =
           Alcotest.test_case "flagship regression" `Quick test_lower_bound_cielo_40_flagship;
           Alcotest.test_case "regular I/O demand" `Quick test_regular_io_demand;
           Alcotest.test_case "saturated rejected" `Quick test_solve_model_rejects_saturated;
+          Alcotest.test_case "model domain" `Quick test_lower_bound_domain;
         ]
         @ qsuite [ test_lower_bound_periods_formula; test_lower_bound_optimal_among_feasible ]
       );

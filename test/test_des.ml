@@ -149,12 +149,15 @@ let test_ranks_drawn_ahead () =
     let ra = Engine.draw_rank e in
     ignore (Engine.schedule_at e ~time:5.0 (note "b"));
     let rc = Engine.draw_rank e in
-    let hc = Engine.schedule_ranked e ~kind:0 ~time:9.0 ~rank:rc (note "c") in
+    let hc =
+      Engine.schedule_ranked e ~kind:0 ~time:9.0 ~rank:rc (Engine.source e (note "c"))
+    in
     if swap then
       Alcotest.(check bool) "pending handle moved" true
         (Engine.reschedule_ranked e hc ~time:5.0 ~rank:ra)
     else begin
-      ignore (Engine.schedule_ranked e ~kind:0 ~time:5.0 ~rank:ra (note "a"));
+      ignore
+        (Engine.schedule_ranked e ~kind:0 ~time:5.0 ~rank:ra (Engine.source e (note "a")));
       ignore (Engine.reschedule_ranked e hc ~time:5.0 ~rank:rc)
     end;
     Engine.run e;
@@ -318,6 +321,100 @@ let test_stress_many_events =
       Engine.run e;
       List.rev !seen = List.sort compare times)
 
+(* ------------------------------------------------------------------ *)
+(* Sources                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Registered sources and [schedule_at] closures share one calendar: in
+   any interleaving, events fire by time, then by scheduling order. *)
+let test_sources_and_closures_interleave =
+  QCheck.Test.make ~name:"sources_and_closures_fire_by_time_then_rank" ~count:200
+    QCheck.(list_of_size (QCheck.Gen.int_range 0 60) (pair (int_range 0 5) bool))
+    (fun plan ->
+      let e = Engine.create () in
+      let log = ref [] in
+      let pending = Queue.create () in
+      (* One registered source serves every [true] entry: it pops the
+         label of the entry it stands for from a per-time queue. *)
+      let by_time = Array.init 6 (fun _ -> Queue.create ()) in
+      let src =
+        Engine.source e (fun eng ->
+            log := Queue.pop by_time.(int_of_float (Engine.now eng)) :: !log)
+      in
+      List.iteri
+        (fun i (t, use_source) ->
+          let time = float_of_int t in
+          if use_source then begin
+            Queue.push i by_time.(t);
+            ignore (Engine.schedule_src e ~kind:0 ~time src)
+          end
+          else ignore (Engine.schedule_at e ~time (fun _ -> log := i :: !log));
+          Queue.push (t, i) pending)
+        plan;
+      Engine.run e;
+      let expected =
+        List.map snd
+          (List.stable_sort
+             (fun (a, _) (b, _) -> compare a b)
+             (List.of_seq (Queue.to_seq pending)))
+      in
+      List.rev !log = expected)
+
+let test_source_cancel_and_reschedule () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let src = Engine.source e (fun eng -> fired := Engine.now eng :: !fired) in
+  let h = Engine.schedule_src e ~kind:0 ~time:1.0 src in
+  Alcotest.(check bool) "cancel pending" true (Engine.cancel e h);
+  Alcotest.(check bool) "cancel again" false (Engine.cancel e h);
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "cancelled entry never fires" [] !fired;
+  let h = Engine.schedule_src e ~kind:0 ~time:2.0 src in
+  Alcotest.(check bool) "retime" true (Engine.reschedule e h ~time:3.0);
+  ignore (Engine.schedule_src e ~kind:0 ~time:4.0 src);
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "callback kept across cancel and retime" [ 3.0; 4.0 ]
+    (List.rev !fired);
+  Alcotest.(check int) "one source registered" 1 (Engine.source_table_size e)
+
+let test_one_shot_ids_recycle () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  for i = 1 to 10_000 do
+    let h = Engine.schedule_at e ~time:(float_of_int i) (fun _ -> incr fired) in
+    ignore (Engine.cancel e h);
+    ignore (Engine.schedule_at e ~time:(float_of_int i) (fun _ -> incr fired));
+    ignore (Engine.step e)
+  done;
+  Alcotest.(check int) "every kept event fired" 10_000 !fired;
+  Alcotest.(check bool) "source table bounded" true (Engine.source_table_size e <= 2)
+
+(* A one-shot source drops its closure when it leaves the calendar, so
+   nothing it captured outlives the event. [@inline never] keeps the
+   witness out of the caller's stack roots. *)
+let[@inline never] one_shot_witness leave =
+  let e = Engine.create () in
+  let w = Weak.create 1 in
+  let () =
+    let witness = ref 42 in
+    Weak.set w 0 (Some witness);
+    let h = Engine.schedule_at e ~time:1.0 (fun _ -> incr witness) in
+    leave e h
+  in
+  Gc.full_major ();
+  Gc.full_major ();
+  (e, Weak.check w 0)
+
+let test_fired_one_shot_releases () =
+  let e, alive = one_shot_witness (fun e _ -> Engine.run e) in
+  Alcotest.(check int) "fired" 1 (Engine.events_processed e);
+  Alcotest.(check bool) "closure collected after firing" false alive
+
+let test_cancelled_one_shot_releases () =
+  let e, alive = one_shot_witness (fun e h -> ignore (Engine.cancel e h)) in
+  Alcotest.(check int) "nothing pending" 0 (Engine.queue_length e);
+  Alcotest.(check bool) "closure collected after cancel" false alive
+
 let () =
   Alcotest.run "cocheck.des"
     [
@@ -347,8 +444,15 @@ let () =
             test_stale_handle_does_not_alias_reused_slot;
           Alcotest.test_case "reschedule equal time keeps FIFO" `Quick
             test_reschedule_equal_time_keeps_fifo;
+          Alcotest.test_case "source cancel and reschedule" `Quick
+            test_source_cancel_and_reschedule;
+          Alcotest.test_case "one-shot ids recycle" `Quick test_one_shot_ids_recycle;
+          Alcotest.test_case "fired one-shot releases" `Quick test_fired_one_shot_releases;
+          Alcotest.test_case "cancelled one-shot releases" `Quick
+            test_cancelled_one_shot_releases;
         ]
-        @ [ QCheck_alcotest.to_alcotest ~long:false test_stress_many_events ] );
+        @ List.map (QCheck_alcotest.to_alcotest ~long:false)
+            [ test_stress_many_events; test_sources_and_closures_interleave ] );
       ( "stats",
         [
           Alcotest.test_case "counts by kind" `Quick test_stats_counts_by_kind;

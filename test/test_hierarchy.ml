@@ -433,7 +433,11 @@ let test_absorbed_commits_skip_token () =
   checkb "buffered: commits absorbed" true (buffered.Simulator.bb_absorbed > 0);
   checki "buffered: none spilled" 0 buffered.Simulator.bb_spilled;
   checki "buffered: no grant" 0 buffered.Simulator.token_grants;
-  checki "buffered: none scored" 0 buffered.Simulator.candidates_scored
+  checki "buffered: none scored" 0 buffered.Simulator.candidates_scored;
+  checki "flat: no flush" 0 flat.Simulator.flushes_started;
+  checkb "buffered: drains flush" true (buffered.Simulator.flushes_completed > 0);
+  checkb "buffered: completed within started" true
+    (buffered.Simulator.flushes_completed <= buffered.Simulator.flushes_started)
 
 (* Storage-level differential: random write / abort / advance histories,
    with foreground PFS traffic for the drains to contend with, run through

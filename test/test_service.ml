@@ -134,7 +134,15 @@ let test_protocol_roundtrip () =
             ];
         };
       E.Protocol.Status_result { total = 8; cached = 3; missing = 5 };
-      E.Protocol.Bound_result { waste = 0.2; lambda = 1e-6; io_fraction = 0.6 };
+      E.Protocol.Bound_result
+        { waste = 0.2; lambda = 1e-6; io_fraction = 0.6; outside = None };
+      E.Protocol.Bound_result
+        {
+          waste = 5.4;
+          lambda = 3.6;
+          io_fraction = 1.0;
+          outside = Some "the summed waste reaches 1";
+        };
       E.Protocol.Stats_result
         {
           store =
