@@ -40,9 +40,6 @@ let seed_t =
 
 let days_doc = "Measurement segment length in days (one excluded day is added on each side)."
 
-let days_t default =
-  Arg.(value & opt float default & info [ "days" ] ~docv:"DAYS" ~doc:days_doc)
-
 let preset_days_t ?(absent = "the preset's") () =
   Arg.(value & opt (some float) None & info [ "days" ] ~docv:"DAYS" ~absent ~doc:days_doc)
 
@@ -274,7 +271,7 @@ let single_run ~strategy ?seed ?days sc =
 let run_config spec s =
   E.Spec.config spec ~cell:(List.hd (E.Spec.cells spec)) ~strategy:s ~rep:0
 
-(* Observability outputs, shared by `run` and `observe`. *)
+(* Observability outputs of `run`. *)
 
 let trace_out_t =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
@@ -302,6 +299,27 @@ let pos_float_conv =
 let sample_dt_t =
   Arg.(value & opt (some pos_float_conv) None & info [ "sample-dt" ] ~docv:"SECONDS"
          ~doc:"Probe interval for the time series (default: horizon / 400).")
+
+let events_t =
+  Arg.(value & opt ~vopt:(Some None) (some (some ~none:"every event" int)) None
+       & info [ "events" ] ~docv:"JOB"
+           ~doc:"After the summary, print the run's structured event log (at most --limit \
+                 events), or every event of job $(docv) when one is given.")
+
+let limit_t =
+  Arg.(value & opt int 200 & info [ "limit" ] ~docv:"N"
+         ~doc:"Maximum events --events prints.")
+
+let timeline_t =
+  Arg.(value & opt ~vopt:(Some 48) (some int) None
+       & info [ "timeline" ] ~docv:"BUCKETS"
+           ~doc:"After the summary, render the node-utilization timeline over $(docv) \
+                 time buckets (default 48); dips are failure kills and drain effects.")
+
+let dashboard_t =
+  Arg.(value & flag & info [ "dashboard" ]
+         ~doc:"After the summary, render an ASCII dashboard: headline metrics, waste \
+               breakdown, platform sparklines, latency histograms.")
 
 let perfetto_out_t =
   Arg.(value & opt (some string) None & info [ "perfetto-out" ] ~docv:"FILE"
@@ -353,18 +371,25 @@ type outputs = {
   series_out : string option;
   manifest_out : string option;
   sample_dt : float option;
+  events : int option option;  (* [Some None]: every event; [Some (Some j)]: job [j]'s *)
+  limit : int;
+  timeline : int option;  (* buckets *)
+  dashboard : bool;
 }
 
 let outputs_t =
-  let make trace_out series_out manifest_out sample_dt =
-    { trace_out; series_out; manifest_out; sample_dt }
+  let make trace_out series_out manifest_out sample_dt events limit timeline dashboard =
+    { trace_out; series_out; manifest_out; sample_dt; events; limit; timeline; dashboard }
   in
-  Term.(const make $ trace_out_t $ series_out_t $ manifest_out_t $ sample_dt_t)
+  Term.(const make $ trace_out_t $ series_out_t $ manifest_out_t $ sample_dt_t $ events_t
+        $ limit_t $ timeline_t $ dashboard_t)
 
 let output_paths o = [ o.trace_out; o.series_out; o.manifest_out ]
 
-(* What a run records beside its result: only what an output asks for,
-   unless [always] (the dashboard shows the series and histograms). *)
+(* What a run records beside its result: only what an output asks for.
+   The trace ring feeds --trace-out, --events and --timeline; the
+   histograms feed the manifest and the dashboard, the series the CSV and
+   the dashboard. *)
 type recorders = {
   trace : Cocheck_sim.Trace.t option;
   registry : Obs.Histogram.registry option;
@@ -374,19 +399,21 @@ type recorders = {
   sample : (float * (Simulator.snapshot -> unit)) option;
 }
 
-let recorders ~always o cfg =
+let recorders o cfg =
   let registry =
-    if always || o.manifest_out <> None then Some (Obs.Histogram.registry ()) else None
+    if o.dashboard || o.manifest_out <> None then Some (Obs.Histogram.registry ()) else None
   in
   let series, sample =
-    if always || o.series_out <> None then
+    if o.dashboard || o.series_out <> None then
       let dt = match o.sample_dt with Some d -> d | None -> Obs.Sampler.default_dt cfg in
       let s, observe = Obs.Sampler.create () in
       (Some s, Some (dt, observe))
     else (None, None)
   in
   let trace =
-    Option.map (fun _ -> Cocheck_sim.Trace.create ~capacity:2_000_000 ()) o.trace_out
+    if o.trace_out <> None || o.events <> None || o.timeline <> None then
+      Some (Cocheck_sim.Trace.create ~capacity:2_000_000 ())
+    else None
   in
   let observe =
     match
@@ -401,6 +428,39 @@ let recorders ~always o cfg =
             g e)
   in
   { trace; registry; observe; series; sample }
+
+(* The sections the output flags append to the summary, in a fixed
+   order: events, timeline, dashboard. *)
+let print_sections o recs ~cfg (r : Simulator.result) =
+  let module Trace = Cocheck_sim.Trace in
+  Option.iter
+    (fun job ->
+      let trace = Option.get recs.trace in
+      Format.printf
+        "%d events traced (%d retained); jobs started %d, completed %d, restarts %d@.@."
+        (Trace.length trace + Trace.dropped trace)
+        (Trace.length trace) r.jobs_started r.jobs_completed r.restarts;
+      match job with
+      | Some job -> List.iter (Format.printf "%a@." Trace.pp_event) (Trace.for_job trace ~job)
+      | None -> print_string (Trace.dump ~limit:o.limit trace))
+    o.events;
+  Option.iter
+    (fun buckets ->
+      let tl =
+        try
+          E.Timeline.build ~trace:(Option.get recs.trace)
+            ~total_nodes:cfg.Config.platform.Platform.nodes ~horizon:cfg.horizon ~buckets ()
+        with Invalid_argument m ->
+          Format.eprintf "error: %s@." m;
+          exit 1
+      in
+      Format.printf "%a — %s, %d jobs started, %d restarts@.@." Platform.pp cfg.platform
+        (Strategy.name cfg.strategy) r.jobs_started r.restarts;
+      print_string (E.Timeline.render tl))
+    o.timeline;
+  if o.dashboard then
+    print_string
+      (Obs.Dashboard.render ~cfg ~result:r ?series:recs.series ?registry:recs.registry ())
 
 let write_outputs o recs ~spec ~cfg ~timer ~result ?(extra = []) () =
   Option.iter
@@ -436,7 +496,7 @@ let run_cmd =
     check_writable (perfetto_out :: output_paths outputs);
     Format.printf "%a@." Platform.pp cfg.Config.platform;
     let timer = Obs.Timer.create () in
-    let recs = recorders ~always:false outputs cfg in
+    let recs = recorders outputs cfg in
     let tracer =
       match perfetto_out with
       | None -> Obs.Tracing.disabled
@@ -525,6 +585,7 @@ let run_cmd =
           Format.printf "%s: %d restarts, %.3g node-seconds rolled back@." name restarts
             lost)
       r.restarts_by_class r.lost_work_by_class;
+    print_sections outputs recs ~cfg r;
     write_outputs outputs recs ~spec ~cfg ~timer ~result:r
       ~extra:[ ("waste_ratio", Obs.Json.Float waste_ratio) ]
       ();
@@ -536,7 +597,10 @@ let run_cmd =
           (if dropped > 0 then Printf.sprintf ", %d dropped" dropped else ""))
       perfetto_out
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run a single simulation and print its waste breakdown.")
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:"Run a single simulation and print its waste breakdown; --events, --timeline \
+             and --dashboard append its event log, utilization timeline and dashboard.")
     Term.(const action $ strategy_t $ scenario_t $ seed_t $ preset_days_t () $ outputs_t
           $ perfetto_out_t)
 
@@ -591,31 +655,6 @@ let bound_cmd =
     (Cmd.info "bound" ~doc:"Theorem 1 lower bound and optimal periods for a platform.")
     Term.(const action $ platform_t)
 
-let trace_cmd =
-  let action strategy platform seed days limit job =
-    let cfg = run_config (single_run ~strategy ?seed ~days platform) strategy in
-    let trace = Cocheck_sim.Trace.create () in
-    let r = Simulator.run ~observe:(Cocheck_sim.Trace.record trace) cfg in
-    Format.printf
-      "%d events traced (%d retained); jobs started %d, completed %d, restarts %d@.@."
-      (Cocheck_sim.Trace.length trace + Cocheck_sim.Trace.dropped trace)
-      (Cocheck_sim.Trace.length trace)
-      r.Simulator.jobs_started r.jobs_completed r.restarts;
-    match job with
-    | Some job ->
-        List.iter
-          (fun e -> Format.printf "%a@." Cocheck_sim.Trace.pp_event e)
-          (Cocheck_sim.Trace.for_job trace ~job)
-    | None -> print_string (Cocheck_sim.Trace.dump ~limit trace)
-  in
-  Cmd.v
-    (Cmd.info "trace" ~doc:"Run a short simulation and dump its structured event log.")
-    Term.(const action $ strategy_t $ platform_flags_t $ seed_t $ days_t 3.0
-          $ Arg.(value & opt int 200 & info [ "limit" ] ~docv:"N"
-                   ~doc:"Maximum events to print.")
-          $ Arg.(value & opt (some int) None & info [ "job" ] ~docv:"JOB"
-                   ~doc:"Only print events of this job id."))
-
 let ablation_cmd =
   let names = List.map fst E.Ablations.studies @ [ "all" ] in
   let which_t =
@@ -639,32 +678,9 @@ let ablation_cmd =
                                burst buffer, period scaling.")
     Term.(const action $ which_t
           $ Arg.(value & opt int 8 & info [ "reps" ] ~docv:"N" ~doc:"Monte Carlo replications.")
-          $ seed_t $ days_t 20.0 $ domains_t)
-
-let timeline_cmd =
-  let action strategy platform seed days buckets =
-    let cfg = run_config (single_run ~strategy ?seed ~days platform) strategy in
-    let trace = Cocheck_sim.Trace.create ~capacity:2_000_000 () in
-    let r = Simulator.run ~observe:(Cocheck_sim.Trace.record trace) cfg in
-    let tl =
-      try
-        E.Timeline.build ~trace ~total_nodes:cfg.platform.Platform.nodes ~horizon:cfg.horizon
-          ~buckets ()
-      with Invalid_argument m ->
-        Format.eprintf "error: %s@." m;
-        exit 1
-    in
-    Format.printf "%a — %s, %d jobs started, %d restarts@.@." Platform.pp cfg.platform
-      (Strategy.name strategy) r.Simulator.jobs_started r.restarts;
-    print_string (E.Timeline.render tl)
-  in
-  Cmd.v
-    (Cmd.info "timeline"
-       ~doc:"Run a simulation and render the node-utilization timeline (dips = failure \
-             kills and drain effects).")
-    Term.(const action $ strategy_t $ platform_flags_t $ seed_t $ days_t 10.0
-          $ Arg.(value & opt int 48 & info [ "buckets" ] ~docv:"N"
-                   ~doc:"Time buckets to render."))
+          $ seed_t
+          $ Arg.(value & opt float 20.0 & info [ "days" ] ~docv:"DAYS" ~doc:days_doc)
+          $ domains_t)
 
 let check_cmd =
   let action reps seed days domains =
@@ -694,30 +710,6 @@ let report_cmd =
     Term.(const action
           $ Arg.(value & flag & info [ "full" ] ~doc:"Full-depth protocol (slow).")
           $ seed_t $ out_t $ domains_t)
-
-let observe_cmd =
-  let action strategy scenario seed days outputs =
-    let spec = single_run ~strategy ?seed ~days scenario in
-    let cfg = run_config spec strategy in
-    check_writable (output_paths outputs);
-    let timer = Obs.Timer.create () in
-    let recs = recorders ~always:true outputs cfg in
-    let r =
-      Obs.Timer.time timer ~name:"simulate" (fun () ->
-          Simulator.run ?observe:recs.observe ?sample:recs.sample cfg)
-    in
-    print_string
-      (Obs.Dashboard.render ~cfg ~result:r ~series:(Option.get recs.series)
-         ~registry:(Option.get recs.registry) ());
-    print_newline ();
-    print_string (Obs.Timer.render timer);
-    write_outputs outputs recs ~spec ~cfg ~timer ~result:r ()
-  in
-  Cmd.v
-    (Cmd.info "observe"
-       ~doc:"Run one instrumented simulation and render an ASCII dashboard: headline \
-             metrics, waste breakdown, platform sparklines, latency histograms.")
-    Term.(const action $ strategy_t $ scenario_t $ seed_t $ days_t 10.0 $ outputs_t)
 
 (* ------------------------------------------------------------------ *)
 (* campaign                                                             *)
@@ -1163,11 +1155,10 @@ let main =
     (Cmd.info "simctl" ~version:"1.0.0"
        ~doc:"Cooperative checkpointing for shared HPC platforms — simulator and experiments.")
     [
-      run_cmd; observe_cmd; campaign_cmd; serve_cmd; query_cmd;
+      run_cmd; campaign_cmd; serve_cmd; query_cmd;
       figure_cmd "fig1" ~doc:"Waste ratio vs bandwidth (paper Figure 1)" E.Fig1.spec;
       figure_cmd "fig2" ~doc:"Waste ratio vs node MTBF (paper Figure 2)" E.Fig2.spec;
-      fig3_cmd; table1_cmd; bound_cmd; trace_cmd; ablation_cmd; check_cmd; timeline_cmd;
-      report_cmd;
+      fig3_cmd; table1_cmd; bound_cmd; ablation_cmd; check_cmd; report_cmd;
     ]
 
 let () = exit (Cmd.eval main)

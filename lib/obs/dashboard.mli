@@ -1,6 +1,6 @@
 (** One-screen ASCII run dashboard: headline metrics, waste breakdown,
     sparklines over the sampled platform series, and the instrumentation
-    histograms. Rendered by [simctl observe]. *)
+    histograms. Rendered by [simctl run --dashboard]. *)
 
 val waste_bars :
   ?width:int -> (Cocheck_sim.Metrics.kind * float) list -> string

@@ -2,9 +2,9 @@
     scenario ({!Cocheck_sim.Config.t} including platform, workload classes,
     strategy and seed), wall-clock phase timings, instrumentation counters,
     the final metrics summary and caller sections. A run written by
-    [simctl run] or [simctl observe] carries its one-cell campaign spec as
-    the ["spec"] section, and [Spec.load] reads that section back, so the
-    run replays through [--spec]. The ["config"] section is write-only: it
+    [simctl run] carries its one-cell campaign spec as the ["spec"]
+    section, and [Spec.load] reads that section back, so the run replays
+    through [--spec]. The ["config"] section is write-only: it
     is the canonical form [Spec.cell_key] hashes.
 
     The piecewise codecs below are shared with the campaign spec and the

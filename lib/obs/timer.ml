@@ -31,24 +31,6 @@ let time t ~name f =
 let phases t = List.rev_map (fun p -> (p.name, p.seconds, p.calls)) t.order
 let total_s t = List.fold_left (fun acc p -> acc +. p.seconds) 0.0 t.order
 
-let render t =
-  let ps = phases t in
-  let total = total_s t in
-  let width =
-    List.fold_left (fun acc (n, _, _) -> max acc (String.length n)) 5 ps
-  in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-*s %10s %6s %6s\n" width "phase" "seconds" "share" "calls");
-  List.iter
-    (fun (name, s, calls) ->
-      let share = if total > 0.0 then 100.0 *. s /. total else 0.0 in
-      Buffer.add_string buf
-        (Printf.sprintf "%-*s %10.2f %5.1f%% %6d\n" width name s share calls))
-    ps;
-  Buffer.add_string buf (Printf.sprintf "%-*s %10.2f\n" width "total" total);
-  Buffer.contents buf
-
 let to_json t =
   Json.Obj
     [

@@ -1,9 +1,9 @@
 (** Wall-clock phase timing for simulator runs and bench campaigns.
 
     A timer accumulates named phases (a phase timed several times sums its
-    durations and counts its calls) in insertion order, renders them as a
-    table, and serializes into run manifests. Replaces ad-hoc
-    [Unix.gettimeofday] bracketing. *)
+    durations and counts its calls) in insertion order and serializes
+    them into run manifests. Replaces ad-hoc [Unix.gettimeofday]
+    bracketing. *)
 
 type t
 
@@ -20,9 +20,6 @@ val phases : t -> (string * float * int) list
 (** [(name, total_seconds, calls)] in first-recorded order. *)
 
 val total_s : t -> float
-
-val render : t -> string
-(** Aligned per-phase table: seconds, share of total, calls. *)
 
 val to_json : t -> Json.t
 (** [{"phases": [{"name", "seconds", "calls"}...], "total_s"}] *)

@@ -4,8 +4,8 @@
     {!event} to its [?observe] callback, and [record t] is the observer
     that keeps them in a bounded in-memory ring. Used for debugging, for the
     protocol-invariant tests (a commit must follow a start, a job holds at
-    most one activity, ...), and by the [simctl trace] command for
-    eyeballing a schedule. *)
+    most one activity, ...), and by [simctl run --events] and
+    [--timeline] for eyeballing a schedule. *)
 
 type kind =
   | Job_started of { restarts : int; nodes : int }
