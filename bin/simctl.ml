@@ -674,8 +674,8 @@ let ablation_cmd =
           E.Ablations.studies)
   in
   Cmd.v
-    (Cmd.info "ablation" ~doc:"Ablation studies: failure law, interference model, \
-                               burst buffer, period scaling.")
+    (Cmd.info "ablation"
+       ~doc:("Ablation studies: " ^ String.concat ", " (List.map fst E.Ablations.studies) ^ "."))
     Term.(const action $ which_t
           $ Arg.(value & opt int 8 & info [ "reps" ] ~docv:"N" ~doc:"Monte Carlo replications.")
           $ seed_t

@@ -5,18 +5,25 @@
    of Equation (3) next to a simulation of the same single-class workload,
    and marking the Young/Daly optimum. Also shows the Arunagiri-style
    trade-off: stretching the period above Daly's sheds I/O pressure much
-   faster than it adds waste. *)
+   faster than it adds waste.
 
+   The simulated column is one campaign: a single-class spec whose
+   strategies are Ordered-NB at each fixed period, one replication.
+
+     dune exec examples/daly_vs_fixed.exe *)
+
+module Pool = Cocheck_parallel.Pool
 module Platform = Cocheck_model.Platform
 module App_class = Cocheck_model.App_class
 module Apex = Cocheck_model.Apex
 module Strategy = Cocheck_core.Strategy
 module Daly = Cocheck_core.Daly
 module Waste = Cocheck_core.Waste
-module Config = Cocheck_sim.Config
-module Simulator = Cocheck_sim.Simulator
+module E = Cocheck_experiments
 module Table = Cocheck_util.Table
 module Units = Cocheck_util.Units
+
+let factors = [ 0.25; 0.5; 0.8; 1.0; 1.25; 2.0; 4.0 ]
 
 let () =
   let platform = Platform.cielo ~bandwidth_gbs:160.0 ~node_mtbf_years:2.0 () in
@@ -30,16 +37,13 @@ let () =
 
   (* Single-class workload so the simulated waste isolates this class. *)
   let eap_only = { c with App_class.workload_pct = 100.0 } in
-  let simulate period_s =
-    let strategy = Strategy.Ordered_nb (Strategy.Fixed period_s) in
-    let cfg s =
-      Config.make ~platform ~classes:[ eap_only ] ~strategy:s ~seed:5 ~days:12.0 ()
-    in
-    let specs = Simulator.generate_specs (cfg Strategy.Baseline) in
-    let baseline = Simulator.run ~specs (cfg Strategy.Baseline) in
-    let r = Simulator.run ~specs (cfg strategy) in
-    Simulator.waste_ratio ~strategy:r ~baseline
+  let spec =
+    E.Spec.make ~name:"daly-vs-fixed" ~platform ~classes:[ eap_only ]
+      ~strategies:
+        (List.map (fun f -> Strategy.Ordered_nb (Strategy.Fixed (daly *. f))) factors)
+      ~reps:1 ~seed:5 ~days:12.0 ()
   in
+  let simulated = Pool.with_pool (fun pool -> (E.Runner.run ~pool spec).E.Runner.results) in
   let analytic period_s =
     Waste.job_waste ~ckpt_s ~period_s ~recovery_s:ckpt_s ~mtbf_s
   in
@@ -52,18 +56,18 @@ let () =
     Table.create
       ~headers:[ "period"; "vs Daly"; "analytic waste"; "simulated waste"; "I/O pressure" ]
   in
-  List.iter
-    (fun factor ->
+  List.iter2
+    (fun factor (r : E.Runner.cell_result) ->
       let p = daly *. factor in
       Table.add_row table
         [
           Format.asprintf "%a" Units.pp_duration p;
           Printf.sprintf "%.2fx" factor;
           Printf.sprintf "%.4f" (analytic p);
-          Printf.sprintf "%.4f" (simulate p);
+          Printf.sprintf "%.4f" r.ratios.(0);
           Printf.sprintf "%.3f" (io_pressure p);
         ])
-    [ 0.25; 0.5; 0.8; 1.0; 1.25; 2.0; 4.0 ];
+    factors simulated;
   print_string (Table.render table);
   Format.printf
     "@.The analytic curve is flat around its minimum: doubling the Daly period@.";

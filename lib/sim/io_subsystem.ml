@@ -425,6 +425,41 @@ let sync t =
     if t.f_state.(i) = st_pool then settle_flow t i
   done
 
+(* [sync]'s ledger entries, recorded into [ledger] instead of the
+   subsystem's own: the same spans and fractions, read off the virtual
+   clock extrapolated to the present, with no flow or clock state
+   written. *)
+let pending t ledger =
+  let now = t.clock.now in
+  let sl = slope t in
+  let v_at time = t.s.(s_vclock) +. ((time -. t.s.(s_t_last)) *. sl) in
+  for i = 0 to t.cap - 1 do
+    if t.f_state.(i) = st_pool && now > t.f_t_emit.(i) then
+      let t0 = t.f_t_emit.(i) and nodes = t.f_nodes.(i) in
+      match t.f_kind.(i) with
+      | Input | Output ->
+          let a = Float.max t0 t.seg_lo and b = Float.min now t.seg_hi in
+          if b > a then begin
+            let va =
+              if t0 >= t.seg_lo then t.f_v_emit.(i)
+              else if t.seg_lo_crossed then t.s.(s_v_seg_lo)
+              else v_at t.seg_lo
+            in
+            let vb =
+              if now <= t.seg_hi then v_at now
+              else if t.seg_hi_crossed then t.s.(s_v_seg_hi)
+              else v_at t.seg_hi
+            in
+            let fraction = t.f_weight.(i) *. (vb -. va) /. (t.bandwidth *. (b -. a)) in
+            let fraction = Float.min 1.0 (Float.max 0.0 fraction) in
+            Metrics.record_weighted ledger ~t0:a ~t1:b ~nodes ~fraction
+              ~progress:Metrics.Regular_io ~waste:Metrics.Io_dilation
+          end
+      | Ckpt -> Metrics.record ledger ~t0 ~t1:now ~nodes Metrics.Ckpt_io
+      | Recovery -> Metrics.record ledger ~t0 ~t1:now ~nodes Metrics.Recovery_io
+      | Drain -> ()
+  done
+
 let active_count t = t.nflows
 
 let current_rate_gbs t =

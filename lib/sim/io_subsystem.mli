@@ -108,9 +108,16 @@ val flow_id : flow -> int
 val sync : t -> unit
 (** Force pending ledger entries out to {!Metrics} for every live flow, up
     to the current simulation time. Metrics settle lazily (at completion or
-    abort); call this before reading the ledger mid-run — time-series
-    probes do. Idempotent at a fixed time; does not perturb flow
-    schedules. *)
+    abort). Idempotent at a fixed time and does not perturb flow
+    schedules, but splitting a span moves the ledger's float sums in their
+    last bits; a mid-run reader that must not perturb uses {!pending}. *)
+
+val pending : t -> Metrics.t -> unit
+(** Record into the given ledger the entries {!sync} would emit now —
+    what live flows have accrued since they last settled — without
+    settling them: the subsystem's state and its own ledger are left
+    untouched, so a run that calls this is bit-identical to one that does
+    not. Time-series probes add these to the subsystem's ledger totals. *)
 
 val transferred_gb : t -> float
 (** Aggregate volume actually moved so far (committed plus in-flight), for

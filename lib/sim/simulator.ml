@@ -72,10 +72,16 @@ let generate_specs (cfg : Config.t) =
 (* ------------------------------------------------------------------ *)
 
 let snapshot_of w =
-  (* Ledger entries settle lazily in the flow scheduler; flush both
-     subsystems so the probe reads current totals. *)
-  Io.sync w.io;
-  (match w.hier with Some h -> Ckpt_hierarchy.iter_pools h Io.sync | None -> ());
+  (* Ledger entries settle lazily in the flow scheduler. Settling them here
+     would split their spans and move the run's float sums, so the probe
+     adds what both subsystems have accrued but not yet settled from a
+     scratch ledger instead. *)
+  let seg_start, seg_end = Metrics.segment w.metrics in
+  let accrued = Metrics.create ~seg_start ~seg_end in
+  Io.pending w.io accrued;
+  (match w.hier with
+  | Some h -> Ckpt_hierarchy.iter_pools h (fun io -> Io.pending io accrued)
+  | None -> ());
   let computing = ref 0 and in_io = ref 0 and waiting = ref 0 in
   Hashtbl.iter
     (fun _ inst ->
@@ -98,15 +104,18 @@ let snapshot_of w =
     io_flows = Io.active_count w.io;
     io_rate_gbs = Io.current_rate_gbs w.io;
     bandwidth_gbs = bandwidth w;
-    progress_ns = Metrics.progress_ns w.metrics;
-    waste_ns = Metrics.waste_ns w.metrics;
-    waste_by_kind = Metrics.by_kind w.metrics;
+    progress_ns = Metrics.progress_ns w.metrics +. Metrics.progress_ns accrued;
+    waste_ns = Metrics.waste_ns w.metrics +. Metrics.waste_ns accrued;
+    waste_by_kind =
+      List.map2
+        (fun (k, settled) (_, pending) -> (k, settled +. pending))
+        (Metrics.by_kind w.metrics) (Metrics.by_kind accrued);
   }
 
 (* Probes ride the engine calendar at t = dt, 2dt, ... through one
-   registered source; read-only, so they cannot perturb the schedule (FIFO
-   ordering at equal times aside, the probe touches no simulation
-   state). *)
+   registered source; read-only, so they cannot perturb the schedule or
+   the result (FIFO ordering at equal times aside, the probe touches no
+   simulation state). *)
 let schedule_probes w ~dt observe =
   if not (Float.is_finite dt && dt > 0.0) then
     invalid_arg "Simulator.run: sample interval must be positive";

@@ -5,8 +5,9 @@
    their own DES calendar; per-flow completion times, the full metrics
    ledger and the transferred-volume total must agree within float
    tolerance. A third replay adds mid-run [sync] calls to the new engine
-   and demands bitwise-stable final ledgers, proving settlement points are
-   semantically transparent. *)
+   and demands stable final ledgers, proving settlement points are
+   semantically transparent; before each, the read-only [pending] must
+   report what that [sync] settles. *)
 
 module Engine = Cocheck_des.Engine
 module Metrics = Cocheck_sim.Metrics
@@ -92,6 +93,8 @@ module type IO = sig
   val transferred_gb : t -> float
   val sync : t -> unit option
   (* [None] marks an implementation without settlement probes. *)
+
+  val pending : t -> Metrics.t -> unit option
 end
 
 module New_io : IO = struct
@@ -99,6 +102,7 @@ module New_io : IO = struct
 
   let kinds = [| Input; Output; Ckpt; Recovery; Drain |]
   let sync t = Some (sync t)
+  let pending t ledger = Some (pending t ledger)
 end
 
 module Ref_io : IO = struct
@@ -106,6 +110,7 @@ module Ref_io : IO = struct
 
   let kinds = [| Input; Output; Ckpt; Recovery; Drain |]
   let sync _ = None
+  let pending _ _ = None
 end
 
 type outcome = {
@@ -113,6 +118,10 @@ type outcome = {
   ledger : (Metrics.kind * float) list;
   transferred : float;
 }
+
+let rel_close ?(tol = 1e-6) a b =
+  (Float.is_nan a && Float.is_nan b)
+  || Float.abs (a -. b) <= tol *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
 module Replay (M : IO) = struct
   let run ?(with_syncs = false) (s : schedule) =
@@ -140,10 +149,24 @@ module Replay (M : IO) = struct
                    | Some f -> M.abort_flow io f
                    | None -> ())))
       s.ops;
+    (* At each probe, the read-only [pending] must report what the [sync]
+       that follows settles. *)
+    let probe _ =
+      let settled = Metrics.by_kind metrics in
+      let accrued = Metrics.create ~seg_start ~seg_end in
+      let read = M.pending io accrued in
+      ignore (M.sync io);
+      if read <> None then
+        List.iter2
+          (fun ((k, before), (_, after)) (_, extra) ->
+            if not (rel_close (before +. extra) after) then
+              Alcotest.failf "pending %s at %g: %.9g + %.9g, sync settles to %.9g"
+                (Metrics.kind_name k) (Engine.now engine) before extra after)
+          (List.combine settled (Metrics.by_kind metrics))
+          (Metrics.by_kind accrued)
+    in
     if with_syncs then
-      List.iter
-        (fun at -> ignore (Engine.schedule_at engine ~time:at (fun _ -> ignore (M.sync io))))
-        s.syncs;
+      List.iter (fun at -> ignore (Engine.schedule_at engine ~time:at probe)) s.syncs;
     Engine.run engine;
     ignore (M.sync io);
     { completions; ledger = Metrics.by_kind metrics; transferred = M.transferred_gb io }
@@ -155,10 +178,6 @@ module Run_ref = Replay (Ref_io)
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let rel_close ?(tol = 1e-6) a b =
-  (Float.is_nan a && Float.is_nan b)
-  || Float.abs (a -. b) <= tol *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
 let check_same ~ctx (a : outcome) (b : outcome) =
   Array.iteri
@@ -215,6 +234,13 @@ let test_sync_settles_partial_ledger () =
   ignore
     (Engine.schedule_at engine ~time:4.0 (fun _ ->
          checkf "nothing settled yet" 0.0 (Metrics.total metrics Metrics.Regular_io);
+         let accrued = Metrics.create ~seg_start:0.0 ~seg_end:1e9 in
+         Cocheck_sim.Io_subsystem.pending io accrued;
+         checkf "pending progress share" ~eps:1e-9 8.0
+           (Metrics.total accrued Metrics.Regular_io);
+         checkf "pending dilation share" ~eps:1e-9 8.0
+           (Metrics.total accrued Metrics.Io_dilation);
+         checkf "pending settles nothing" 0.0 (Metrics.total metrics Metrics.Regular_io);
          Cocheck_sim.Io_subsystem.sync io;
          checkf "progress share settled" ~eps:1e-9 8.0
            (Metrics.total metrics Metrics.Regular_io);

@@ -326,15 +326,45 @@ let test_sampler_segment_clipping () =
         Alcotest.failf "sample at %g escaped the segment window" t)
     (Series.rows series)
 
+(* Probes read the I/O ledger without settling it, so a sampled run's
+   totals match the plain run's to the last bit. The 10-day Cielo run is
+   `simctl run --days 10 --dashboard`'s; settling at probe time moved its
+   io-dilation from 1.1921e-07 to 5.5049e-07. The buffered run reads the
+   hierarchy's pools too. *)
 let test_sampler_does_not_perturb () =
-  let cfg = small_cfg Strategy.Least_waste in
-  let plain = Simulator.run cfg in
-  let _, observe = Sampler.create () in
-  let sampled = Simulator.run ~sample:(cfg.Config.horizon /. 37.0, observe) cfg in
-  checkf "progress unchanged" plain.Simulator.progress_ns sampled.Simulator.progress_ns;
-  checkf "waste unchanged" plain.Simulator.waste_ns sampled.Simulator.waste_ns;
-  Alcotest.(check int) "ckpts unchanged" plain.Simulator.ckpts_committed
-    sampled.Simulator.ckpts_committed
+  let same_bits msg a b =
+    Alcotest.(check int64) msg (Int64.bits_of_float a) (Int64.bits_of_float b)
+  in
+  let check cfg ~dt =
+    let plain = Simulator.run cfg in
+    let _, observe = Sampler.create () in
+    let sampled = Simulator.run ~sample:(dt, observe) cfg in
+    same_bits "progress" plain.Simulator.progress_ns sampled.Simulator.progress_ns;
+    same_bits "waste" plain.Simulator.waste_ns sampled.Simulator.waste_ns;
+    List.iter2
+      (fun (k, a) (_, b) -> same_bits (Cocheck_sim.Metrics.kind_name k) a b)
+      plain.Simulator.by_kind sampled.Simulator.by_kind;
+    Alcotest.(check int) "ckpts unchanged" plain.Simulator.ckpts_committed
+      sampled.Simulator.ckpts_committed
+  in
+  let small = small_cfg Strategy.Least_waste in
+  check small ~dt:(small.Config.horizon /. 37.0);
+  let cielo10 =
+    Config.make ~platform:(Platform.cielo ()) ~strategy:Strategy.Least_waste ~seed:42
+      ~days:10.0 ()
+  in
+  check cielo10 ~dt:(Sampler.default_dt cielo10);
+  let buffered =
+    Config.make
+      ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:5.0 ())
+      ~strategy:Strategy.Least_waste ~seed:11 ~days:15.0
+      ~multilevel:
+        (Config.with_burst_buffer
+           { Config.capacity_gb = 250_000.0; bandwidth_gbs = 1000.0 }
+           None)
+      ()
+  in
+  check buffered ~dt:(Sampler.default_dt buffered)
 
 (* ------------------------------------------------------------------ *)
 (* Standard instrumentation over the event stream                       *)
