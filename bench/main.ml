@@ -258,7 +258,7 @@ let count_io_rebalance n =
   let completed = ref 0 in
   for i = 0 to n - 1 do
     ignore
-      (Cocheck_sim.Io_subsystem.start_flow io ~job:i ~nodes:(1 + (i mod 7))
+      (Cocheck_sim.Io_subsystem.start_flow io ~nodes:(1 + (i mod 7))
          ~kind:Cocheck_sim.Io_subsystem.Ckpt
          ~volume_gb:(1.0 +. float_of_int (i * 17 mod 29))
          ~on_complete:(fun () -> incr completed))

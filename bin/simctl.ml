@@ -745,10 +745,14 @@ let load_spec path =
       Format.eprintf "error: cannot load spec %s: %s@." path e;
       exit 1
 
-let campaign_counts spec =
+(* The header of `campaign run` and `campaign status`, naming the campaign
+   once; returns the campaign's point count. *)
+let print_campaign_header spec =
   let cells = List.length (E.Spec.cells spec) in
-  let strategies = List.length spec.E.Spec.strategies in
-  (cells, strategies, spec.E.Spec.reps)
+  let strategies = List.length spec.E.Spec.strategies and reps = spec.E.Spec.reps in
+  Format.printf "%s (digest %s): %d cells x %d strategies x %d reps@." spec.E.Spec.name
+    (E.Spec.digest spec) cells strategies reps;
+  cells * strategies * reps
 
 (* The axis --axis (else [base]'s) over --values; [None] when both are
    unset. *)
@@ -800,15 +804,15 @@ let campaign_run preset =
                  and a final end line. Tail it with `simctl campaign status \
                  --progress $(docv) --follow`.")
   in
-  let campaign_trace_out_t =
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
+  let campaign_perfetto_out_t =
+    Arg.(value & opt (some string) None & info [ "perfetto-out" ] ~docv:"FILE"
            ~doc:"Profile the campaign execution — per-worker task/idle lanes, one \
                  span per (cell, replication) with nested baseline/simulate child \
                  spans — and write Chrome trace_event JSON to $(docv) for \
                  ui.perfetto.dev.")
   in
   let action spec_file name axis values scenario strategies reps seed days store save_spec
-      out domains progress trace_out =
+      out domains progress perfetto_out =
     let spec =
       match spec_file with
       | Some path -> load_spec path
@@ -822,14 +826,14 @@ let campaign_run preset =
          per strategy@.";
       exit 1
     end;
-    check_writable [ save_spec; out; progress; trace_out ];
+    check_writable [ save_spec; out; progress; perfetto_out ];
     Option.iter
       (fun path ->
         writing path (fun () -> E.Spec.save ~path spec);
         Format.printf "wrote %s@." path)
       save_spec;
     let tracer =
-      match trace_out with
+      match perfetto_out with
       | None -> Obs.Tracing.disabled
       | Some _ -> Obs.Tracing.create ()
     in
@@ -847,11 +851,8 @@ let campaign_run preset =
     with_pool ~telemetry:(Obs.Tracing.pool_telemetry tracer ()) domains (fun pool ->
         let store = Option.map E.Store.open_ store in
         let o = E.Runner.run ~pool ?store ~tracer ?on_progress spec in
-        let cells, strategies, reps = campaign_counts spec in
-        Format.printf "campaign %s (digest %s): %d cells x %d strategies x %d reps@."
-          spec.E.Spec.name (E.Spec.digest spec) cells strategies reps;
-        Format.printf "records: total=%d cached=%d simulated=%d baselines=%d@."
-          (cells * strategies * reps)
+        let total = print_campaign_header spec in
+        Format.printf "records: total=%d cached=%d simulated=%d baselines=%d@." total
           o.E.Runner.loaded o.E.Runner.simulated o.E.Runner.baselines;
         match spec.E.Spec.axis with
         | E.Spec.No_sweep ->
@@ -868,11 +869,11 @@ let campaign_run preset =
       (fun path ->
         writing path (fun () -> Obs.Tracing.write ~path ~process_name:"simctl campaign" tracer);
         Format.printf "wrote %s (%d events)@." path (Obs.Tracing.length tracer))
-      trace_out
+      perfetto_out
   in
   Term.(const action $ spec_file_t $ name_t $ axis_t $ values_t $ scenario_t $ strategies_t
         $ preset_reps_t () $ seed_t $ preset_days_t () $ store_t $ save_spec_t $ out_t $ domains_t
-        $ progress_out_t $ campaign_trace_out_t)
+        $ progress_out_t $ campaign_perfetto_out_t)
 
 let campaign_run_cmd =
   Cmd.v
@@ -969,9 +970,7 @@ let campaign_status_cmd =
         | Some spec_file, Some store ->
             let spec = load_spec spec_file in
             let p = E.Runner.status ~store:(E.Store.open_ store) spec in
-            let cells, strategies, reps = campaign_counts spec in
-            Format.printf "campaign %s (digest %s): %d cells x %d strategies x %d reps@."
-              spec.E.Spec.name (E.Spec.digest spec) cells strategies reps;
+            ignore (print_campaign_header spec);
             Format.printf "records: total=%d cached=%d missing=%d@." p.E.Runner.total
               p.E.Runner.cached p.E.Runner.missing
         | _ ->

@@ -27,9 +27,13 @@ let () =
       ~axis:(E.Spec.Mtbf_years [ 2.0; 10.0 ])
       ~reps:2 ~seed:42 ~days:2.0 ()
   in
-  let store = Filename.concat (Filename.get_temp_dir_name ()) "cocheck-example-store" in
-  if Sys.file_exists store then rm_rf store;
-  E.Spec.save ~path:(Filename.concat (Filename.get_temp_dir_name ()) "campaign.json") spec;
+  (* The spec file and the results store share one scratch directory,
+     removed at exit. *)
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "cocheck-example" in
+  if Sys.file_exists dir then rm_rf dir;
+  Sys.mkdir dir 0o755;
+  let store = Filename.concat dir "store" in
+  E.Spec.save ~path:(Filename.concat dir "campaign.json") spec;
   Printf.printf "spec digest: %s\n%!" (E.Spec.digest spec);
   Pool.with_pool (fun pool ->
       let report label (o : E.Runner.outcome) =
@@ -45,4 +49,4 @@ let () =
       let warm = E.Runner.run ~pool ~store spec in
       report "warm:" warm;
       print_string (E.Figures.render (E.Runner.to_figure cold)));
-  rm_rf store
+  rm_rf dir

@@ -1,12 +1,10 @@
 open Cocheck_util
 
 (* A calendar entry is a source id (the Pqueue payload) under a kind (the
-   Pqueue tag). Sources are callbacks held in [src_cb]: a registered source
-   keeps its id for the engine's lifetime; a one-shot source — the
-   closure handed to [schedule_at] — lives from its scheduling to its
-   firing or cancellation, and its id is then recycled. Firing an entry
-   of a registered source therefore writes no heap pointer anywhere, and
-   the clock is a flat float, so the loop stores no boxed float either. *)
+   Pqueue tag). Sources are callbacks held in [src_cb], registered once and
+   kept for the engine's lifetime, so firing an entry writes no heap
+   pointer anywhere, and the clock is a flat float, so the loop stores no
+   boxed float either. *)
 
 type clock = { mutable now : float }
 
@@ -16,10 +14,7 @@ type t = {
   mutable processed : int;
   mutable stats : stats option;
   mutable src_cb : (t -> unit) array;  (* source id -> callback *)
-  mutable src_once : bool array;  (* one-shot ids, recycled when they leave *)
-  mutable src_free : int array;  (* retired one-shot ids *)
-  mutable src_free_n : int;
-  mutable src_n : int;  (* ids ever handed out *)
+  mutable src_n : int;  (* sources registered *)
 }
 
 and stats = {
@@ -50,9 +45,6 @@ let create ?(start = 0.0) () =
     processed = 0;
     stats = None;
     src_cb = [||];
-    src_once = [||];
-    src_free = [||];
-    src_free_n = 0;
     src_n = 0;
   }
 
@@ -63,48 +55,18 @@ let[@inline] now t = t.clock.now
 (* Sources                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let new_id t ~once f =
-  let id =
-    if once && t.src_free_n > 0 then begin
-      t.src_free_n <- t.src_free_n - 1;
-      t.src_free.(t.src_free_n)
-    end
-    else begin
-      let id = t.src_n in
-      let cap = Array.length t.src_cb in
-      if id = cap then begin
-        let ncap = max 16 (2 * cap) in
-        let cb = Array.make ncap nop
-        and on = Array.make ncap false
-        and free = Array.make ncap 0 in
-        Array.blit t.src_cb 0 cb 0 cap;
-        Array.blit t.src_once 0 on 0 cap;
-        Array.blit t.src_free 0 free 0 t.src_free_n;
-        t.src_cb <- cb;
-        t.src_once <- on;
-        t.src_free <- free
-      end;
-      t.src_n <- id + 1;
-      id
-    end
-  in
+let source t f =
+  let id = t.src_n in
+  if id = Array.length t.src_cb then begin
+    let cb = Array.make (max 16 (2 * id)) nop in
+    Array.blit t.src_cb 0 cb 0 id;
+    t.src_cb <- cb
+  end;
   t.src_cb.(id) <- f;
-  t.src_once.(id) <- once;
+  t.src_n <- id + 1;
   id
 
-let source t f = new_id t ~once:false f
 let no_source = -1
-
-(* A one-shot id leaves with its entry: its callback is dropped (so the
-   engine retains nothing) and the id goes back on the free stack. *)
-let[@inline] retire t src =
-  if t.src_once.(src) then begin
-    t.src_cb.(src) <- nop;
-    t.src_free.(t.src_free_n) <- src;
-    t.src_free_n <- t.src_free_n + 1
-  end
-
-let source_table_size t = t.src_n
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                           *)
@@ -134,28 +96,14 @@ let[@inline] schedule_ranked t ~kind ~time ~rank src =
 let[@inline] schedule_src t ~kind ~time src =
   schedule_ranked t ~kind ~time ~rank:(draw_rank t) src
 
-let schedule_at t ?(kind = 0) ~time f =
-  if time < t.clock.now then precedes_clock "schedule" time t.clock.now;
-  schedule_src t ~kind ~time (new_id t ~once:true f)
-
-let schedule_after t ?kind ~delay f =
-  if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
-  schedule_at t ?kind ~time:(t.clock.now +. delay) f
-
 let cancel t h =
-  Pqueue.mem t.calendar h
-  && begin
-       let src = Pqueue.value_of t.calendar h in
-       (match t.stats with
-       | None -> ()
-       | Some st ->
-           st.cancelled <- st.cancelled + 1;
-           let k = kind_slot st (Option.value (Pqueue.tag_of t.calendar h) ~default:0) in
-           st.by_kind_cancelled.(k) <- st.by_kind_cancelled.(k) + 1);
-       ignore (Pqueue.remove t.calendar h);
-       retire t src;
-       true
-     end
+  (match t.stats with
+  | Some st when Pqueue.mem t.calendar h ->
+      st.cancelled <- st.cancelled + 1;
+      let k = kind_slot st (Option.value (Pqueue.tag_of t.calendar h) ~default:0) in
+      st.by_kind_cancelled.(k) <- st.by_kind_cancelled.(k) + 1
+  | _ -> ());
+  Pqueue.remove t.calendar h
 
 let[@inline] count_rescheduled t moved =
   match t.stats with
@@ -175,7 +123,6 @@ let[@inline] reschedule_ranked t h ~time ~rank =
   moved
 
 let pending t h = Pqueue.mem t.calendar h
-let time_of t h = Pqueue.priority_of t.calendar h
 let[@inline] time_is t h ~time = Pqueue.priority_is t.calendar h time
 
 (* ------------------------------------------------------------------ *)
@@ -193,8 +140,7 @@ let count_fired t st tag =
   end
 
 (* The root is read piecewise and dropped rather than popped: no option,
-   tuple or boxed-float allocation per event. A one-shot source is retired
-   before its callback runs, so the callback may schedule anew at once. *)
+   tuple or boxed-float allocation per event. *)
 let step t =
   if Pqueue.is_empty t.calendar then false
   else begin
@@ -205,9 +151,7 @@ let step t =
     t.clock.now <- time;
     t.processed <- t.processed + 1;
     (match t.stats with None -> () | Some st -> count_fired t st tag);
-    let f = t.src_cb.(src) in
-    retire t src;
-    f t;
+    t.src_cb.(src) t;
     true
   end
 

@@ -5,10 +5,9 @@
     Handlers may schedule and cancel further events freely.
 
     A calendar entry names a {!source}: a callback registered once with
-    {!source} and then scheduled any number of times through
-    {!schedule_src}, so the event path builds no closure and writes no heap
-    pointer. {!schedule_at} is sugar for a one-shot source that lives until
-    its entry fires or is cancelled. *)
+    {!source} for the engine's lifetime and then scheduled any number of
+    times through {!schedule_src}, so the event path builds no closure and
+    writes no heap pointer. Sources are the calendar's only way in. *)
 
 type t
 
@@ -63,15 +62,6 @@ val schedule_src : t -> kind:int -> time:float -> source -> handle
     {!attach_stats} has installed counters, which then attribute
     schedule/fire/cancel to the kind — the event loop itself ignores it. *)
 
-val schedule_at : t -> ?kind:int -> time:float -> (t -> unit) -> handle
-(** Schedule a callback at absolute [time] through a one-shot source: its
-    id is recycled once the entry fires or is cancelled. [kind] defaults
-    to 0; otherwise as {!schedule_src}. *)
-
-val schedule_after : t -> ?kind:int -> delay:float -> (t -> unit) -> handle
-(** [schedule_after t ~delay f] = [schedule_at t ~time:(now t +. delay) f].
-    Negative delays raise [Invalid_argument]. *)
-
 val cancel : t -> handle -> bool
 (** Cancel a pending event. [false] when it already fired or was cancelled;
     idempotent. *)
@@ -94,7 +84,7 @@ val reschedule : t -> handle -> time:float -> bool
 
 val draw_rank : t -> int
 (** The rank an event scheduled now would take. Ranks increase with every
-    draw and every {!schedule_at}. *)
+    draw and every {!schedule_src}. *)
 
 val schedule_ranked : t -> kind:int -> time:float -> rank:int -> source -> handle
 (** {!schedule_src} under a rank drawn earlier by {!draw_rank}. *)
@@ -107,12 +97,9 @@ val reschedule_ranked : t -> handle -> time:float -> rank:int -> bool
 val pending : t -> handle -> bool
 (** Whether the event behind the handle is still scheduled. *)
 
-val time_of : t -> handle -> float option
-(** Firing time of a still-pending event. *)
-
 val time_is : t -> handle -> time:float -> bool
-(** [time_is t h ~time] is [time_of t h = Some time] without the option and
-    boxed-float allocation; [false] for fired or cancelled events. *)
+(** Whether the event behind the handle is still pending at exactly
+    [time]; [false] for fired or cancelled events. Allocates nothing. *)
 
 val step : t -> bool
 (** Process the next event; [false] when the calendar is empty. *)
@@ -123,11 +110,6 @@ val run : ?until:float -> t -> unit
 
 val events_processed : t -> int
 val queue_length : t -> int
-
-val source_table_size : t -> int
-(** Source ids ever handed out: the registered sources plus, at most, the
-    largest number of one-shot sources pending at once (retired one-shot
-    ids are reused). *)
 
 (** {2 Event-churn counters}
 
@@ -147,7 +129,7 @@ val attach_stats :
   unit ->
   stats
 (** Install counters on the engine. [kinds] names the kind indices used by
-    the [?kind] argument of the schedule functions; out-of-range kinds
+    the [kind] argument of the schedule functions; out-of-range kinds
     fold into slot 0. [on_tick] fires inside {!step} after every
     [tick_every] processed events (default: never) — the tracing layer
     hangs periodic counter-track and GC sampling off it. Raises

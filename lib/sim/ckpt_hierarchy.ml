@@ -148,8 +148,7 @@ let rec start_flush t ~k c =
   t.flushes_started <- t.flushes_started + 1;
   (match lv.edge with None -> lv.flushing <- true | Some _ -> ());
   let flow =
-    Io.start_flow (flush_pool t ~k) ~job:c.c_owner ~nodes:c.c_nodes ~kind:Io.Drain
-      ~volume_gb:c.c_volume
+    Io.start_flow (flush_pool t ~k) ~nodes:c.c_nodes ~kind:Io.Drain ~volume_gb:c.c_volume
       ~on_complete:(fun () -> on_flush_done t ~k c)
   in
   c.c_flow <- Some flow
@@ -238,7 +237,7 @@ let write t ~owner ~job ~nodes ~volume_gb ~content ~at ~on_complete =
         }
       in
       let flow =
-        Io.start_flow lv.pool ~job ~nodes ~kind:Io.Ckpt ~volume_gb
+        Io.start_flow lv.pool ~nodes ~kind:Io.Ckpt ~volume_gb
           ~on_complete:(fun () ->
             c.c_state <- Resident;
             (match c.c_flow with
@@ -350,9 +349,9 @@ let surviving_content t ~owner ~inst =
     (fun acc c -> if c.c_inst = inst then Float.max acc c.c_content else acc)
     from_pfs (live_copies t ~owner)
 
-let read t ~owner:_ ~job ~nodes ~volume_gb ~level ~on_complete =
+let read t ~nodes ~volume_gb ~level ~on_complete =
   let lv = t.levels.(level) in
-  (lv.pool, Io.start_flow lv.pool ~job ~nodes ~kind:Io.Recovery ~volume_gb ~on_complete)
+  (lv.pool, Io.start_flow lv.pool ~nodes ~kind:Io.Recovery ~volume_gb ~on_complete)
 
 let drains_pending t =
   let queued =

@@ -87,8 +87,6 @@ val note_pfs_commit : t -> owner:int -> inst:int -> content:float -> at:float ->
 
 val read :
   t ->
-  owner:int ->
-  job:int ->
   nodes:int ->
   volume_gb:float ->
   level:int ->

@@ -76,7 +76,7 @@ and start_ckpt_flow w inst =
   emit_inst w inst Trace.Ckpt_started;
   inst.fl.ckpt_content <- inst.fl.work_done;
   let flow =
-    Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind:Io.Ckpt
+    Io.start_flow w.io ~nodes:inst.spec.Jobgen.nodes ~kind:Io.Ckpt
       ~volume_gb:inst.spec.Jobgen.ckpt_gb ~on_complete:inst.cb_ckpt_done
   in
   doing_io inst w.io flow Io.Ckpt

@@ -1,7 +1,7 @@
-(** Event-kind indices the simulator passes to
-    {!Cocheck_des.Engine.schedule_at}'s [?kind], and the name table handed
-    to [Engine.attach_stats] — one shared vocabulary so event-churn
-    counters mean the same thing in every layer. *)
+(** Event-kind indices the simulator passes as the [kind] of
+    {!Cocheck_des.Engine.schedule_src} and its ranked variant, and the name
+    table handed to [Engine.attach_stats] — one shared vocabulary so
+    event-churn counters mean the same thing in every layer. *)
 
 val other : int
 (** Anything unclassified (also the fold-in slot for bad kinds). *)

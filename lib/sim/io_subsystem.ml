@@ -48,13 +48,6 @@ module Pqueue = Cocheck_util.Pqueue
 type sharing = [ `Linear | `Degraded of float | `Unshared ]
 type io_kind = Input | Output | Ckpt | Recovery | Drain
 
-let io_kind_name = function
-  | Input -> "input"
-  | Output -> "output"
-  | Ckpt -> "ckpt"
-  | Recovery -> "recovery"
-  | Drain -> "drain"
-
 type flow = int
 (* slot in the low bits, the slot's generation above: a handle outlives its
    flow harmlessly (stale generation -> no-op), and storing one allocates
@@ -96,7 +89,6 @@ type t = {
   mutable cap : int;
   mutable f_gen : int array;
   mutable f_state : int array;
-  mutable f_job : int array;
   mutable f_nodes : int array;
   mutable f_kind : io_kind array;
   mutable f_heap_h : Pqueue.handle array;  (* null_handle when absent *)
@@ -158,7 +150,6 @@ let grow t =
   if cap > slot_mask + 1 then invalid_arg "Io_subsystem: too many concurrent flows";
   t.f_gen <- grow_array t.f_gen cap 0;
   t.f_state <- grow_array t.f_state cap st_free;
-  t.f_job <- grow_array t.f_job cap 0;
   t.f_nodes <- grow_array t.f_nodes cap 0;
   t.f_kind <- grow_array t.f_kind cap Input;
   t.f_heap_h <- grow_array t.f_heap_h cap Pqueue.null_handle;
@@ -338,7 +329,6 @@ let create ~engine ~metrics ~bandwidth_gbs ~sharing =
       cap;
       f_gen = Array.make cap 0;
       f_state = Array.make cap st_free;
-      f_job = Array.make cap 0;
       f_nodes = Array.make cap 0;
       f_kind = Array.make cap Input;
       f_heap_h = Array.make cap Pqueue.null_handle;
@@ -360,13 +350,12 @@ let create ~engine ~metrics ~bandwidth_gbs ~sharing =
   init_slots t ~from:0;
   t
 
-let start_flow t ~job ~nodes ~kind ~volume_gb ~on_complete =
+let start_flow t ~nodes ~kind ~volume_gb ~on_complete =
   if nodes <= 0 then invalid_arg "Io_subsystem.start_flow: non-positive node count";
   if volume_gb < 0.0 then invalid_arg "Io_subsystem.start_flow: negative volume";
   let now = t.clock.now in
   let i = alloc_slot t in
   let h = i lor (t.f_gen.(i) lsl slot_bits) in
-  t.f_job.(i) <- job;
   t.f_nodes.(i) <- nodes;
   t.f_kind.(i) <- kind;
   t.f_on_complete.(i) <- on_complete;
@@ -481,18 +470,6 @@ let active_rate t h =
    slope is constant since the last membership change. *)
 let vnow t = t.s.(s_vclock) +. ((t.clock.now -. t.s.(s_t_last)) *. slope t)
 
-let remaining_gb t h =
-  let i = slot_of t h in
-  if i < 0 then None
-  else if t.f_state.(i) <> st_pool then Some 0.0
-  else Some (Float.max 0.0 (t.f_volume.(i) -. (t.f_weight.(i) *. (vnow t -. t.f_v_start.(i)))))
-
-let live_slot name t h =
-  let i = slot_of t h in
-  if i < 0 then invalid_arg ("Io_subsystem." ^ name ^ ": flow is gone") else i
-
-let flow_job t h = t.f_job.(live_slot "flow_job" t h)
-let flow_kind t h = t.f_kind.(live_slot "flow_kind" t h)
 let flow_id (h : flow) = h
 
 let transferred_gb t =

@@ -40,8 +40,6 @@
 type sharing = [ `Linear | `Degraded of float | `Unshared ]
 
 type io_kind = Input | Output | Ckpt | Recovery | Drain
-
-val io_kind_name : io_kind -> string
 (** [Drain] marks background burst-buffer drains: they consume PFS
     bandwidth (and so interfere) but occupy no compute nodes, hence record
     no node-seconds. *)
@@ -61,15 +59,11 @@ val create :
   t
 
 val start_flow :
-  t ->
-  job:int ->
-  nodes:int ->
-  kind:io_kind ->
-  volume_gb:float ->
-  on_complete:(unit -> unit) ->
-  flow
-(** Begin a transfer at the current simulation time. [on_complete] fires
-    from an engine event when the last byte lands; a zero-volume transfer
+  t -> nodes:int -> kind:io_kind -> volume_gb:float -> on_complete:(unit -> unit) -> flow
+(** Begin a transfer at the current simulation time. [nodes] is the
+    flow's weight under proportional sharing and the node count of its
+    ledger entries; [kind] picks the ledger kind. [on_complete] fires from
+    an engine event when the last byte lands; a zero-volume transfer
     completes via an immediate event (still asynchronously, preserving
     event ordering). *)
 
@@ -89,16 +83,6 @@ val current_rate_gbs : t -> float
 
 val bandwidth_gbs : t -> float
 (** The configured aggregate bandwidth. *)
-
-val remaining_gb : t -> flow -> float option
-(** Volume left on a live flow as of the current simulation time. *)
-
-val flow_job : t -> flow -> int
-(** Owning job of a live flow; raises [Invalid_argument] on a stale
-    handle. *)
-
-val flow_kind : t -> flow -> io_kind
-(** Kind of a live flow; raises [Invalid_argument] on a stale handle. *)
 
 val flow_id : flow -> int
 (** The handle as an integer key: unique among live flows and never reused

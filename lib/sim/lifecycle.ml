@@ -114,8 +114,7 @@ and begin_blocking_io w inst kind volume =
         match Ckpt_hierarchy.recovery_source h ~owner:inst.spec.Jobgen.id with
         | Some level ->
             let pool, flow =
-              Ckpt_hierarchy.read h ~owner:inst.spec.Jobgen.id ~job:inst.idx
-                ~nodes:inst.spec.Jobgen.nodes ~volume_gb:volume ~level
+              Ckpt_hierarchy.read h ~nodes:inst.spec.Jobgen.nodes ~volume_gb:volume ~level
                 ~on_complete:inst.cb_io_done
             in
             doing_io inst pool flow kind;
@@ -142,7 +141,7 @@ and begin_blocking_io w inst kind volume =
 
 and start_blocking_flow w inst kind volume =
   let flow =
-    Io.start_flow w.io ~job:inst.idx ~nodes:inst.spec.Jobgen.nodes ~kind ~volume_gb:volume
+    Io.start_flow w.io ~nodes:inst.spec.Jobgen.nodes ~kind ~volume_gb:volume
       ~on_complete:inst.cb_io_done
   in
   doing_io inst w.io flow kind

@@ -19,11 +19,10 @@
    pinning a value against the GC.
 
    Slots are drawn from a freelist stack and recycled. Each recycling bumps
-   the slot's generation, so a stale handle (popped, removed or cleared)
-   can never alias the slot's next tenant: [mem] checks the generation
-   embedded in the handle against the slot's current one. Generations are
-   33-bit and monotone per slot; wrap-around would need ~8e9 reuses of a
-   single slot.
+   the slot's generation, so a stale handle (dropped or removed) can never
+   alias the slot's next tenant: [mem] checks the generation embedded in
+   the handle against the slot's current one. Generations are 33-bit and
+   monotone per slot; wrap-around would need ~8e9 reuses of a single slot.
 
    Sifts are hole-based loops: the moving element rides in locals and each
    step shifts one element into the hole (4 array stores) instead of
@@ -185,8 +184,7 @@ let[@inline] add_seq t ~priority ~seq ~tag v =
   sift_up t i priority seq slot;
   (t.gen.(slot) lsl slot_bits) lor slot
 
-let[@inline] add_tagged t ~priority ~tag v = add_seq t ~priority ~seq:(take_seq t) ~tag v
-let[@inline] add t ~priority v = add_tagged t ~priority ~tag:0 v
+let[@inline] add t ~priority v = add_seq t ~priority ~seq:(take_seq t) ~tag:0 v
 
 let remove_at t i =
   free_slot t t.hslot.(i);
@@ -205,27 +203,10 @@ let remove_at t i =
     else sift_down t i p s ls
   end
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let p = t.prio.(0) and v = t.value.(t.hslot.(0)) in
-    remove_at t 0;
-    Some (p, v)
-  end
-
-let pop_tagged t =
-  if t.size = 0 then None
-  else begin
-    let slot = t.hslot.(0) in
-    let p = t.prio.(0) and tag = t.tag.(slot) and v = t.value.(slot) in
-    remove_at t 0;
-    Some (p, tag, v)
-  end
-
 let[@inline never] empty name = invalid_arg ("Pqueue." ^ name ^ ": empty queue")
 
-(* Allocation-free root accessors for the event loop: [pop]/[peek] box a
-   tuple and an option per call, which at calendar rates is real churn. *)
+(* Allocation-free root accessors: the root is read piecewise and then
+   dropped, so no tuple or option is boxed per event. *)
 let[@inline] min_priority t =
   if t.size = 0 then empty "min_priority";
   t.prio.(0)
@@ -242,8 +223,6 @@ let drop_min t =
   if t.size = 0 then empty "drop_min";
   remove_at t 0
 
-let peek t = if t.size = 0 then None else Some (t.prio.(0), t.value.(t.hslot.(0)))
-
 let[@inline] mem t h =
   h >= 0
   &&
@@ -257,12 +236,8 @@ let remove t h =
   end
   else false
 
-let priority_of t h = if mem t h then Some t.prio.(t.pos.(h land slot_mask)) else None
 let[@inline] priority_is t h p = mem t h && t.prio.(t.pos.(h land slot_mask)) = p
 let tag_of t h = if mem t h then Some t.tag.(h land slot_mask) else None
-let value_of t h =
-  if not (mem t h) then invalid_arg "Pqueue.value_of: dead handle";
-  t.value.(h land slot_mask)
 
 let[@inline] update_seq t h ~priority ~seq =
   if mem t h then begin
@@ -282,18 +257,3 @@ let[@inline] update_priority t h ~priority =
   &&
   let i = t.pos.(h land slot_mask) in
   priority = t.prio.(i) || update_seq t h ~priority ~seq:t.seq.(i)
-
-let clear t =
-  for i = 0 to t.size - 1 do
-    free_slot t t.hslot.(i)
-  done;
-  t.size <- 0
-
-let to_sorted_list t =
-  let entries =
-    Array.init t.size (fun i -> (t.prio.(i), t.seq.(i), t.value.(t.hslot.(i))))
-  in
-  Array.sort
-    (fun (pa, sa, _) (pb, sb, _) -> if pa <> pb then compare pa pb else compare sa sb)
-    entries;
-  Array.to_list (Array.map (fun (p, _, v) -> (p, v)) entries)

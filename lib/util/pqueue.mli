@@ -13,8 +13,8 @@
     flow scheduler's slot) and a small tag. The layout is struct-of-arrays:
     priorities live in a flat [float array], everything else in
     [int array]s, and a handle is a single tagged integer (generation +
-    recycled slot), so [add]/[pop]/[update_priority] allocate nothing and
-    store no heap pointer. The sifts are inlined loops: a priority handed
+    recycled slot), so [add]/[drop_min]/[update_priority] allocate nothing
+    and store no heap pointer. The sifts are inlined loops: a priority handed
     to {!add_seq} or {!update_seq} by an inlining caller is never boxed. *)
 
 type t
@@ -35,16 +35,11 @@ val null_handle : handle
 
 val is_null : handle -> bool
 (** Whether the handle is {!null_handle}. A non-null handle may still be
-    dead (popped or removed); {!mem} is the liveness test. *)
+    dead (dropped or removed); {!mem} is the liveness test. *)
 
 val add : t -> priority:float -> int -> handle
-(** Insert; the handle stays valid until the element is popped or removed.
-    Equivalent to {!add_tagged} with [tag = 0]. *)
-
-val add_tagged : t -> priority:float -> tag:int -> int -> handle
-(** Insert with a small integer tag carried alongside the payload, read
-    back by {!pop_tagged}, {!min_tag} and {!tag_of} — the discrete-event
-    engine uses it to attribute fired and cancelled events to a kind. *)
+(** Insert under the next sequence number with tag [0]; the handle stays
+    valid until the element is dropped or removed. *)
 
 val take_seq : t -> int
 (** Draw the sequence number the next {!add} would get: numbers are
@@ -53,22 +48,16 @@ val take_seq : t -> int
     exactly as if it had been added now. *)
 
 val add_seq : t -> priority:float -> seq:int -> tag:int -> int -> handle
-(** {!add_tagged} under a sequence number drawn earlier by {!take_seq}. *)
+(** Insert under a sequence number drawn earlier by {!take_seq}, with a
+    small integer tag carried alongside the payload and read back by
+    {!min_tag} and {!tag_of} — the discrete-event engine uses it to
+    attribute fired and cancelled events to a kind. *)
 
-val pop : t -> (float * int) option
-(** Remove and return the smallest-priority element (FIFO among ties). *)
+(** {2 Root access}
 
-val pop_tagged : t -> (float * int * int) option
-(** {!pop}, also returning the entry's tag: [(priority, tag, payload)]. *)
-
-val peek : t -> (float * int) option
-
-(** {2 Allocation-free root access}
-
-    [pop]/[peek] box an option and a tuple per call; the discrete-event
-    loop instead reads the root piecewise and then drops it, allocating
-    nothing. All four raise [Invalid_argument] on an empty queue — guard
-    with {!is_empty}. *)
+    The root — the smallest priority, FIFO among ties — is read piecewise
+    and then dropped, so taking it allocates nothing. All four raise
+    [Invalid_argument] on an empty queue — guard with {!is_empty}. *)
 
 val min_priority : t -> float
 val min_tag : t -> int
@@ -79,24 +68,17 @@ val drop_min : t -> unit
 
 val remove : t -> handle -> bool
 (** [remove t h] cancels the entry behind [h]. Returns [false] when the
-    entry already left the heap (popped or removed); idempotent. *)
+    entry already left the heap (dropped or removed); idempotent. *)
 
 val mem : t -> handle -> bool
 (** Whether the handle still designates a live entry. *)
 
-val priority_of : t -> handle -> float option
-(** The current priority behind a live handle. *)
-
 val priority_is : t -> handle -> float -> bool
-(** [priority_is t h p] is [priority_of t h = Some p] without the option
-    and boxed-float allocation; [false] for dead handles. *)
+(** [priority_is t h p]: whether the entry behind [h] is live at priority
+    exactly [p]; [false] for dead handles. Allocates nothing. *)
 
 val tag_of : t -> handle -> int option
-(** The tag behind a live handle ([0] unless inserted by {!add_tagged}). *)
-
-val value_of : t -> handle -> int
-(** The payload behind a live handle; raises [Invalid_argument] on a dead
-    one. *)
+(** The tag behind a live handle ([0] unless inserted by {!add_seq}). *)
 
 val update_priority : t -> handle -> priority:float -> bool
 (** [update_priority t h ~priority] moves the entry behind [h] to a new
@@ -111,8 +93,3 @@ val update_seq : t -> handle -> priority:float -> seq:int -> bool
     (drawn by {!take_seq}): the handle stays valid and now ranks as the
     entry added under [seq] would. [false] when the entry already left
     the heap. *)
-
-val clear : t -> unit
-
-val to_sorted_list : t -> (float * int) list
-(** Non-destructive snapshot in pop order; O(n log n), for tests. *)

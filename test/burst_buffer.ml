@@ -55,7 +55,7 @@ let rec maybe_start_drain t =
         t.draining <- true;
         record.state <- Draining;
         ignore
-          (Io.start_flow t.pfs ~job:record.owner ~nodes:record.nodes ~kind:Io.Drain
+          (Io.start_flow t.pfs ~nodes:record.nodes ~kind:Io.Drain
              ~volume_gb:record.volume ~on_complete:(fun () ->
                record.state <- Gone;
                t.used <- t.used -. record.volume;
@@ -66,7 +66,7 @@ let rec maybe_start_drain t =
                t.draining <- false;
                maybe_start_drain t))
 
-let write t ~owner ~job ~nodes ~volume_gb ~on_complete =
+let write t ~owner ~nodes ~volume_gb ~on_complete =
   if not (fits t ~volume_gb) then begin
     t.spilled <- t.spilled + 1;
     None
@@ -76,7 +76,7 @@ let write t ~owner ~job ~nodes ~volume_gb ~on_complete =
     t.absorbed <- t.absorbed + 1;
     let record = ref None in
     let flow =
-      Io.start_flow t.bb_io ~job ~nodes ~kind:Io.Ckpt ~volume_gb ~on_complete:(fun () ->
+      Io.start_flow t.bb_io ~nodes ~kind:Io.Ckpt ~volume_gb ~on_complete:(fun () ->
           (match !record with
           | Some r ->
               r.state <- Resident;
@@ -107,10 +107,10 @@ let resident_for t ~owner =
   | Some r -> r.state = Resident || r.state = Draining
   | None -> false
 
-let read t ~owner ~job ~nodes ~volume_gb ~on_complete =
+let read t ~owner ~nodes ~volume_gb ~on_complete =
   if not (resident_for t ~owner) then
     invalid_arg "Burst_buffer.read: owner has no resident checkpoint";
-  Io.start_flow t.bb_io ~job ~nodes ~kind:Io.Recovery ~volume_gb ~on_complete
+  Io.start_flow t.bb_io ~nodes ~kind:Io.Recovery ~volume_gb ~on_complete
 
 let io t = t.bb_io
 let used_gb t = t.used

@@ -40,14 +40,12 @@ val fits : t -> volume_gb:float -> bool
 val write :
   t ->
   owner:int ->
-  job:int ->
   nodes:int ->
   volume_gb:float ->
   on_complete:(unit -> unit) ->
   Io_subsystem.flow option
 (** Start a checkpoint write into the buffer. [owner] is the stable job
-    identity (survives restarts — the spec id), [job] the running instance.
-    Reserves capacity immediately. [None] when the volume does not fit
+    identity (survives restarts — the spec id). Reserves capacity immediately. [None] when the volume does not fit
     ({!fits}): the spill is counted here ({!writes_spilled}) and the caller
     falls back to its PFS path. On completion the checkpoint becomes the
     owner's newest resident copy and a background drain is queued. *)
@@ -64,7 +62,6 @@ val resident_for : t -> owner:int -> bool
 val read :
   t ->
   owner:int ->
-  job:int ->
   nodes:int ->
   volume_gb:float ->
   on_complete:(unit -> unit) ->

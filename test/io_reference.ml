@@ -122,7 +122,7 @@ and schedule_completion t f =
   if Float.is_finite eta then
     f.completion <-
       Some
-        (Engine.schedule_after t.engine ~kind:Ev_kind.io ~delay:eta (fun _ ->
+        (Calendar.at t.engine ~kind:Ev_kind.io ~time:(Engine.now t.engine +. eta) (fun _ ->
              f.completion <- None;
              settle_flow t f;
              complete t f))
@@ -164,7 +164,7 @@ let start_flow t ~job ~nodes ~kind ~volume_gb ~on_complete =
     (* Complete through the calendar so observers see a consistent order. *)
     f.completion <-
       Some
-        (Engine.schedule_after t.engine ~kind:Ev_kind.io ~delay:0.0 (fun _ ->
+        (Calendar.at t.engine ~kind:Ev_kind.io ~time:(Engine.now t.engine) (fun _ ->
              f.completion <- None;
              if f.live then begin
                f.live <- false;

@@ -13,9 +13,9 @@ let test_events_fire_in_time_order () =
   let e = Engine.create () in
   let log = ref [] in
   let note tag = fun eng -> log := (tag, Engine.now eng) :: !log in
-  ignore (Engine.schedule_at e ~time:3.0 (note "c"));
-  ignore (Engine.schedule_at e ~time:1.0 (note "a"));
-  ignore (Engine.schedule_at e ~time:2.0 (note "b"));
+  ignore (Calendar.at e ~time:3.0 (note "c"));
+  ignore (Calendar.at e ~time:1.0 (note "a"));
+  ignore (Calendar.at e ~time:2.0 (note "b"));
   Engine.run e;
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev_map fst !log)
 
@@ -23,7 +23,7 @@ let test_ties_fifo () =
   let e = Engine.create () in
   let log = ref [] in
   List.iter
-    (fun tag -> ignore (Engine.schedule_at e ~time:1.0 (fun _ -> log := tag :: !log)))
+    (fun tag -> ignore (Calendar.at e ~time:1.0 (fun _ -> log := tag :: !log)))
     [ "first"; "second"; "third" ];
   Engine.run e;
   Alcotest.(check (list string)) "FIFO among equal times" [ "first"; "second"; "third" ]
@@ -32,8 +32,8 @@ let test_ties_fifo () =
 let test_clock_advances_with_events () =
   let e = Engine.create () in
   let seen = ref [] in
-  ignore (Engine.schedule_at e ~time:1.5 (fun eng -> seen := Engine.now eng :: !seen));
-  ignore (Engine.schedule_at e ~time:4.5 (fun eng -> seen := Engine.now eng :: !seen));
+  ignore (Calendar.at e ~time:1.5 (fun eng -> seen := Engine.now eng :: !seen));
+  ignore (Calendar.at e ~time:4.5 (fun eng -> seen := Engine.now eng :: !seen));
   Engine.run e;
   Alcotest.(check (list (float 0.0))) "handler sees event time" [ 1.5; 4.5 ] (List.rev !seen)
 
@@ -41,28 +41,24 @@ let test_schedule_from_handler () =
   let e = Engine.create () in
   let fired = ref 0.0 in
   ignore
-    (Engine.schedule_at e ~time:1.0 (fun eng ->
-         ignore (Engine.schedule_after eng ~delay:2.0 (fun eng' -> fired := Engine.now eng'))));
+    (Calendar.at e ~time:1.0 (fun eng ->
+         ignore
+           (Calendar.at eng ~time:(Engine.now eng +. 2.0) (fun eng' ->
+                fired := Engine.now eng'))));
   Engine.run e;
   checkf "chained event at 3" 3.0 !fired
 
 let test_schedule_in_past_rejected () =
   let e = Engine.create ~start:10.0 () in
   Alcotest.(check bool) "past rejected" true
-    (match Engine.schedule_at e ~time:5.0 (fun _ -> ()) with
+    (match Calendar.at e ~time:5.0 (fun _ -> ()) with
     | exception Invalid_argument _ -> true
     | _ -> false)
-
-let test_negative_delay_rejected () =
-  let e = Engine.create () in
-  Alcotest.check_raises "negative delay"
-    (Invalid_argument "Engine.schedule_after: negative delay") (fun () ->
-      ignore (Engine.schedule_after e ~delay:(-1.0) (fun _ -> ())))
 
 let test_cancel () =
   let e = Engine.create () in
   let fired = ref false in
-  let h = Engine.schedule_at e ~time:1.0 (fun _ -> fired := true) in
+  let h = Calendar.at e ~time:1.0 (fun _ -> fired := true) in
   Alcotest.(check bool) "pending before" true (Engine.pending e h);
   Alcotest.(check bool) "cancel succeeds" true (Engine.cancel e h);
   Alcotest.(check bool) "cancel idempotent" false (Engine.cancel e h);
@@ -71,22 +67,23 @@ let test_cancel () =
 
 let test_cancel_after_fire () =
   let e = Engine.create () in
-  let h = Engine.schedule_at e ~time:1.0 (fun _ -> ()) in
+  let h = Calendar.at e ~time:1.0 (fun _ -> ()) in
   Engine.run e;
   Alcotest.(check bool) "cancel after fire is false" false (Engine.cancel e h)
 
 let test_time_of () =
   let e = Engine.create () in
-  let h = Engine.schedule_at e ~time:7.25 (fun _ -> ()) in
-  Alcotest.(check (option (float 0.0))) "time of pending" (Some 7.25) (Engine.time_of e h);
+  let h = Calendar.at e ~time:7.25 (fun _ -> ()) in
+  Alcotest.(check bool) "time of pending" true (Engine.time_is e h ~time:7.25);
+  Alcotest.(check bool) "not another time" false (Engine.time_is e h ~time:7.0);
   Engine.run e;
-  Alcotest.(check (option (float 0.0))) "time of fired" None (Engine.time_of e h)
+  Alcotest.(check bool) "time of fired" false (Engine.time_is e h ~time:7.25)
 
 let test_run_until_stops_and_advances_clock () =
   let e = Engine.create () in
   let fired = ref [] in
-  ignore (Engine.schedule_at e ~time:1.0 (fun _ -> fired := 1.0 :: !fired));
-  ignore (Engine.schedule_at e ~time:5.0 (fun _ -> fired := 5.0 :: !fired));
+  ignore (Calendar.at e ~time:1.0 (fun _ -> fired := 1.0 :: !fired));
+  ignore (Calendar.at e ~time:5.0 (fun _ -> fired := 5.0 :: !fired));
   Engine.run ~until:3.0 e;
   Alcotest.(check (list (float 0.0))) "only early event" [ 1.0 ] !fired;
   checkf "clock moved to horizon" 3.0 (Engine.now e);
@@ -97,20 +94,20 @@ let test_run_until_stops_and_advances_clock () =
 let test_run_until_inclusive () =
   let e = Engine.create () in
   let fired = ref false in
-  ignore (Engine.schedule_at e ~time:3.0 (fun _ -> fired := true));
+  ignore (Calendar.at e ~time:3.0 (fun _ -> fired := true));
   Engine.run ~until:3.0 e;
   Alcotest.(check bool) "event at horizon fires" true !fired
 
 let test_step () =
   let e = Engine.create () in
-  ignore (Engine.schedule_at e ~time:1.0 (fun _ -> ()));
+  ignore (Calendar.at e ~time:1.0 (fun _ -> ()));
   Alcotest.(check bool) "step processes" true (Engine.step e);
   Alcotest.(check bool) "step on empty" false (Engine.step e)
 
 let test_events_processed_counter () =
   let e = Engine.create () in
   for i = 1 to 10 do
-    ignore (Engine.schedule_at e ~time:(float_of_int i) (fun _ -> ()))
+    ignore (Calendar.at e ~time:(float_of_int i) (fun _ -> ()))
   done;
   Engine.run e;
   Alcotest.(check int) "10 events" 10 (Engine.events_processed e)
@@ -119,8 +116,8 @@ let test_cancellation_inside_handler () =
   (* A handler cancelling a later event must prevent it from firing. *)
   let e = Engine.create () in
   let fired = ref false in
-  let victim = Engine.schedule_at e ~time:2.0 (fun _ -> fired := true) in
-  ignore (Engine.schedule_at e ~time:1.0 (fun eng -> ignore (Engine.cancel eng victim)));
+  let victim = Calendar.at e ~time:2.0 (fun _ -> fired := true) in
+  ignore (Calendar.at e ~time:1.0 (fun eng -> ignore (Engine.cancel eng victim)));
   Engine.run e;
   Alcotest.(check bool) "victim cancelled" false !fired
 
@@ -128,11 +125,10 @@ let test_reschedule_reorders_firing () =
   let e = Engine.create () in
   let log = ref [] in
   let note tag = fun _ -> log := tag :: !log in
-  let h = Engine.schedule_at e ~time:5.0 (note "moved") in
-  ignore (Engine.schedule_at e ~time:2.0 (note "fixed"));
+  let h = Calendar.at e ~time:5.0 (note "moved") in
+  ignore (Calendar.at e ~time:2.0 (note "fixed"));
   Alcotest.(check bool) "retime pending" true (Engine.reschedule e h ~time:1.0);
-  Alcotest.(check (option (float 0.0))) "time_of reflects retime" (Some 1.0)
-    (Engine.time_of e h);
+  Alcotest.(check bool) "time_is reflects retime" true (Engine.time_is e h ~time:1.0);
   Engine.run e;
   Alcotest.(check (list string)) "moved event now fires first" [ "moved"; "fixed" ]
     (List.rev !log)
@@ -147,7 +143,7 @@ let test_ranks_drawn_ahead () =
     let log = ref [] in
     let note tag = fun _ -> log := tag :: !log in
     let ra = Engine.draw_rank e in
-    ignore (Engine.schedule_at e ~time:5.0 (note "b"));
+    ignore (Calendar.at e ~time:5.0 (note "b"));
     let rc = Engine.draw_rank e in
     let hc =
       Engine.schedule_ranked e ~kind:0 ~time:9.0 ~rank:rc (Engine.source e (note "c"))
@@ -169,8 +165,8 @@ let test_ranks_drawn_ahead () =
 
 let test_reschedule_dead_handles () =
   let e = Engine.create () in
-  let fired = Engine.schedule_at e ~time:1.0 (fun _ -> ()) in
-  let cancelled = Engine.schedule_at e ~time:2.0 (fun _ -> ()) in
+  let fired = Calendar.at e ~time:1.0 (fun _ -> ()) in
+  let cancelled = Calendar.at e ~time:2.0 (fun _ -> ()) in
   ignore (Engine.cancel e cancelled);
   Engine.run e;
   Alcotest.(check bool) "fired handle is false" false (Engine.reschedule e fired ~time:9.0);
@@ -184,8 +180,8 @@ let test_cancel_during_own_fire () =
   let h = ref Engine.none in
   let self_cancel = ref true and later = ref false in
   h :=
-    Engine.schedule_at e ~time:1.0 (fun eng -> self_cancel := Engine.cancel eng !h);
-  ignore (Engine.schedule_at e ~time:2.0 (fun _ -> later := true));
+    Calendar.at e ~time:1.0 (fun eng -> self_cancel := Engine.cancel eng !h);
+  ignore (Calendar.at e ~time:2.0 (fun _ -> later := true));
   Engine.run e;
   Alcotest.(check bool) "self-cancel during fire is false" false !self_cancel;
   Alcotest.(check bool) "later event unharmed" true !later
@@ -194,10 +190,10 @@ let test_stale_handle_does_not_alias_reused_slot () =
   (* After an event fires its calendar slot is recycled; the generation tag
      must keep the stale handle from cancelling the slot's next tenant. *)
   let e = Engine.create () in
-  let stale = Engine.schedule_at e ~time:1.0 (fun _ -> ()) in
+  let stale = Calendar.at e ~time:1.0 (fun _ -> ()) in
   Engine.run e;
   let fired = ref false in
-  ignore (Engine.schedule_at e ~time:2.0 (fun _ -> fired := true));
+  ignore (Calendar.at e ~time:2.0 (fun _ -> fired := true));
   Alcotest.(check bool) "stale pending is false" false (Engine.pending e stale);
   Alcotest.(check bool) "stale cancel is false" false (Engine.cancel e stale);
   Engine.run e;
@@ -209,17 +205,17 @@ let test_reschedule_equal_time_keeps_fifo () =
   let e = Engine.create () in
   let log = ref [] in
   let note tag = fun _ -> log := tag :: !log in
-  let h = Engine.schedule_at e ~time:1.0 (note "first") in
-  ignore (Engine.schedule_at e ~time:1.0 (note "second"));
+  let h = Calendar.at e ~time:1.0 (note "first") in
+  ignore (Calendar.at e ~time:1.0 (note "second"));
   Alcotest.(check bool) "equal-time retime succeeds" true (Engine.reschedule e h ~time:1.0);
-  Alcotest.(check (option (float 0.0))) "time unchanged" (Some 1.0) (Engine.time_of e h);
+  Alcotest.(check bool) "time unchanged" true (Engine.time_is e h ~time:1.0);
   Engine.run e;
   Alcotest.(check (list string)) "seq tie-break survives" [ "first"; "second" ]
     (List.rev !log)
 
 let test_reschedule_past_rejected () =
   let e = Engine.create ~start:10.0 () in
-  let h = Engine.schedule_at e ~time:12.0 (fun _ -> ()) in
+  let h = Calendar.at e ~time:12.0 (fun _ -> ()) in
   Alcotest.(check bool) "past retime raises" true
     (match Engine.reschedule e h ~time:5.0 with
     | exception Invalid_argument _ -> true
@@ -232,10 +228,10 @@ let test_reschedule_past_rejected () =
 let test_stats_counts_by_kind () =
   let e = Engine.create () in
   let st = Engine.attach_stats e ~kinds:[| "other"; "alpha"; "beta" |] () in
-  ignore (Engine.schedule_at e ~kind:1 ~time:1.0 (fun _ -> ()));
-  ignore (Engine.schedule_at e ~kind:1 ~time:2.0 (fun _ -> ()));
-  ignore (Engine.schedule_at e ~kind:2 ~time:3.0 (fun _ -> ()));
-  let victim = Engine.schedule_at e ~kind:2 ~time:4.0 (fun _ -> ()) in
+  ignore (Calendar.at e ~kind:1 ~time:1.0 (fun _ -> ()));
+  ignore (Calendar.at e ~kind:1 ~time:2.0 (fun _ -> ()));
+  ignore (Calendar.at e ~kind:2 ~time:3.0 (fun _ -> ()));
+  let victim = Calendar.at e ~kind:2 ~time:4.0 (fun _ -> ()) in
   ignore (Engine.cancel e victim);
   Engine.run e;
   Alcotest.(check int) "scheduled" 4 (Engine.stats_scheduled st);
@@ -251,7 +247,7 @@ let test_stats_counts_by_kind () =
 let test_stats_unknown_kind_folds_to_other () =
   let e = Engine.create () in
   let st = Engine.attach_stats e ~kinds:[| "other"; "known" |] () in
-  ignore (Engine.schedule_at e ~kind:99 ~time:1.0 (fun _ -> ()));
+  ignore (Calendar.at e ~kind:99 ~time:1.0 (fun _ -> ()));
   Engine.run e;
   match Engine.stats_by_kind st with
   | (k0, s0, f0, _) :: _ ->
@@ -265,8 +261,8 @@ let test_stats_negative_kind_folds_to_other () =
      (scheduled, fired, cancelled) must fold into slot 0. *)
   let e = Engine.create () in
   let st = Engine.attach_stats e ~kinds:[| "other"; "known" |] () in
-  ignore (Engine.schedule_at e ~kind:(-5) ~time:1.0 (fun _ -> ()));
-  let victim = Engine.schedule_at e ~kind:(-1) ~time:2.0 (fun _ -> ()) in
+  ignore (Calendar.at e ~kind:(-5) ~time:1.0 (fun _ -> ()));
+  let victim = Calendar.at e ~kind:(-1) ~time:2.0 (fun _ -> ()) in
   ignore (Engine.cancel e victim);
   Engine.run e;
   match Engine.stats_by_kind st with
@@ -283,7 +279,7 @@ let test_stats_negative_kind_folds_to_other () =
 let test_stats_reschedule_counted () =
   let e = Engine.create () in
   let st = Engine.attach_stats e ~kinds:[| "other" |] () in
-  let h = Engine.schedule_at e ~time:5.0 (fun _ -> ()) in
+  let h = Calendar.at e ~time:5.0 (fun _ -> ()) in
   ignore (Engine.reschedule e h ~time:1.0);
   Engine.run e;
   Alcotest.(check int) "rescheduled" 1 (Engine.stats_rescheduled st);
@@ -298,14 +294,14 @@ let test_stats_tick_hook_cadence () =
       ()
   in
   for i = 1 to 10 do
-    ignore (Engine.schedule_at e ~time:(float_of_int i) (fun _ -> ()))
+    ignore (Calendar.at e ~time:(float_of_int i) (fun _ -> ()))
   done;
   Engine.run e;
   Alcotest.(check int) "tick every 3 of 10 fires" 3 !ticks
 
 let test_stats_absent_by_default () =
   let e = Engine.create () in
-  ignore (Engine.schedule_at e ~kind:3 ~time:1.0 (fun _ -> ()));
+  ignore (Calendar.at e ~kind:3 ~time:1.0 (fun _ -> ()));
   Engine.run e;
   Alcotest.(check bool) "no stats unless attached" true (Engine.stats e = None)
 
@@ -316,7 +312,7 @@ let test_stress_many_events =
       let e = Engine.create () in
       let seen = ref [] in
       List.iter
-        (fun t -> ignore (Engine.schedule_at e ~time:t (fun eng -> seen := Engine.now eng :: !seen)))
+        (fun t -> ignore (Calendar.at e ~time:t (fun eng -> seen := Engine.now eng :: !seen)))
         times;
       Engine.run e;
       List.rev !seen = List.sort compare times)
@@ -325,8 +321,8 @@ let test_stress_many_events =
 (* Sources                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Registered sources and [schedule_at] closures share one calendar: in
-   any interleaving, events fire by time, then by scheduling order. *)
+(* A shared source and a source per closure share one calendar: in any
+   interleaving, events fire by time, then by scheduling order. *)
 let test_sources_and_closures_interleave =
   QCheck.Test.make ~name:"sources_and_closures_fire_by_time_then_rank" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 0 60) (pair (int_range 0 5) bool))
@@ -348,7 +344,7 @@ let test_sources_and_closures_interleave =
             Queue.push i by_time.(t);
             ignore (Engine.schedule_src e ~kind:0 ~time src)
           end
-          else ignore (Engine.schedule_at e ~time (fun _ -> log := i :: !log));
+          else ignore (Calendar.at e ~time (fun _ -> log := i :: !log));
           Queue.push (t, i) pending)
         plan;
       Engine.run e;
@@ -359,6 +355,105 @@ let test_sources_and_closures_interleave =
              (List.of_seq (Queue.to_seq pending)))
       in
       List.rev !log = expected)
+
+(* The instance boundaries' path: ranks drawn ahead ([draw_rank]), events
+   put on the calendar under one later ([schedule_ranked]) and pending
+   events moved under a fresh one ([reschedule_ranked]), mixed with plain
+   schedules and steps. The model is the pending set as a list of
+   (time, rank, id) kept sorted: every step must fire its head. Delays
+   are whole seconds from the clock, so equal times are frequent. *)
+type ranked_op =
+  | Draw
+  | Plain of int  (* delay *)
+  | Ranked of int * int  (* delay, pick among the drawn, unused ranks *)
+  | Move of int * int * int  (* pick among all handles, delay, rank pick *)
+  | Step
+
+let show_ranked_op = function
+  | Draw -> "Draw"
+  | Plain d -> Printf.sprintf "Plain %d" d
+  | Ranked (d, j) -> Printf.sprintf "Ranked(%d,%d)" d j
+  | Move (i, d, j) -> Printf.sprintf "Move(%d,%d,%d)" i d j
+  | Step -> "Step"
+
+let test_ranked_calendar_model =
+  let op =
+    QCheck.Gen.(
+      let delay = int_range 0 3 in
+      frequency
+        [
+          (2, return Draw);
+          (2, map (fun d -> Plain d) delay);
+          (3, map2 (fun d j -> Ranked (d, j)) delay nat);
+          (3, map3 (fun i d j -> Move (i, d, j)) nat delay nat);
+          (3, return Step);
+        ])
+  in
+  QCheck.Test.make ~name:"ranked_calendar_matches_sorted_model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_ranked_op ops))
+       QCheck.Gen.(list_size (int_range 1 150) op))
+    (fun ops ->
+      let e = Engine.create () in
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      let fired = ref (-1) and handles = ref [||] in
+      let model = ref [] and unused = ref [] and next_rank = ref 0 in
+      let time d = Engine.now e +. float_of_int d in
+      let pick j = List.nth !unused (j mod List.length !unused) in
+      let use r = unused := List.filter (( <> ) r) !unused in
+      let insert entry = model := List.merge compare [ entry ] !model in
+      let add schedule t rank =
+        let id = Array.length !handles in
+        let src = Engine.source e (fun _ -> fired := id) in
+        handles := Array.append !handles [| schedule src |];
+        insert (t, rank, id)
+      in
+      let step () =
+        match !model with
+        | [] -> if Engine.step e then fail "step fired on an empty model"
+        | (t, _, id) :: rest ->
+            model := rest;
+            if not (Engine.step e) then fail "calendar empty, model holds %d" id;
+            if !fired <> id || Engine.now e <> t then
+              fail "fired %d at %g, model head %d at %g" !fired (Engine.now e) id t
+      in
+      List.iter
+        (function
+          | Draw ->
+              let r = Engine.draw_rank e in
+              if r <> !next_rank then fail "drew rank %d, model %d" r !next_rank;
+              incr next_rank;
+              unused := r :: !unused
+          | Plain d ->
+              let t = time d in
+              add (Engine.schedule_src e ~kind:0 ~time:t) t !next_rank;
+              incr next_rank
+          | Ranked (d, j) ->
+              if !unused <> [] then begin
+                let t = time d and rank = pick j in
+                use rank;
+                add (Engine.schedule_ranked e ~kind:0 ~time:t ~rank) t rank
+              end
+          | Move (i, d, j) ->
+              let n = Array.length !handles in
+              if n > 0 && !unused <> [] then begin
+                let id = i mod n and t = time d and rank = pick j in
+                let live = List.exists (fun (_, _, id') -> id' = id) !model in
+                let moved = Engine.reschedule_ranked e !handles.(id) ~time:t ~rank in
+                if moved <> live then fail "reschedule_ranked %d: %b, live %b" id moved live;
+                if moved then begin
+                  use rank;
+                  model := List.filter (fun (_, _, id') -> id' <> id) !model;
+                  insert (t, rank, id)
+                end
+              end
+          | Step -> step ())
+        ops;
+      while !model <> [] do
+        step ()
+      done;
+      step ();
+      true)
 
 let test_source_cancel_and_reschedule () =
   let e = Engine.create () in
@@ -374,46 +469,7 @@ let test_source_cancel_and_reschedule () =
   ignore (Engine.schedule_src e ~kind:0 ~time:4.0 src);
   Engine.run e;
   Alcotest.(check (list (float 0.0))) "callback kept across cancel and retime" [ 3.0; 4.0 ]
-    (List.rev !fired);
-  Alcotest.(check int) "one source registered" 1 (Engine.source_table_size e)
-
-let test_one_shot_ids_recycle () =
-  let e = Engine.create () in
-  let fired = ref 0 in
-  for i = 1 to 10_000 do
-    let h = Engine.schedule_at e ~time:(float_of_int i) (fun _ -> incr fired) in
-    ignore (Engine.cancel e h);
-    ignore (Engine.schedule_at e ~time:(float_of_int i) (fun _ -> incr fired));
-    ignore (Engine.step e)
-  done;
-  Alcotest.(check int) "every kept event fired" 10_000 !fired;
-  Alcotest.(check bool) "source table bounded" true (Engine.source_table_size e <= 2)
-
-(* A one-shot source drops its closure when it leaves the calendar, so
-   nothing it captured outlives the event. [@inline never] keeps the
-   witness out of the caller's stack roots. *)
-let[@inline never] one_shot_witness leave =
-  let e = Engine.create () in
-  let w = Weak.create 1 in
-  let () =
-    let witness = ref 42 in
-    Weak.set w 0 (Some witness);
-    let h = Engine.schedule_at e ~time:1.0 (fun _ -> incr witness) in
-    leave e h
-  in
-  Gc.full_major ();
-  Gc.full_major ();
-  (e, Weak.check w 0)
-
-let test_fired_one_shot_releases () =
-  let e, alive = one_shot_witness (fun e _ -> Engine.run e) in
-  Alcotest.(check int) "fired" 1 (Engine.events_processed e);
-  Alcotest.(check bool) "closure collected after firing" false alive
-
-let test_cancelled_one_shot_releases () =
-  let e, alive = one_shot_witness (fun e h -> ignore (Engine.cancel e h)) in
-  Alcotest.(check int) "nothing pending" 0 (Engine.queue_length e);
-  Alcotest.(check bool) "closure collected after cancel" false alive
+    (List.rev !fired)
 
 let () =
   Alcotest.run "cocheck.des"
@@ -426,7 +482,6 @@ let () =
           Alcotest.test_case "clock tracks events" `Quick test_clock_advances_with_events;
           Alcotest.test_case "schedule from handler" `Quick test_schedule_from_handler;
           Alcotest.test_case "past rejected" `Quick test_schedule_in_past_rejected;
-          Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
           Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire;
           Alcotest.test_case "time_of" `Quick test_time_of;
@@ -446,13 +501,13 @@ let () =
             test_reschedule_equal_time_keeps_fifo;
           Alcotest.test_case "source cancel and reschedule" `Quick
             test_source_cancel_and_reschedule;
-          Alcotest.test_case "one-shot ids recycle" `Quick test_one_shot_ids_recycle;
-          Alcotest.test_case "fired one-shot releases" `Quick test_fired_one_shot_releases;
-          Alcotest.test_case "cancelled one-shot releases" `Quick
-            test_cancelled_one_shot_releases;
         ]
         @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-            [ test_stress_many_events; test_sources_and_closures_interleave ] );
+            [
+              test_stress_many_events;
+              test_sources_and_closures_interleave;
+              test_ranked_calendar_model;
+            ] );
       ( "stats",
         [
           Alcotest.test_case "counts by kind" `Quick test_stats_counts_by_kind;

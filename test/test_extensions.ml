@@ -120,10 +120,10 @@ let test_degraded_two_flows () =
   let engine, io = mk_io ~sharing:(`Degraded 0.5) () in
   let t1 = ref nan in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:1 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:1 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> t1 := Engine.now engine));
   ignore
-    (Io.start_flow io ~job:1 ~nodes:1 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:1 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> ()));
   Engine.run engine;
   checkf "degraded completion" ~eps:1e-6 30.0 !t1
@@ -132,7 +132,7 @@ let test_degraded_single_flow_full_speed () =
   let engine, io = mk_io ~sharing:(`Degraded 0.5) () in
   let t1 = ref nan in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:1 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:1 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> t1 := Engine.now engine));
   Engine.run engine;
   checkf "lone flow undegraded" ~eps:1e-6 10.0 !t1
@@ -142,10 +142,10 @@ let test_degraded_zero_alpha_is_linear () =
     let engine, io = mk_io ~sharing () in
     let t1 = ref nan in
     ignore
-      (Io.start_flow io ~job:0 ~nodes:1 ~kind:Io.Input ~volume_gb:60.0
+      (Io.start_flow io ~nodes:1 ~kind:Io.Input ~volume_gb:60.0
          ~on_complete:(fun () -> t1 := Engine.now engine));
     ignore
-      (Io.start_flow io ~job:1 ~nodes:2 ~kind:Io.Input ~volume_gb:60.0
+      (Io.start_flow io ~nodes:2 ~kind:Io.Input ~volume_gb:60.0
          ~on_complete:(fun () -> ()));
     Engine.run engine;
     !t1
@@ -184,7 +184,7 @@ let test_bb_write_fast_commit () =
   let engine, _, _, bb = mk_bb () in
   let t = ref nan in
   ignore
-    (Burst_buffer.write bb ~owner:7 ~job:0 ~nodes:4 ~volume_gb:50.0 ~on_complete:(fun () ->
+    (Burst_buffer.write bb ~owner:7 ~nodes:4 ~volume_gb:50.0 ~on_complete:(fun () ->
          t := Engine.now engine));
   Engine.run engine;
   (* 50 GB at 100 GB/s: committed in 0.5 s, far faster than the 5 s the
@@ -194,7 +194,7 @@ let test_bb_write_fast_commit () =
 let test_bb_capacity_reserved_and_drained () =
   let engine, _, _, bb = mk_bb ~capacity:60.0 () in
   ignore
-    (Burst_buffer.write bb ~owner:1 ~job:0 ~nodes:1 ~volume_gb:50.0
+    (Burst_buffer.write bb ~owner:1 ~nodes:1 ~volume_gb:50.0
        ~on_complete:(fun () -> ()));
   checkf "reserved at write start" 50.0 (Burst_buffer.used_gb bb);
   Alcotest.(check bool) "second write does not fit" false
@@ -207,7 +207,7 @@ let test_bb_capacity_reserved_and_drained () =
 let test_bb_write_does_not_fit_spills () =
   let _, _, _, bb = mk_bb ~capacity:10.0 () in
   Alcotest.(check bool) "oversized write returns None" true
-    (Burst_buffer.write bb ~owner:1 ~job:0 ~nodes:1 ~volume_gb:20.0
+    (Burst_buffer.write bb ~owner:1 ~nodes:1 ~volume_gb:20.0
        ~on_complete:(fun () -> ())
     = None);
   Alcotest.(check int) "spill counted by the buffer" 1 (Burst_buffer.writes_spilled bb);
@@ -219,7 +219,7 @@ let test_bb_residency_lifecycle () =
     (Burst_buffer.resident_for bb ~owner:3);
   let committed = ref false in
   ignore
-    (Burst_buffer.write bb ~owner:3 ~job:0 ~nodes:1 ~volume_gb:40.0
+    (Burst_buffer.write bb ~owner:3 ~nodes:1 ~volume_gb:40.0
        ~on_complete:(fun () -> committed := true));
   Alcotest.(check bool) "not resident while writing" false
     (Burst_buffer.resident_for bb ~owner:3);
@@ -234,7 +234,7 @@ let test_bb_resident_while_draining () =
   let engine, _, _, bb = mk_bb ~pfs_bw:0.001 () in
   let committed_at = ref nan in
   ignore
-    (Burst_buffer.write bb ~owner:3 ~job:0 ~nodes:1 ~volume_gb:40.0
+    (Burst_buffer.write bb ~owner:3 ~nodes:1 ~volume_gb:40.0
        ~on_complete:(fun () -> committed_at := Engine.now engine));
   Engine.run ~until:1.0 engine;
   Alcotest.(check bool) "committed" true (Float.is_finite !committed_at);
@@ -246,11 +246,11 @@ let test_bb_abort_releases_reservation () =
   let engine, _, _, bb = mk_bb ~bb_bw:1.0 () in
   let flow =
     Option.get
-      (Burst_buffer.write bb ~owner:1 ~job:0 ~nodes:1 ~volume_gb:50.0
+      (Burst_buffer.write bb ~owner:1 ~nodes:1 ~volume_gb:50.0
          ~on_complete:(fun () -> Alcotest.fail "aborted write must not complete"))
   in
   ignore
-    (Engine.schedule_at engine ~time:1.0 (fun _ -> Burst_buffer.abort_write bb flow));
+    (Calendar.at engine ~time:1.0 (fun _ -> Burst_buffer.abort_write bb flow));
   Engine.run engine;
   checkf "reservation released" 0.0 (Burst_buffer.used_gb bb);
   Alcotest.(check bool) "nothing resident" false (Burst_buffer.resident_for bb ~owner:1)
@@ -259,7 +259,7 @@ let test_bb_read_requires_residency () =
   let _, _, _, bb = mk_bb () in
   Alcotest.(check bool) "read without residency rejected" true
     (match
-       Burst_buffer.read bb ~owner:9 ~job:0 ~nodes:1 ~volume_gb:1.0
+       Burst_buffer.read bb ~owner:9 ~nodes:1 ~volume_gb:1.0
          ~on_complete:(fun () -> ())
      with
     | exception Invalid_argument _ -> true
@@ -269,7 +269,7 @@ let test_bb_drains_serialize () =
   let engine, _, _, bb = mk_bb ~capacity:1000.0 () in
   for owner = 0 to 3 do
     ignore
-      (Burst_buffer.write bb ~owner ~job:owner ~nodes:1 ~volume_gb:50.0
+      (Burst_buffer.write bb ~owner ~nodes:1 ~volume_gb:50.0
          ~on_complete:(fun () -> ()))
   done;
   (* Writes complete at 2 s (shared 100 GB/s over 4 x 50 GB). Drains then run

@@ -486,7 +486,7 @@ let test_single_buffer_matches_burst_buffer_storage =
             let done_ = ref false in
             let on_complete () = done_ := true in
             match
-              ( Burst_buffer.write bb ~owner ~job:i ~nodes:2 ~volume_gb ~on_complete,
+              ( Burst_buffer.write bb ~owner ~nodes:2 ~volume_gb ~on_complete,
                 Ckpt_hierarchy.write h ~owner ~job:i ~nodes:2 ~volume_gb
                   ~content:(float_of_int i) ~at:!t ~on_complete:ignore )
             with
@@ -506,7 +506,7 @@ let test_single_buffer_matches_burst_buffer_storage =
             List.iter
               (fun pfs ->
                 ignore
-                  (Io.start_flow pfs ~job:(1000 + i) ~nodes:1 ~kind:Io.Output ~volume_gb
+                  (Io.start_flow pfs ~nodes:1 ~kind:Io.Output ~volume_gb
                      ~on_complete:ignore))
               [ b_pfs; h_pfs ]
         | _ ->

@@ -81,13 +81,7 @@ module type IO = sig
     t
 
   val start_flow :
-    t ->
-    job:int ->
-    nodes:int ->
-    kind:io_kind ->
-    volume_gb:float ->
-    on_complete:(unit -> unit) ->
-    flow
+    t -> nodes:int -> kind:io_kind -> volume_gb:float -> on_complete:(unit -> unit) -> flow
 
   val abort_flow : t -> flow -> unit
   val transferred_gb : t -> float
@@ -109,6 +103,7 @@ module Ref_io : IO = struct
   include Io_reference
 
   let kinds = [| Input; Output; Ckpt; Recovery; Drain |]
+  let start_flow t = start_flow t ~job:0
   let sync _ = None
   let pending _ _ = None
 end
@@ -135,16 +130,16 @@ module Replay (M : IO) = struct
       (function
         | Start { ix; at; nodes; kind_ix; volume } ->
             ignore
-              (Engine.schedule_at engine ~time:at (fun _ ->
+              (Calendar.at engine ~time:at (fun _ ->
                    let f =
-                     M.start_flow io ~job:ix ~nodes ~kind:M.kinds.(kind_ix)
+                     M.start_flow io ~nodes ~kind:M.kinds.(kind_ix)
                        ~volume_gb:volume ~on_complete:(fun () ->
                          completions.(ix) <- Engine.now engine)
                    in
                    flows.(ix) <- Some f))
         | Abort { at; target } ->
             ignore
-              (Engine.schedule_at engine ~time:at (fun _ ->
+              (Calendar.at engine ~time:at (fun _ ->
                    match flows.(target) with
                    | Some f -> M.abort_flow io f
                    | None -> ())))
@@ -166,7 +161,7 @@ module Replay (M : IO) = struct
           (Metrics.by_kind accrued)
     in
     if with_syncs then
-      List.iter (fun at -> ignore (Engine.schedule_at engine ~time:at probe)) s.syncs;
+      List.iter (fun at -> ignore (Calendar.at engine ~time:at probe)) s.syncs;
     Engine.run engine;
     ignore (M.sync io);
     { completions; ledger = Metrics.by_kind metrics; transferred = M.transferred_gb io }
@@ -226,13 +221,13 @@ let test_sync_settles_partial_ledger () =
   in
   let start () =
     ignore
-      (Cocheck_sim.Io_subsystem.start_flow io ~job:0 ~nodes:2
+      (Cocheck_sim.Io_subsystem.start_flow io ~nodes:2
          ~kind:Cocheck_sim.Io_subsystem.Input ~volume_gb:100.0 ~on_complete:(fun () -> ()))
   in
   start ();
   start ();
   ignore
-    (Engine.schedule_at engine ~time:4.0 (fun _ ->
+    (Calendar.at engine ~time:4.0 (fun _ ->
          checkf "nothing settled yet" 0.0 (Metrics.total metrics Metrics.Regular_io);
          let accrued = Metrics.create ~seg_start:0.0 ~seg_end:1e9 in
          Cocheck_sim.Io_subsystem.pending io accrued;

@@ -706,7 +706,7 @@ let test_instrument_engine_emits_counters () =
     Tracing.instrument_engine t ~prefix:"eng" ~every:2 ~kinds:[| "other"; "job" |] engine
   in
   for i = 1 to 5 do
-    ignore (Cocheck_des.Engine.schedule_at engine ~kind:1 ~time:(float_of_int i) (fun _ -> ()))
+    ignore (Calendar.at engine ~kind:1 ~time:(float_of_int i) (fun _ -> ()))
   done;
   Cocheck_des.Engine.run engine;
   flush ();

@@ -96,7 +96,7 @@ let test_io_single_flow_full_bandwidth () =
   let engine, _, io = mk_io () in
   let done_at = ref nan in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:4 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:4 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> done_at := Engine.now engine));
   Engine.run engine;
   checkf "100 GB at 10 GB/s" ~eps:1e-6 10.0 !done_at
@@ -107,10 +107,10 @@ let test_io_linear_sharing_two_equal_flows () =
   let engine, _, io = mk_io () in
   let t1 = ref nan and t2 = ref nan in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> t1 := Engine.now engine));
   ignore
-    (Io.start_flow io ~job:1 ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> t2 := Engine.now engine));
   Engine.run engine;
   checkf "both finish at 20" ~eps:1e-6 20.0 !t1;
@@ -122,11 +122,11 @@ let test_io_sequential_beats_concurrent_average () =
   let engine, _, io = mk_io () in
   let t1 = ref nan and t2 = ref nan in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () ->
          t1 := Engine.now engine;
          ignore
-           (Io.start_flow io ~job:1 ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
+           (Io.start_flow io ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
               ~on_complete:(fun () -> t2 := Engine.now engine))));
   Engine.run engine;
   checkf "first at 10" ~eps:1e-6 10.0 !t1;
@@ -138,10 +138,10 @@ let test_io_weighted_sharing () =
   let engine, _, io = mk_io () in
   let t_small = ref nan and t_big = ref nan in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:3 ~kind:Io.Input ~volume_gb:75.0
+    (Io.start_flow io ~nodes:3 ~kind:Io.Input ~volume_gb:75.0
        ~on_complete:(fun () -> t_big := Engine.now engine));
   ignore
-    (Io.start_flow io ~job:1 ~nodes:1 ~kind:Io.Input ~volume_gb:25.0
+    (Io.start_flow io ~nodes:1 ~kind:Io.Input ~volume_gb:25.0
        ~on_complete:(fun () -> t_small := Engine.now engine));
   Engine.run engine;
   checkf "big at 10" ~eps:1e-6 10.0 !t_big;
@@ -154,10 +154,10 @@ let test_io_rate_rebalances_on_completion () =
   let engine, _, io = mk_io () in
   let ta = ref nan and tb = ref nan in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:1 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:1 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> ta := Engine.now engine));
   ignore
-    (Io.start_flow io ~job:1 ~nodes:1 ~kind:Io.Input ~volume_gb:50.0
+    (Io.start_flow io ~nodes:1 ~kind:Io.Input ~volume_gb:50.0
        ~on_complete:(fun () -> tb := Engine.now engine));
   Engine.run engine;
   checkf "B at 10" ~eps:1e-6 10.0 !tb;
@@ -167,10 +167,10 @@ let test_io_unshared_no_interference () =
   let engine, _, io = mk_io ~sharing:`Unshared () in
   let t1 = ref nan and t2 = ref nan in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> t1 := Engine.now engine));
   ignore
-    (Io.start_flow io ~job:1 ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> t2 := Engine.now engine));
   Engine.run engine;
   checkf "no slowdown" ~eps:1e-6 10.0 !t1;
@@ -180,7 +180,7 @@ let test_io_zero_volume_completes_async () =
   let engine, _, io = mk_io () in
   let fired = ref false in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:1 ~kind:Io.Output ~volume_gb:0.0
+    (Io.start_flow io ~nodes:1 ~kind:Io.Output ~volume_gb:0.0
        ~on_complete:(fun () -> fired := true));
   Alcotest.(check bool) "not synchronous" false !fired;
   Engine.run engine;
@@ -190,11 +190,11 @@ let test_io_abort_mid_transfer () =
   let engine, _, io = mk_io () in
   let completed = ref false in
   let flow =
-    Io.start_flow io ~job:0 ~nodes:1 ~kind:Io.Input ~volume_gb:100.0
+    Io.start_flow io ~nodes:1 ~kind:Io.Input ~volume_gb:100.0
       ~on_complete:(fun () -> completed := true)
   in
   ignore
-    (Engine.schedule_at engine ~time:5.0 (fun _ -> Io.abort_flow io flow));
+    (Calendar.at engine ~time:5.0 (fun _ -> Io.abort_flow io flow));
   Engine.run engine;
   Alcotest.(check bool) "no completion after abort" false !completed;
   Alcotest.(check int) "no active flows" 0 (Io.active_count io)
@@ -202,7 +202,7 @@ let test_io_abort_mid_transfer () =
 let test_io_abort_idempotent () =
   let engine, _, io = mk_io () in
   let flow =
-    Io.start_flow io ~job:0 ~nodes:1 ~kind:Io.Input ~volume_gb:10.0
+    Io.start_flow io ~nodes:1 ~kind:Io.Input ~volume_gb:10.0
       ~on_complete:(fun () -> ())
   in
   Io.abort_flow io flow;
@@ -214,10 +214,10 @@ let test_io_metrics_regular_split () =
   (* Two equal regular flows at half rate: progress fraction 0.5 each. *)
   let engine, metrics, io = mk_io () in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> ()));
   ignore
-    (Io.start_flow io ~job:1 ~nodes:2 ~kind:Io.Output ~volume_gb:100.0
+    (Io.start_flow io ~nodes:2 ~kind:Io.Output ~volume_gb:100.0
        ~on_complete:(fun () -> ()));
   Engine.run engine;
   (* Each: 2 nodes x 20 s = 40 node-seconds, half progress, half dilation. *)
@@ -227,7 +227,7 @@ let test_io_metrics_regular_split () =
 let test_io_metrics_ckpt_is_waste () =
   let engine, metrics, io = mk_io () in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:3 ~kind:Io.Ckpt ~volume_gb:50.0
+    (Io.start_flow io ~nodes:3 ~kind:Io.Ckpt ~volume_gb:50.0
        ~on_complete:(fun () -> ()));
   Engine.run engine;
   checkf "ckpt-io node-seconds" ~eps:1e-6 15.0 (Metrics.total metrics Metrics.Ckpt_io);
@@ -236,7 +236,7 @@ let test_io_metrics_ckpt_is_waste () =
 let test_io_metrics_recovery_is_waste () =
   let engine, metrics, io = mk_io () in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:2 ~kind:Io.Recovery ~volume_gb:20.0
+    (Io.start_flow io ~nodes:2 ~kind:Io.Recovery ~volume_gb:20.0
        ~on_complete:(fun () -> ()));
   Engine.run engine;
   checkf "recovery node-seconds" ~eps:1e-6 4.0 (Metrics.total metrics Metrics.Recovery_io)
@@ -249,10 +249,10 @@ let test_io_volume_conservation =
       list_of_size (QCheck.Gen.int_range 1 10) (pair (int_range 1 8) (float_range 1.0 200.0)))
     (fun flows ->
       let engine, _, io = mk_io () in
-      List.iteri
-        (fun i (nodes, vol) ->
+      List.iter
+        (fun (nodes, vol) ->
           ignore
-            (Io.start_flow io ~job:i ~nodes ~kind:Io.Input ~volume_gb:vol
+            (Io.start_flow io ~nodes ~kind:Io.Input ~volume_gb:vol
                ~on_complete:(fun () -> ())))
         flows;
       Engine.run engine;
@@ -264,15 +264,15 @@ let test_io_aggregate_rate_never_exceeds_bandwidth () =
      flows are active. *)
   let engine, _, io = mk_io () in
   let f1 =
-    Io.start_flow io ~job:0 ~nodes:5 ~kind:Io.Input ~volume_gb:100.0
+    Io.start_flow io ~nodes:5 ~kind:Io.Input ~volume_gb:100.0
       ~on_complete:(fun () -> ())
   in
   let f2 =
-    Io.start_flow io ~job:1 ~nodes:3 ~kind:Io.Ckpt ~volume_gb:100.0
+    Io.start_flow io ~nodes:3 ~kind:Io.Ckpt ~volume_gb:100.0
       ~on_complete:(fun () -> ())
   in
   ignore
-    (Engine.schedule_at engine ~time:1.0 (fun _ ->
+    (Calendar.at engine ~time:1.0 (fun _ ->
          let r1 = Option.value ~default:0.0 (Io.active_rate io f1) in
          let r2 = Option.value ~default:0.0 (Io.active_rate io f2) in
          checkf "rates sum to bandwidth" ~eps:1e-9 10.0 (r1 +. r2);
@@ -288,7 +288,7 @@ let test_io_degraded_single_flow_property =
       let io = Io.create ~engine ~metrics ~bandwidth_gbs:10.0 ~sharing:(`Degraded alpha) in
       let t = ref nan in
       ignore
-        (Io.start_flow io ~job:0 ~nodes:3 ~kind:Io.Input ~volume_gb:vol
+        (Io.start_flow io ~nodes:3 ~kind:Io.Input ~volume_gb:vol
            ~on_complete:(fun () -> t := Engine.now engine));
       Engine.run engine;
       Cocheck_util.Numerics.fequal ~eps:1e-6 !t (vol /. 10.0))
@@ -296,7 +296,7 @@ let test_io_degraded_single_flow_property =
 let test_io_drain_records_no_node_seconds () =
   let engine, metrics, io = mk_io () in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:4 ~kind:Io.Drain ~volume_gb:50.0
+    (Io.start_flow io ~nodes:4 ~kind:Io.Drain ~volume_gb:50.0
        ~on_complete:(fun () -> ()));
   Engine.run engine;
   checkf "drain holds no nodes" 0.0
@@ -307,10 +307,10 @@ let test_io_drain_interferes_with_foreground () =
   let engine, _, io = mk_io () in
   let t = ref nan in
   ignore
-    (Io.start_flow io ~job:0 ~nodes:2 ~kind:Io.Drain ~volume_gb:100.0
+    (Io.start_flow io ~nodes:2 ~kind:Io.Drain ~volume_gb:100.0
        ~on_complete:(fun () -> ()));
   ignore
-    (Io.start_flow io ~job:1 ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
+    (Io.start_flow io ~nodes:2 ~kind:Io.Input ~volume_gb:100.0
        ~on_complete:(fun () -> t := Engine.now engine));
   Engine.run engine;
   checkf "foreground slowed by drain" ~eps:1e-6 20.0 !t

@@ -321,7 +321,7 @@ let test_pqueue_ordering =
       let q = Pqueue.create () in
       List.iteri (fun i p -> ignore (Pqueue.add q ~priority:p i)) priorities;
       let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
+        match Calendar.pop q with None -> List.rev acc | Some (p, _, _) -> drain (p :: acc)
       in
       let popped = drain [] in
       popped = List.sort compare priorities)
@@ -330,7 +330,7 @@ let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
   List.iter (fun v -> ignore (Pqueue.add q ~priority:1.0 v)) [ 10; 11; 12 ];
   let vals =
-    List.init 3 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> -1)
+    List.init 3 (fun _ -> match Calendar.pop q with Some (_, _, v) -> v | None -> -1)
   in
   Alcotest.(check (list int)) "ties pop FIFO" [ 10; 11; 12 ] vals
 
@@ -342,14 +342,14 @@ let test_pqueue_remove () =
   Alcotest.(check bool) "remove live" true (Pqueue.remove q h2);
   Alcotest.(check bool) "remove again is false" false (Pqueue.remove q h2);
   let vals =
-    List.init 2 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> -1)
+    List.init 2 (fun _ -> match Calendar.pop q with Some (_, _, v) -> v | None -> -1)
   in
   Alcotest.(check (list int)) "removed entry skipped" [ 1; 3 ] vals
 
 let test_pqueue_handle_after_pop () =
   let q = Pqueue.create () in
   let h = Pqueue.add q ~priority:1.0 0 in
-  ignore (Pqueue.pop q);
+  ignore (Calendar.pop q);
   Alcotest.(check bool) "popped handle is dead" false (Pqueue.mem q h);
   Alcotest.(check bool) "remove popped is false" false (Pqueue.remove q h)
 
@@ -366,7 +366,7 @@ let test_pqueue_random_removals =
       in
       List.iter (fun (_, h) -> ignore (Pqueue.remove q h)) removed;
       let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
+        match Calendar.pop q with None -> List.rev acc | Some (p, _, _) -> drain (p :: acc)
       in
       drain [] = List.sort compare (List.map fst kept))
 
@@ -378,10 +378,9 @@ let test_pqueue_update_priority () =
   (* Raise the min past everything, drop the max below everything. *)
   Alcotest.(check bool) "raise live" true (Pqueue.update_priority q ha ~priority:10.0);
   Alcotest.(check bool) "lower live" true (Pqueue.update_priority q hc ~priority:0.5);
-  Alcotest.(check (option (float 0.0))) "new priority visible" (Some 10.0)
-    (Pqueue.priority_of q ha);
+  Alcotest.(check bool) "new priority visible" true (Pqueue.priority_is q ha 10.0);
   let vals =
-    List.init 3 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> -1)
+    List.init 3 (fun _ -> match Calendar.pop q with Some (_, _, v) -> v | None -> -1)
   in
   Alcotest.(check (list int)) "pop order reflects updates" [ 2; 1; 0 ] vals;
   Alcotest.(check bool) "dead handle is false" false
@@ -396,7 +395,7 @@ let test_pqueue_update_priority_fifo_ties () =
   Alcotest.(check bool) "retime b onto a's priority" true
     (Pqueue.update_priority q hb ~priority:1.0);
   let vals =
-    List.init 2 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> -1)
+    List.init 2 (fun _ -> match Calendar.pop q with Some (_, _, v) -> v | None -> -1)
   in
   Alcotest.(check (list int)) "arrival order wins the tie" [ 0; 1 ] vals
 
@@ -421,30 +420,17 @@ let test_pqueue_random_updates =
           priorities handles
       in
       let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
+        match Calendar.pop q with None -> List.rev acc | Some (p, _, _) -> drain (p :: acc)
       in
       drain [] = List.sort compare finals)
 
 let test_pqueue_priority_of () =
   let q = Pqueue.create () in
   let h = Pqueue.add q ~priority:17.5 0 in
-  Alcotest.(check (option (float 0.0))) "live priority" (Some 17.5) (Pqueue.priority_of q h);
-  ignore (Pqueue.pop q);
-  Alcotest.(check (option (float 0.0))) "dead priority" None (Pqueue.priority_of q h)
-
-let test_pqueue_clear () =
-  let q = Pqueue.create () in
-  let h = Pqueue.add q ~priority:1.0 0 in
-  Pqueue.clear q;
-  Alcotest.(check int) "empty after clear" 0 (Pqueue.length q);
-  Alcotest.(check bool) "handles dead after clear" false (Pqueue.mem q h)
-
-let test_pqueue_to_sorted_list () =
-  let q = Pqueue.create () in
-  List.iteri (fun i p -> ignore (Pqueue.add q ~priority:p i)) [ 3.0; 1.0; 2.0 ];
-  let snapshot = Pqueue.to_sorted_list q in
-  Alcotest.(check int) "snapshot non-destructive" 3 (Pqueue.length q);
-  Alcotest.(check (list (float 0.0))) "sorted" [ 1.0; 2.0; 3.0 ] (List.map fst snapshot)
+  Alcotest.(check bool) "live priority" true (Pqueue.priority_is q h 17.5);
+  Alcotest.(check bool) "not another priority" false (Pqueue.priority_is q h 17.0);
+  ignore (Calendar.pop q);
+  Alcotest.(check bool) "dead priority" false (Pqueue.priority_is q h 17.5)
 
 (* ------------------------------------------------------------------ *)
 (* Units / Table / Ascii_plot                                           *)
@@ -619,8 +605,6 @@ let () =
           Alcotest.test_case "update_priority keeps FIFO seq" `Quick
             test_pqueue_update_priority_fifo_ties;
           Alcotest.test_case "priority_of" `Quick test_pqueue_priority_of;
-          Alcotest.test_case "clear" `Quick test_pqueue_clear;
-          Alcotest.test_case "sorted snapshot" `Quick test_pqueue_to_sorted_list;
         ]
         @ qsuite
             [ test_pqueue_ordering; test_pqueue_random_removals; test_pqueue_random_updates ] );
