@@ -284,9 +284,10 @@ let series_out_t =
 
 let manifest_out_t =
   Arg.(value & opt (some string) None & info [ "manifest-out" ] ~docv:"FILE"
-         ~doc:"Write the run manifest (its one-cell campaign spec, config, phase \
-               timings, instrumentation, final metrics) as JSON to $(docv); \
-               `simctl campaign run --spec $(docv)` replays the run.")
+         ~doc:"Write the run manifest (its one-cell campaign spec, config, the \
+               wall-clock timings of its phase spans, instrumentation, final metrics) \
+               as JSON to $(docv); `simctl campaign run --spec $(docv)` replays the \
+               run.")
 
 let pos_float_conv =
   let parse s =
@@ -462,7 +463,7 @@ let print_sections o recs ~cfg (r : Simulator.result) =
     print_string
       (Obs.Dashboard.render ~cfg ~result:r ?series:recs.series ?registry:recs.registry ())
 
-let write_outputs o recs ~spec ~cfg ~timer ~result ?(extra = []) () =
+let write_outputs o recs ~spec ~cfg ~tracer ~result ?(extra = []) () =
   Option.iter
     (fun path ->
       writing path (fun () ->
@@ -478,7 +479,7 @@ let write_outputs o recs ~spec ~cfg ~timer ~result ?(extra = []) () =
     (fun path ->
       writing path (fun () ->
           Obs.Manifest.write ~path
-            (Obs.Manifest.make ~cfg ~timer ~result ?registry:recs.registry
+            (Obs.Manifest.make ~cfg ~tracer ~result ?registry:recs.registry
                ~extra:(("spec", E.Spec.to_json spec) :: extra)
                ()));
       Format.printf "wrote %s@." path)
@@ -495,28 +496,26 @@ let run_cmd =
     let cfg = config strategy in
     check_writable (perfetto_out :: output_paths outputs);
     Format.printf "%a@." Platform.pp cfg.Config.platform;
-    let timer = Obs.Timer.create () in
     let recs = recorders outputs cfg in
+    (* The manifest's timings are the tracer's phase spans. The engine
+       counter tracks and pool lanes are the profile: only --perfetto-out
+       pays for them, so a manifest-only run keeps the engine stat-free
+       and its instrumentation section free of wall-clock pool waits. *)
     let tracer =
-      match perfetto_out with
-      | None -> Obs.Tracing.disabled
-      | Some _ -> Obs.Tracing.create ()
+      if perfetto_out = None && outputs.manifest_out = None then Obs.Tracing.disabled
+      else Obs.Tracing.create ()
     in
+    let profile = if perfetto_out = None then Obs.Tracing.disabled else tracer in
     let specs =
-      Obs.Timer.time timer ~name:"generate" (fun () ->
-          Obs.Tracing.span tracer ~cat:"phase" ~track:main_track "generate" (fun () ->
-              Simulator.generate_specs (config Strategy.Baseline)))
+      Obs.Tracing.span tracer ~cat:"phase" ~track:main_track "generate" (fun () ->
+          Simulator.generate_specs (config Strategy.Baseline))
     in
     (* Baseline and strategy run as two tasks of one pool. When profiled,
        the trace shows them as per-worker lanes, each simulation with its
-       own engine/GC counter tracks; unprofiled, every hook is a no-op.
-       The Timer is not thread-safe, so tasks measure themselves and
-       record after the join. *)
+       own engine/GC counter tracks; unprofiled, every hook is a no-op. *)
     Obs.Tracing.name_track tracer ~track:main_track "main";
-    let timed name f =
-      let t0 = Unix.gettimeofday () in
-      let v = Obs.Tracing.span tracer ~cat:"phase" ~track:(Pool.current_worker ()) name f in
-      (v, Unix.gettimeofday () -. t0)
+    let phase name f =
+      Obs.Tracing.span tracer ~cat:"phase" ~track:(Pool.current_worker ()) name f
     in
     let instrumented prefix runit =
       (* The flush emits one final counter sample once the engine drains,
@@ -524,26 +523,26 @@ let run_cmd =
       let flush = ref (fun () -> ()) in
       let on_engine engine =
         flush :=
-          Obs.Tracing.instrument_engine tracer ~prefix ~kinds:Cocheck_sim.Ev_kind.names
+          Obs.Tracing.instrument_engine profile ~prefix ~kinds:Cocheck_sim.Ev_kind.names
             engine
       in
       let r = runit ~on_engine in
       !flush ();
       r
     in
-    let (baseline, baseline_s), (r, simulate_s) =
+    let baseline, r =
       Pool.with_pool ~num_domains:2
-        ~telemetry:(Obs.Tracing.pool_telemetry tracer ?registry:recs.registry ())
+        ~telemetry:(Obs.Tracing.pool_telemetry profile ?registry:recs.registry ())
         (fun pool ->
           let fb =
             Pool.async pool (fun () ->
-                timed "baseline" (fun () ->
+                phase "baseline" (fun () ->
                     instrumented "baseline" (fun ~on_engine ->
                         Simulator.run ~specs ~on_engine (config Strategy.Baseline))))
           in
           let fr =
             Pool.async pool (fun () ->
-                timed "simulate" (fun () ->
+                phase "simulate" (fun () ->
                     instrumented (Strategy.name strategy) (fun ~on_engine ->
                         Simulator.run ~specs ?observe:recs.observe ?sample:recs.sample
                           ~on_engine cfg)))
@@ -552,8 +551,6 @@ let run_cmd =
           let r = Pool.await fr in
           (b, r))
     in
-    Obs.Timer.record timer ~name:"baseline" ~seconds:baseline_s;
-    Obs.Timer.record timer ~name:"simulate" ~seconds:simulate_s;
     let waste_ratio = Simulator.waste_ratio ~strategy:r ~baseline in
     Format.printf "strategy: %s@." (Strategy.name strategy);
     Format.printf "waste ratio: %.4f (efficiency %.4f)@." waste_ratio
@@ -586,7 +583,7 @@ let run_cmd =
             lost)
       r.restarts_by_class r.lost_work_by_class;
     print_sections outputs recs ~cfg r;
-    write_outputs outputs recs ~spec ~cfg ~timer ~result:r
+    write_outputs outputs recs ~spec ~cfg ~tracer ~result:r
       ~extra:[ ("waste_ratio", Obs.Json.Float waste_ratio) ]
       ();
     Option.iter
@@ -746,13 +743,11 @@ let load_spec path =
       exit 1
 
 (* The header of `campaign run` and `campaign status`, naming the campaign
-   once; returns the campaign's point count. *)
+   once. *)
 let print_campaign_header spec =
-  let cells = List.length (E.Spec.cells spec) in
-  let strategies = List.length spec.E.Spec.strategies and reps = spec.E.Spec.reps in
   Format.printf "%s (digest %s): %d cells x %d strategies x %d reps@." spec.E.Spec.name
-    (E.Spec.digest spec) cells strategies reps;
-  cells * strategies * reps
+    (E.Spec.digest spec) (List.length (E.Spec.cells spec)) (List.length spec.E.Spec.strategies)
+    spec.E.Spec.reps
 
 (* The axis --axis (else [base]'s) over --values; [None] when both are
    unset. *)
@@ -851,8 +846,9 @@ let campaign_run preset =
     with_pool ~telemetry:(Obs.Tracing.pool_telemetry tracer ()) domains (fun pool ->
         let store = Option.map E.Store.open_ store in
         let o = E.Runner.run ~pool ?store ~tracer ?on_progress spec in
-        let total = print_campaign_header spec in
-        Format.printf "records: total=%d cached=%d simulated=%d baselines=%d@." total
+        print_campaign_header spec;
+        Format.printf "records: total=%d cached=%d simulated=%d baselines=%d@."
+          (E.Spec.points spec)
           o.E.Runner.loaded o.E.Runner.simulated o.E.Runner.baselines;
         match spec.E.Spec.axis with
         | E.Spec.No_sweep ->
@@ -970,7 +966,7 @@ let campaign_status_cmd =
         | Some spec_file, Some store ->
             let spec = load_spec spec_file in
             let p = E.Runner.status ~store:(E.Store.open_ store) spec in
-            ignore (print_campaign_header spec);
+            print_campaign_header spec;
             Format.printf "records: total=%d cached=%d missing=%d@." p.E.Runner.total
               p.E.Runner.cached p.E.Runner.missing
         | _ ->

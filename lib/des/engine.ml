@@ -140,12 +140,13 @@ let count_fired t st tag =
   end
 
 (* The root is read piecewise and dropped rather than popped: no option,
-   tuple or boxed-float allocation per event. *)
+   tuple or boxed-float allocation per event. Only attached stats need
+   its tag. *)
 let step t =
   if Pqueue.is_empty t.calendar then false
   else begin
     let time = Pqueue.min_priority t.calendar in
-    let tag = Pqueue.min_tag t.calendar in
+    let tag = match t.stats with None -> 0 | Some _ -> Pqueue.min_tag t.calendar in
     let src = Pqueue.min_value t.calendar in
     Pqueue.drop_min t.calendar;
     t.clock.now <- time;

@@ -154,7 +154,7 @@ let run ~pool ?store ?tenant ?(tracer = Tracing.disabled) ?on_progress spec =
   let strategies = Array.of_list spec.Spec.strategies in
   let n_s = Array.length strategies in
   let reps = spec.Spec.reps in
-  let total_points = Array.length cells * n_s * reps in
+  let total_points = Spec.points spec in
   let simulated = Atomic.make 0 in
   let baselines = Atomic.make 0 in
   let loaded = Atomic.make 0 in
@@ -303,7 +303,7 @@ let run ~pool ?store ?tenant ?(tracer = Tracing.disabled) ?on_progress spec =
 let status ?store spec =
   Spec.validate spec;
   let cells = Spec.cells spec in
-  let total = List.length cells * List.length spec.Spec.strategies * spec.Spec.reps in
+  let total = Spec.points spec in
   let cached =
     match store with
     | None -> 0

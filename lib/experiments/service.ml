@@ -48,9 +48,6 @@ let create ?(max_inflight = 4096) ~pool ~store listener =
 
 let stop t = Atomic.set t.stopping true
 
-let points spec =
-  List.length (Spec.cells spec) * List.length spec.Spec.strategies * spec.Spec.reps
-
 (* Admission: admit while the admitted-point backlog stays under the bound,
    but never refuse an idle server — a campaign larger than the whole bound
    must still be runnable, the bound is about queueing behind others. *)
@@ -71,7 +68,7 @@ let stats_response t =
 
 let run_campaign t conn ~tenant ~id ~progress spec =
   Spec.validate spec;
-  let pts = points spec in
+  let pts = Spec.points spec in
   if not (admit t pts) then
     Protocol.Overload { inflight = Atomic.get t.inflight; limit = t.max_inflight }
   else
@@ -105,7 +102,7 @@ let run_campaign t conn ~tenant ~id ~progress spec =
             simulated = o.Runner.simulated;
             baselines = o.Runner.baselines;
             loaded = o.Runner.loaded;
-            total_points = points spec;
+            total_points = pts;
             cells;
           })
 

@@ -45,6 +45,8 @@ let cells t =
       List.map (fun b -> { x = Some b; platform = Platform.with_bandwidth t.platform b }) bs
   | Flush_gbs fs -> List.map (fun f -> { x = Some f; platform = t.platform }) fs
 
+let points t = List.length (cells t) * List.length t.strategies * t.reps
+
 let with_values axis vs =
   match axis with
   | No_sweep -> No_sweep

@@ -79,6 +79,10 @@ type cell = {
 val cells : t -> cell list
 (** One cell per axis value, in axis order ([No_sweep] gives one cell). *)
 
+val points : t -> int
+(** The campaign's (cell, strategy, replication) points: cells ×
+    strategies × reps. *)
+
 val with_values : axis -> float list -> axis
 (** The same swept parameter over other values ([No_sweep] stays). *)
 

@@ -232,7 +232,41 @@ let result_to_json (r : Simulator.result) =
       ("lost_work_by_class", named_floats r.lost_work_by_class);
     ]
 
-let make ~cfg ?timer ?result ?registry ?(extra = []) () =
+(* The tracer's phase slices, one entry per span name in first-recorded
+   order: durations summed, slices counted. [None] when there are none. *)
+let timings tracer =
+  let phases = Hashtbl.create 8 and order = ref [] in
+  List.iter
+    (function
+      | Span.Slice { cat = "phase"; name; dur_us; _ } ->
+          let us, calls =
+            match Hashtbl.find_opt phases name with
+            | Some p -> p
+            | None ->
+                order := name :: !order;
+                (0.0, 0)
+          in
+          Hashtbl.replace phases name (us +. dur_us, calls + 1)
+      | _ -> ())
+    (Tracing.events tracer);
+  if !order = [] then None
+  else
+    let entries =
+      List.rev_map
+        (fun name ->
+          let us, calls = Hashtbl.find phases name in
+          (name, us /. 1e6, calls))
+        !order
+    in
+    let entry (name, seconds, calls) =
+      Json.Obj
+        [ ("name", Json.String name); ("seconds", Json.Float seconds); ("calls", Json.Int calls) ]
+    in
+    let total_s = List.fold_left (fun acc (_, s, _) -> acc +. s) 0.0 entries in
+    Some
+      (Json.Obj [ ("phases", Json.List (List.map entry entries)); ("total_s", Json.Float total_s) ])
+
+let make ~cfg ?(tracer = Tracing.disabled) ?result ?registry ?(extra = []) () =
   let optional name = function None -> [] | Some j -> [ (name, j) ] in
   Json.Obj
     ([
@@ -240,7 +274,7 @@ let make ~cfg ?timer ?result ?registry ?(extra = []) () =
        ("version", Json.Int version);
        ("config", config_to_json cfg);
      ]
-    @ optional "timings" (Option.map Timer.to_json timer)
+    @ optional "timings" (timings tracer)
     @ optional "result" (Option.map result_to_json result)
     @ optional "instrumentation" (Option.map Histogram.registry_to_json registry)
     @ extra)

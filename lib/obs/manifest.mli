@@ -1,7 +1,8 @@
 (** Run manifests: one JSON document per simulation recording the exact
     scenario ({!Cocheck_sim.Config.t} including platform, workload classes,
-    strategy and seed), wall-clock phase timings, instrumentation counters,
-    the final metrics summary and caller sections. A run written by
+    strategy and seed), the wall-clock phase spans of the run's tracer,
+    instrumentation counters, the final metrics summary and caller
+    sections. A run written by
     [simctl run] carries its one-cell campaign spec as the ["spec"]
     section, and [Spec.load] reads that section back, so the run replays
     through [--spec]. The ["config"] section is write-only: it
@@ -42,7 +43,7 @@ val result_to_json : Cocheck_sim.Simulator.result -> Json.t
 
 val make :
   cfg:Cocheck_sim.Config.t ->
-  ?timer:Timer.t ->
+  ?tracer:Tracing.t ->
   ?result:Cocheck_sim.Simulator.result ->
   ?registry:Histogram.registry ->
   ?extra:(string * Json.t) list ->
@@ -50,7 +51,14 @@ val make :
   Json.t
 (** The full manifest object: schema/version header, ["config"], and the
     optional ["timings"], ["result"], ["instrumentation"] and caller
-    [extra] sections. *)
+    [extra] sections.
+
+    ["timings"] is [{"phases": [{"name", "seconds", "calls"}...],
+    "total_s"}], read from [tracer]'s slices of category ["phase"]: one
+    entry per span name in first-recorded order, its durations summed
+    and its slices counted; [total_s] sums the entries. Slices of other
+    categories are left out, and a tracer with no phase slices (such as
+    {!Tracing.disabled}, the default) writes no ["timings"]. *)
 
 val write : path:string -> Json.t -> unit
 (** Pretty-printed to [path]. *)

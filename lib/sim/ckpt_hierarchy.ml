@@ -209,7 +209,7 @@ and maybe_flush t k =
       in
       pump ()
 
-let write t ~owner ~job ~nodes ~volume_gb ~content ~at ~on_complete =
+let write t ~owner ~inst ~nodes ~volume_gb ~content ~at ~on_complete =
   let rec find k =
     if k >= Array.length t.levels then None
     else if level_fits t.levels.(k) ~volume_gb then Some k
@@ -226,7 +226,7 @@ let write t ~owner ~job ~nodes ~volume_gb ~content ~at ~on_complete =
       let c =
         {
           c_owner = owner;
-          c_inst = job;
+          c_inst = inst;
           c_nodes = nodes;
           c_volume = volume_gb;
           c_content = content;

@@ -42,7 +42,7 @@ val fits : t -> volume_gb:float -> bool
 val write :
   t ->
   owner:int ->
-  job:int ->
+  inst:int ->
   nodes:int ->
   volume_gb:float ->
   content:float ->
@@ -51,7 +51,7 @@ val write :
   (Io_subsystem.t * Io_subsystem.flow) option
 (** Start a checkpoint write into the shallowest level with room; returns
     the level's subsystem and the write flow, or [None] (spill counted
-    here) when nothing fits. [owner] is the stable job identity, [job] the
+    here) when nothing fits. [owner] is the stable job identity, [inst] the
     running instance; [content]/[at] describe what the checkpoint captures,
     for post-failure recovery decisions. On completion the copy becomes a
     live recovery source and its background flush is queued. *)

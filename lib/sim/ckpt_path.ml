@@ -84,7 +84,7 @@ and start_ckpt_flow w inst =
 and try_hier_ckpt w h inst =
   let content = capture_content w inst in
   match
-    Ckpt_hierarchy.write h ~owner:inst.spec.Jobgen.id ~job:inst.idx
+    Ckpt_hierarchy.write h ~owner:inst.spec.Jobgen.id ~inst:inst.idx
       ~nodes:inst.spec.Jobgen.nodes ~volume_gb:inst.spec.Jobgen.ckpt_gb
       ~content ~at:w.clock.now ~on_complete:inst.cb_ckpt_done
   with

@@ -187,8 +187,8 @@ let mk_hier ?(pfs_bw = 10.0) levels =
   let pfs = Io.create ~engine ~metrics ~bandwidth_gbs:pfs_bw ~sharing:`Linear in
   (engine, Ckpt_hierarchy.create ~engine ~metrics ~pfs levels)
 
-let write_exn h ~owner ~job ~volume_gb ~content ~at ~on_complete =
-  match Ckpt_hierarchy.write h ~owner ~job ~nodes:4 ~volume_gb ~content ~at ~on_complete with
+let write_exn h ~owner ~inst ~volume_gb ~content ~at ~on_complete =
+  match Ckpt_hierarchy.write h ~owner ~inst ~nodes:4 ~volume_gb ~content ~at ~on_complete with
   | Some pf -> pf
   | None -> Alcotest.fail "write should have been absorbed"
 
@@ -196,7 +196,7 @@ let test_hier_absorb_and_flush_through () =
   let engine, h = mk_hier ~pfs_bw:10.0 [ lvl 100.0 100.0 ] in
   let t = ref nan in
   ignore
-    (write_exn h ~owner:7 ~job:0 ~volume_gb:50.0 ~content:12.0 ~at:0.0
+    (write_exn h ~owner:7 ~inst:0 ~volume_gb:50.0 ~content:12.0 ~at:0.0
        ~on_complete:(fun () -> t := Engine.now engine));
   Engine.run engine;
   checkf "commit at absorb speed" ~eps:1e-6 0.5 !t;
@@ -214,7 +214,7 @@ let test_hier_absorb_and_flush_through () =
 let test_hier_oversized_write_spills () =
   let engine, h = mk_hier [ lvl 10.0 100.0 ] in
   (match
-     Ckpt_hierarchy.write h ~owner:1 ~job:0 ~nodes:4 ~volume_gb:20.0 ~content:1.0 ~at:0.0
+     Ckpt_hierarchy.write h ~owner:1 ~inst:0 ~nodes:4 ~volume_gb:20.0 ~content:1.0 ~at:0.0
        ~on_complete:ignore
    with
   | None -> ()
@@ -230,7 +230,7 @@ let test_hier_abort_write_releases () =
   let engine, h = mk_hier [ lvl 100.0 100.0 ] in
   let completed = ref false in
   let pool, flow =
-    write_exn h ~owner:2 ~job:0 ~volume_gb:50.0 ~content:1.0 ~at:0.0
+    write_exn h ~owner:2 ~inst:0 ~volume_gb:50.0 ~content:1.0 ~at:0.0
       ~on_complete:(fun () -> completed := true)
   in
   checkf "reserved at write start" 50.0 (Ckpt_hierarchy.used_gb h ~level:0);
@@ -244,7 +244,7 @@ let test_hier_recovery_source_vs_pfs_note () =
   (* A near-stalled PFS keeps the copy resident; PFS notes only preempt it
      when they are strictly newer. *)
   let engine, h = mk_hier ~pfs_bw:0.001 [ lvl 100.0 100.0 ] in
-  ignore (write_exn h ~owner:3 ~job:1 ~volume_gb:40.0 ~content:8.0 ~at:10.0 ~on_complete:ignore);
+  ignore (write_exn h ~owner:3 ~inst:1 ~volume_gb:40.0 ~content:8.0 ~at:10.0 ~on_complete:ignore);
   Engine.run ~until:1.0 engine;
   Alcotest.(check (option int))
     "resident copy recovers at level 0" (Some 0)
@@ -266,7 +266,7 @@ let test_hier_two_level_cascade () =
   (* Serialized flushes hop tier by tier: L0 -> L1 inside L1's pool, then
      L1 -> PFS; capacity moves with the copy. *)
   let engine, h = mk_hier ~pfs_bw:0.5 [ lvl 30.0 100.0; lvl 100.0 20.0 ] in
-  ignore (write_exn h ~owner:1 ~job:0 ~volume_gb:25.0 ~content:5.0 ~at:0.0 ~on_complete:ignore);
+  ignore (write_exn h ~owner:1 ~inst:0 ~volume_gb:25.0 ~content:5.0 ~at:0.0 ~on_complete:ignore);
   (* commit at 0.25 s; L0->L1 drain (25 GB at 20 GB/s) done at 1.5 s; the
      50 s drain to the PFS is still running at t = 3 *)
   Engine.run ~until:3.0 engine;
@@ -286,8 +286,8 @@ let test_hier_two_level_cascade () =
 
 let test_hier_dedicated_edge_concurrent_flushes () =
   let engine, h = mk_hier ~pfs_bw:0.001 [ lvl ~flush:5.0 100.0 100.0 ] in
-  ignore (write_exn h ~owner:1 ~job:0 ~volume_gb:30.0 ~content:1.0 ~at:0.0 ~on_complete:ignore);
-  ignore (write_exn h ~owner:2 ~job:1 ~volume_gb:30.0 ~content:1.0 ~at:0.0 ~on_complete:ignore);
+  ignore (write_exn h ~owner:1 ~inst:0 ~volume_gb:30.0 ~content:1.0 ~at:0.0 ~on_complete:ignore);
+  ignore (write_exn h ~owner:2 ~inst:1 ~volume_gb:30.0 ~content:1.0 ~at:0.0 ~on_complete:ignore);
   (* both commit at 0.6 s (shared absorb) and flush concurrently on the
      dedicated edge instead of serializing *)
   Engine.run ~until:1.0 engine;
@@ -302,7 +302,7 @@ let test_hier_failure_survival_threshold () =
   let run u =
     let engine, h = mk_hier ~pfs_bw:0.001 [ lvl ~surv:0.4 100.0 100.0 ] in
     ignore
-      (write_exn h ~owner:9 ~job:2 ~volume_gb:50.0 ~content:3.0 ~at:0.0 ~on_complete:ignore);
+      (write_exn h ~owner:9 ~inst:2 ~volume_gb:50.0 ~content:3.0 ~at:0.0 ~on_complete:ignore);
     Engine.run ~until:1.0 engine;
     Ckpt_hierarchy.apply_failure h ~owner:9 ~u;
     ( Ckpt_hierarchy.recovery_source h ~owner:9,
@@ -346,7 +346,7 @@ let test_hier_capacity_invariant =
         (match Rng.int rng 4 with
         | 0 | 1 -> (
             match
-              Ckpt_hierarchy.write h ~owner:(Rng.int rng 4) ~job:i ~nodes:2
+              Ckpt_hierarchy.write h ~owner:(Rng.int rng 4) ~inst:i ~nodes:2
                 ~volume_gb:(u 1.0 70.0) ~content:(float_of_int i) ~at:!t
                 ~on_complete:ignore
             with
@@ -487,7 +487,7 @@ let test_single_buffer_matches_burst_buffer_storage =
             let on_complete () = done_ := true in
             match
               ( Burst_buffer.write bb ~owner ~nodes:2 ~volume_gb ~on_complete,
-                Ckpt_hierarchy.write h ~owner ~job:i ~nodes:2 ~volume_gb
+                Ckpt_hierarchy.write h ~owner ~inst:i ~nodes:2 ~volume_gb
                   ~content:(float_of_int i) ~at:!t ~on_complete:ignore )
             with
             | None, None -> ()

@@ -3,12 +3,13 @@
    run manifest's spec round-trip. *)
 
 module Json = Cocheck_obs.Json
-module Timer = Cocheck_obs.Timer
 module Histogram = Cocheck_obs.Histogram
 module Series = Cocheck_obs.Series
 module Export = Cocheck_obs.Export
 module Manifest = Cocheck_obs.Manifest
 module Sampler = Cocheck_obs.Sampler
+module Span = Cocheck_obs.Span
+module Tracing = Cocheck_obs.Tracing
 module Trace = Cocheck_sim.Trace
 module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
@@ -113,25 +114,6 @@ let test_json_to_int_range () =
     (Json.Float (Float.pred 4611686018427387904.0));
   check "nan" None (Json.Float Float.nan);
   check "inf" None (Json.Float Float.infinity)
-
-(* ------------------------------------------------------------------ *)
-(* Timer                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_timer_accumulates () =
-  let t = Timer.create () in
-  Timer.record t ~name:"a" ~seconds:1.5;
-  Timer.record t ~name:"b" ~seconds:0.5;
-  Timer.record t ~name:"a" ~seconds:2.5;
-  (match Timer.phases t with
-  | [ ("a", sa, 2); ("b", sb, 1) ] ->
-      checkf "a sums" 4.0 sa;
-      checkf "b" 0.5 sb
-  | _ -> Alcotest.fail "expected phases a (2 calls) then b (1 call) in order");
-  checkf "total" 4.5 (Timer.total_s t);
-  let x = Timer.time t ~name:"c" (fun () -> 17) in
-  Alcotest.(check int) "thunk result" 17 x;
-  Alcotest.(check int) "three phases" 3 (List.length (Timer.phases t))
 
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                            *)
@@ -487,8 +469,8 @@ let exotic_spec () =
 let run_config spec strategy =
   Spec.config spec ~cell:(List.hd (Spec.cells spec)) ~strategy ~rep:0
 
-let run_manifest ?timer ?result ?registry spec strategy =
-  Manifest.make ~cfg:(run_config spec strategy) ?timer ?result ?registry
+let run_manifest ?tracer ?result ?registry spec strategy =
+  Manifest.make ~cfg:(run_config spec strategy) ?tracer ?result ?registry
     ~extra:[ ("spec", Spec.to_json spec) ]
     ()
 
@@ -518,11 +500,11 @@ let test_manifest_config_roundtrip () =
 let test_manifest_roundtrip_through_text () =
   let spec = exotic_spec () in
   let r = Simulator.run (small_cfg Strategy.Least_waste) in
-  let timer = Timer.create () in
-  Timer.record timer ~name:"simulate" ~seconds:1.25;
+  let tracer = Tracing.create () in
+  Tracing.span tracer ~cat:"phase" "simulate" ignore;
   let reg = Histogram.registry () in
   Histogram.add (Histogram.hist reg ~name:"h" ~unit_label:"s" ()) 2.0;
-  let m = run_manifest ~timer ~result:r ~registry:reg spec (Strategy.Ordered_nb Strategy.Daly) in
+  let m = run_manifest ~tracer ~result:r ~registry:reg spec (Strategy.Ordered_nb Strategy.Daly) in
   (* Through the pretty printer and the parser, as `write`/`load` would. *)
   match Json.of_string (Json.to_string_pretty m) with
   | Error e -> Alcotest.failf "manifest reparse failed: %s" e
@@ -539,6 +521,44 @@ let test_manifest_roundtrip_through_text () =
             (Json.member "timings" m' <> None);
           Alcotest.(check bool) "instrumentation section present" true
             (Json.member "instrumentation" m' <> None))
+
+let slice ~cat name ~dur_us =
+  Span.Slice { name; cat; track = 0; ts_us = 0.0; dur_us; args = [] }
+
+(* Timings are the tracer's phase slices: per name in first-recorded
+   order, seconds summed and calls counted; other categories left out. *)
+let test_manifest_timings_from_phase_spans () =
+  let tracer = Tracing.create () in
+  List.iter (Tracing.record tracer)
+    [
+      slice ~cat:"phase" "generate" ~dur_us:250_000.0;
+      slice ~cat:"pool" "task" ~dur_us:8_000_000.0;
+      slice ~cat:"phase" "simulate" ~dur_us:1_500_000.0;
+      slice ~cat:"phase" "generate" ~dur_us:500_000.0;
+    ];
+  let m = run_manifest ~tracer (small_spec ()) Strategy.Least_waste in
+  let timings = Option.get (Json.member "timings" m) in
+  let phases =
+    List.map
+      (fun p ->
+        ( Option.get (Option.bind (Json.member "name" p) Json.to_string_opt),
+          Option.get (Option.bind (Json.member "seconds" p) Json.to_float_opt),
+          Option.get (Option.bind (Json.member "calls" p) Json.to_int_opt) ))
+      (Option.get (Option.bind (Json.member "phases" timings) Json.to_list_opt))
+  in
+  Alcotest.(check (list (triple string (float 1e-12) int)))
+    "phases" [ ("generate", 0.75, 2); ("simulate", 1.5, 1) ] phases;
+  checkf "total_s" 2.25
+    (Option.get (Option.bind (Json.member "total_s" timings) Json.to_float_opt))
+
+let test_manifest_no_tracer_no_timings () =
+  let spec = small_spec () in
+  Alcotest.(check bool) "no tracer" true
+    (Json.member "timings" (run_manifest spec Strategy.Least_waste) = None);
+  Tracing.span Tracing.disabled ~cat:"phase" "simulate" ignore;
+  Alcotest.(check bool) "disabled tracer" true
+    (Json.member "timings" (run_manifest ~tracer:Tracing.disabled spec Strategy.Least_waste)
+    = None)
 
 let test_manifest_write_load () =
   let path = Filename.temp_file "cocheck-manifest" ".json" in
@@ -557,8 +577,6 @@ let test_manifest_write_load () =
 (* Span / Tracing / Runtime                                             *)
 (* ------------------------------------------------------------------ *)
 
-module Span = Cocheck_obs.Span
-module Tracing = Cocheck_obs.Tracing
 module Runtime = Cocheck_obs.Runtime
 module Pool = Cocheck_parallel.Pool
 
@@ -799,8 +817,6 @@ let () =
           Alcotest.test_case "to_int_opt range" `Quick test_json_to_int_range;
         ]
         @ qsuite [ test_json_float_precision ] );
-      ( "timer",
-        [ Alcotest.test_case "accumulates phases" `Quick test_timer_accumulates ] );
       ( "histogram",
         [
           Alcotest.test_case "bucket edges" `Quick test_histogram_bucket_edges;
@@ -835,6 +851,9 @@ let () =
         [
           Alcotest.test_case "config round-trip" `Quick test_manifest_config_roundtrip;
           Alcotest.test_case "text round-trip" `Quick test_manifest_roundtrip_through_text;
+          Alcotest.test_case "timings from phase spans" `Quick
+            test_manifest_timings_from_phase_spans;
+          Alcotest.test_case "no tracer, no timings" `Quick test_manifest_no_tracer_no_timings;
           Alcotest.test_case "write/load" `Quick test_manifest_write_load;
         ] );
       ( "span",
