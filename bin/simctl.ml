@@ -532,7 +532,7 @@ let run_cmd =
     in
     let baseline, r =
       Pool.with_pool ~num_domains:2
-        ~telemetry:(Obs.Tracing.pool_telemetry profile ?registry:recs.registry ())
+        ~telemetry:(Obs.Tracing.pool_telemetry profile)
         (fun pool ->
           let fb =
             Pool.async pool (fun () ->
@@ -843,7 +843,7 @@ let campaign_run preset =
           flush oc)
         progress_oc
     in
-    with_pool ~telemetry:(Obs.Tracing.pool_telemetry tracer ()) domains (fun pool ->
+    with_pool ~telemetry:(Obs.Tracing.pool_telemetry tracer) domains (fun pool ->
         let store = Option.map E.Store.open_ store in
         let o = E.Runner.run ~pool ?store ~tracer ?on_progress spec in
         print_campaign_header spec;
@@ -1007,8 +1007,8 @@ let endpoint_error () =
 let serve_cmd =
   let store_req_t =
     Arg.(required & opt (some string) None & info [ "store" ] ~docv:"DIR"
-           ~doc:"Results store directory the service answers from (created and \
-                 shard-migrated if needed).")
+           ~doc:"Results store directory the service answers from (created if \
+                 needed).")
   in
   let max_inflight_t =
     Arg.(value & opt int 4096 & info [ "max-inflight" ] ~docv:"POINTS"
@@ -1083,9 +1083,9 @@ let print_response = function
       print_bound_waste ~waste:r.waste r.outside
   | E.Protocol.Stats_result r ->
       Format.printf
-        "store: hits=%d misses=%d loads=%d writes=%d evictions=%d migrated=%d indexed=%d@."
+        "store: hits=%d misses=%d loads=%d writes=%d evictions=%d indexed=%d@."
         r.store.E.Store.hits r.store.E.Store.misses r.store.E.Store.loads
-        r.store.E.Store.writes r.store.E.Store.evictions r.store.E.Store.migrated r.indexed;
+        r.store.E.Store.writes r.store.E.Store.evictions r.indexed;
       Format.printf "service: inflight_points=%d served=%d@." r.inflight r.served
 
 let query_one ~socket ~port ?on_progress req =

@@ -53,9 +53,9 @@ let mc ~pool ~platform ~strategies ~reps ~seed ~days ?failure_dist
       (Strategy.name r.Runner.strategy, r.Runner.stats.Stats.mean))
     (Runner.run ~pool spec).Runner.results
 
-let failure_distribution ~pool ?(reps = 10) ?(seed = 42) ?(days = 20.0)
-    ?(strategies = default_strategies) () =
+let failure_distribution ~pool ?(reps = 10) ?(seed = 42) ?(days = 20.0) () =
   let platform = Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:2.0 () in
+  let strategies = default_strategies in
   let rows =
     List.map
       (fun law ->
@@ -74,8 +74,7 @@ let failure_distribution ~pool ?(reps = 10) ?(seed = 42) ?(days = 20.0)
       "Ablation: failure inter-arrival law (Cielo, 40 GB/s, 2y node MTBF; mean waste ratio)"
     ~columns:(strategy_columns strategies) ~rows
 
-let interference_model ~pool ?(reps = 10) ?(seed = 42) ?(days = 20.0)
-    ?(alphas = [ 0.0; 0.25; 0.5; 1.0 ]) () =
+let interference_model ~pool ?(reps = 10) ?(seed = 42) ?(days = 20.0) () =
   let platform = Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:10.0 () in
   let strategies = default_strategies in
   let rows =
@@ -86,16 +85,15 @@ let interference_model ~pool ?(reps = 10) ?(seed = 42) ?(days = 20.0)
           values =
             mc ~pool ~platform ~strategies ~reps ~seed ~days ~interference_alpha:alpha ();
         })
-      alphas
+      [ 0.0; 0.25; 0.5; 1.0 ]
   in
   build_study
     ~title:
       "Ablation: adversarial interference (footnote 2); aggregate degrades as 1/(1+alpha(k-1))"
     ~columns:(strategy_columns strategies) ~rows
 
-let burst_buffer ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
-    ?(capacities_gb = [ 0.0; 100_000.0; 400_000.0; 1_600_000.0 ])
-    ?(bb_bandwidth_gbs = 1_000.0) () =
+let burst_buffer ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0) () =
+  let bb_bandwidth_gbs = 1_000.0 in
   let platform = Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:5.0 () in
   let strategies =
     [ Strategy.Oblivious (Strategy.Fixed Strategy.default_fixed_period_s); Strategy.Least_waste ]
@@ -117,7 +115,7 @@ let burst_buffer ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
              else Format.asprintf "%a buffer" Units.pp_bytes cap);
           values = mc ~pool ~platform ~strategies ~reps ~seed ~days ?multilevel ();
         })
-      capacities_gb
+      [ 0.0; 100_000.0; 400_000.0; 1_600_000.0 ]
   in
   build_study
     ~title:
@@ -126,7 +124,7 @@ let burst_buffer ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
          bb_bandwidth_gbs)
     ~columns:(strategy_columns strategies) ~rows
 
-let period_scaling ?(gammas = [ 0.5; 0.8; 1.0; 1.5; 2.0; 3.0 ]) () =
+let period_scaling () =
   let platform = Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:2.0 () in
   let columns =
     List.concat_map
@@ -153,15 +151,14 @@ let period_scaling ?(gammas = [ 0.5; 0.8; 1.0; 1.5; 2.0; 3.0 ]) () =
             Apex.lanl_workload
         in
         { label = Printf.sprintf "gamma=%g" gamma; values })
-      gammas
+      [ 0.5; 0.8; 1.0; 1.5; 2.0; 3.0 ]
   in
   build_study
     ~title:
       "Ablation: period scaling gamma x P_Daly (analytic Eq. 3 waste and per-job I/O fraction)"
     ~columns ~rows
 
-let optimal_periods ~pool ?(reps = 10) ?(seed = 42) ?(days = 20.0)
-    ?(bandwidths_gbs = [ 30.0; 40.0; 60.0; 100.0 ]) () =
+let optimal_periods ~pool ?(reps = 10) ?(seed = 42) ?(days = 20.0) () =
   let strategies =
     [
       Strategy.Ordered_nb Strategy.Daly;
@@ -186,7 +183,7 @@ let optimal_periods ~pool ?(reps = 10) ?(seed = 42) ?(days = 20.0)
             mc ~pool ~platform ~strategies ~reps ~seed ~days ()
             @ [ ("Theoretical Model", bound) ];
         })
-      bandwidths_gbs
+      [ 30.0; 40.0; 60.0; 100.0 ]
   in
   build_study
     ~title:
@@ -195,8 +192,7 @@ let optimal_periods ~pool ?(reps = 10) ?(seed = 42) ?(days = 20.0)
     ~columns:(strategy_columns strategies @ [ "Theoretical Model" ])
     ~rows
 
-let two_level ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
-    ?(soft_fractions = [ 0.0; 0.3; 0.6; 0.9 ]) () =
+let two_level ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0) () =
   let platform = Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:2.0 () in
   let strategy = Strategy.Least_waste in
   (* Local snapshots priced like an SCR XOR level: ~3% of a global commit. *)
@@ -241,7 +237,7 @@ let two_level ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
               ("analytic EAP two-level", analytic soft);
             ];
         })
-      soft_fractions
+      [ 0.0; 0.3; 0.6; 0.9 ]
   in
   build_study
     ~title:
@@ -249,9 +245,8 @@ let two_level ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
     ~columns:[ "single-level"; "two-level"; "analytic EAP two-level" ]
     ~rows
 
-let flush_bandwidth ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
-    ?(flush_gbs = [ 2.0; 5.0; 10.0; 20.0; 40.0 ]) ?(capacity_gb = 400_000.0)
-    ?(buffer_gbs = 1_000.0) () =
+let flush_bandwidth ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0) () =
+  let capacity_gb = 400_000.0 and buffer_gbs = 1_000.0 in
   let platform = Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:2.0 () in
   let strategies =
     [
@@ -294,7 +289,7 @@ let flush_bandwidth ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
             mc ~pool ~platform ~strategies ~reps ~seed ~days ~multilevel:(ml f) ()
             @ [ ("Hierarchical Bound", bound) ];
         })
-      flush_gbs
+      [ 2.0; 5.0; 10.0; 20.0; 40.0 ]
   in
   build_study
     ~title:
@@ -305,8 +300,7 @@ let flush_bandwidth ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
     ~columns:(strategy_columns strategies @ [ "Hierarchical Bound" ])
     ~rows
 
-let fixed_period ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
-    ?(periods_s = [ 1800.0; 3600.0; 7200.0; 14400.0 ]) () =
+let fixed_period ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0) () =
   let platform = Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:5.0 () in
   let obl_daly_ref, onb_daly_ref =
     match
@@ -341,7 +335,7 @@ let fixed_period ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
               ("Ordered-NB-Daly (ref)", onb_daly_ref);
             ];
         })
-      periods_s
+      [ 1800.0; 3600.0; 7200.0; 14400.0 ]
   in
   build_study
     ~title:

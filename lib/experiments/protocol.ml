@@ -167,7 +167,6 @@ let response_to_json ~id resp =
                 ("loads", Json.Int r.store.Store.loads);
                 ("writes", Json.Int r.store.Store.writes);
                 ("evictions", Json.Int r.store.Store.evictions);
-                ("migrated", Json.Int r.store.Store.migrated);
               ] );
           ("indexed", Json.Int r.indexed);
           ("inflight_points", Json.Int r.inflight);
@@ -237,7 +236,6 @@ let response_of_json j =
                        loads = sint "loads";
                        writes = sint "writes";
                        evictions = sint "evictions";
-                       migrated = sint "migrated";
                      };
                    indexed;
                    inflight;

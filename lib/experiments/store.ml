@@ -7,7 +7,6 @@ type stats = {
   loads : int;
   writes : int;
   evictions : int;
-  migrated : int;
 }
 
 type t = {
@@ -28,7 +27,6 @@ type t = {
   mutable loads : int;
   mutable writes : int;
   mutable evictions : int;
-  mutable migrated : int;
 }
 
 let default_capacity = 65_536
@@ -46,50 +44,27 @@ let shard_of_key key = if String.length key >= 2 then String.sub key 0 2 else "_
 
 let path_of_key t key = Filename.concat (Filename.concat t.dir (shard_of_key key)) (key ^ ".json")
 
-(* The pre-shard (PR 4) layout kept every record at the store root. *)
-let flat_path t key = Filename.concat t.dir (key ^ ".json")
-
 let dir t = t.dir
 
 let is_record name = Filename.check_suffix name ".json"
 let key_of_name name = Filename.chop_suffix name ".json"
 
-(* Move one flat-layout record into its shard. Racing openers both try the
-   rename; the loser's [Sys_error] (source already gone) is benign. *)
-let migrate_record t name =
-  let key = key_of_name name in
-  let dst = path_of_key t key in
-  ensure_dir (Filename.dirname dst);
-  match Sys.rename (Filename.concat t.dir name) dst with
-  | () -> t.migrated <- t.migrated + 1
-  | exception Sys_error _ -> ()
-
-let migrate_flat t =
-  match Sys.readdir t.dir with
-  | entries -> Array.iter (fun name -> if is_record name then migrate_record t name) entries
-  | exception Sys_error _ -> ()
-
 let open_ ?(capacity = default_capacity) dir =
   if capacity <= 0 then invalid_arg "Store.open_: capacity must be positive";
   ensure_dir dir;
-  let t =
-    {
-      dir;
-      mutex = Mutex.create ();
-      index = Hashtbl.create (min capacity 4096);
-      ring = Array.make capacity "";
-      ring_pos = 0;
-      capacity;
-      hits = 0;
-      misses = 0;
-      loads = 0;
-      writes = 0;
-      evictions = 0;
-      migrated = 0;
-    }
-  in
-  migrate_flat t;
-  t
+  {
+    dir;
+    mutex = Mutex.create ();
+    index = Hashtbl.create (min capacity 4096);
+    ring = Array.make capacity "";
+    ring_pos = 0;
+    capacity;
+    hits = 0;
+    misses = 0;
+    loads = 0;
+    writes = 0;
+    evictions = 0;
+  }
 
 (* Index insertion under [t.mutex]: overwrite in place when the key is
    already indexed (no ring slot consumed), otherwise claim the next ring
@@ -108,7 +83,7 @@ let remember_locked t key ratio =
 
 (* A record is self-describing but only the ratio is read back; a missing,
    truncated or malformed file reads as a miss and the point re-simulates
-   (the demotion contract inherited from the flat store). *)
+   (the demotion contract). *)
 let load_ratio path =
   if not (Sys.file_exists path) then None
   else
@@ -127,11 +102,7 @@ let find t key =
       Mutex.unlock t.mutex;
       (* Disk I/O outside the lock; concurrent loads of the same key both
          read the file and converge on the same index entry. *)
-      let ratio =
-        match load_ratio (path_of_key t key) with
-        | Some _ as r -> r
-        | None -> load_ratio (flat_path t key)
-      in
+      let ratio = load_ratio (path_of_key t key) in
       Mutex.lock t.mutex;
       (match ratio with
       | Some r ->
@@ -145,7 +116,7 @@ let contains t key =
   Mutex.lock t.mutex;
   let indexed = Hashtbl.mem t.index key in
   Mutex.unlock t.mutex;
-  indexed || Sys.file_exists (path_of_key t key) || Sys.file_exists (flat_path t key)
+  indexed || Sys.file_exists (path_of_key t key)
 
 (* Unique temp names: concurrent clients querying the same spec race on the
    same key, so [path ^ ".tmp"] (safe when one process owned a key) would
@@ -170,28 +141,23 @@ let add t ~key ~ratio json =
   remember_locked t key ratio;
   Mutex.unlock t.mutex
 
-let iter_shard t sub f =
-  let dir = Filename.concat t.dir sub in
+let iter_dir dir f =
   match Sys.readdir dir with
   | entries -> Array.iter (fun name -> f dir name) entries
   | exception Sys_error _ -> ()
 
-let iter_files t f =
-  (match Sys.readdir t.dir with
-  | entries ->
-      Array.iter
-        (fun name ->
-          let sub = Filename.concat t.dir name in
-          if Sys.is_directory sub then iter_shard t name f else f t.dir name)
-        entries
-  | exception Sys_error _ -> ())
+(* Every file of every shard directory: records live nowhere else. *)
+let iter_shards t f =
+  iter_dir t.dir (fun _ name ->
+      let sub = Filename.concat t.dir name in
+      if Sys.is_directory sub then iter_dir sub f)
 
 let record_count t =
   let n = ref 0 in
-  iter_files t (fun _ name -> if is_record name then incr n);
+  iter_shards t (fun _ name -> if is_record name then incr n);
   !n
 
-let iter_keys t f = iter_files t (fun _ name -> if is_record name then f (key_of_name name))
+let iter_keys t f = iter_shards t (fun _ name -> if is_record name then f (key_of_name name))
 
 (* Crashed writers leave [*.tmp] litter behind (the rename never ran);
    compaction sweeps it. Live writers are safe: their temp names are
@@ -200,11 +166,14 @@ let iter_keys t f = iter_files t (fun _ name -> if is_record name then f (key_of
    store is an orphan. *)
 let compact t =
   let removed = ref 0 in
-  iter_files t (fun dir name ->
-      if Filename.check_suffix name ".tmp" then begin
-        (try Sys.remove (Filename.concat dir name) with Sys_error _ -> ());
-        incr removed
-      end);
+  let sweep dir name =
+    if Filename.check_suffix name ".tmp" then begin
+      (try Sys.remove (Filename.concat dir name) with Sys_error _ -> ());
+      incr removed
+    end
+  in
+  iter_dir t.dir sweep;
+  iter_shards t sweep;
   !removed
 
 let stats t =
@@ -216,7 +185,6 @@ let stats t =
       loads = t.loads;
       writes = t.writes;
       evictions = t.evictions;
-      migrated = t.migrated;
     }
   in
   Mutex.unlock t.mutex;

@@ -6,11 +6,9 @@
     the first two hex characters of the key:
     [store/<2-hex>/<key>.json]. 256 shards bound the per-directory
     fan-out at any store size, and a lookup is one path probe — no
-    directory listing. Stores written by the flat pre-shard layout
-    ([store/<key>.json]) are migrated on open (rename into shards;
-    records a racing opener already moved are skipped), and unmigrated
-    flat records still hit via a fallback probe, so an old store is
-    usable mid-migration.
+    directory listing. A record anywhere else (e.g. at the store root,
+    [store/<key>.json]) is not read: its key is a miss and the point
+    re-simulates into its shard.
 
     {b Index.} Loaded ratios are cached in a bounded in-memory index with
     FIFO eviction (insertion-order ring). Campaign queries read each key
@@ -28,9 +26,8 @@
 type t
 
 val open_ : ?capacity:int -> string -> t
-(** Open (creating if missing) the store rooted at a directory, migrating
-    any flat-layout records into shards. [capacity] bounds the in-memory
-    index (default 65536 entries). *)
+(** Open (creating if missing) the store rooted at a directory.
+    [capacity] bounds the in-memory index (default 65536 entries). *)
 
 val dir : t -> string
 
@@ -48,20 +45,18 @@ val add : t -> key:string -> ratio:float -> Cocheck_obs.Json.t -> unit
 val path_of_key : t -> string -> string
 (** The sharded record path of a key (exists or not). *)
 
-val flat_path : t -> string -> string
-(** The record path under the legacy flat layout (test/migration aid). *)
-
 val record_count : t -> int
-(** Records on disk, across all shards (scans the directory tree). *)
+(** Records on disk, across all shards (scans the directory tree); files
+    outside the shards are not records. *)
 
 val iter_keys : t -> (string -> unit) -> unit
 (** Every record key on disk, any order. *)
 
 val compact : t -> int
-(** Remove orphaned [*.tmp] files left by crashed writers; returns the
-    number removed. Call on a quiescent store (live writers' temps are
-    process-unique and short-lived, but compacting mid-write can still
-    race a rename). *)
+(** Remove orphaned [*.tmp] files left by crashed writers, in the shards
+    and at the store root; returns the number removed. Call on a
+    quiescent store (live writers' temps are process-unique and
+    short-lived, but compacting mid-write can still race a rename). *)
 
 type stats = {
   hits : int;  (** index hits *)
@@ -69,7 +64,6 @@ type stats = {
   loads : int;  (** records read from disk into the index *)
   writes : int;  (** records persisted *)
   evictions : int;  (** index entries dropped by the FIFO ring *)
-  migrated : int;  (** flat-layout records moved into shards at open *)
 }
 
 val stats : t -> stats

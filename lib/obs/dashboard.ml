@@ -74,9 +74,8 @@ let render ~(cfg : Config.t) ~(result : Simulator.result) ?series ?registry () =
   | Some s when Series.length s = 0 -> ()
   | Some s ->
       buf_addf buf "%s\nPlatform series (%d samples%s)\n" rule (Series.length s)
-        (let d = Series.dropped s and c = Series.clipped s in
-         if d + c = 0 then ""
-         else Printf.sprintf ", %d dropped, %d clipped" d c);
+        (let d = Series.dropped s in
+         if d = 0 then "" else Printf.sprintf ", %d dropped" d);
       List.iter
         (fun field -> spark_row buf s field ~width:48)
         [ "bw_util"; "io_flows"; "token_queue"; "used_nodes"; "queued_jobs" ]);

@@ -20,8 +20,8 @@ let fields =
   ]
   @ List.map (fun k -> "waste_" ^ Metrics.kind_name k) waste_kinds
 
-let create ?capacity ?t_min ?t_max () =
-  let series = Series.create ?capacity ?t_min ?t_max ~fields () in
+let create () =
+  let series = Series.create ~fields () in
   let observe (s : Simulator.snapshot) =
     let row =
       Array.of_list

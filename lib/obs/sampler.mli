@@ -17,15 +17,9 @@
 val fields : string list
 (** Column names in CSV order (without the leading [time]). *)
 
-val create :
-  ?capacity:int ->
-  ?t_min:float ->
-  ?t_max:float ->
-  unit ->
-  Series.t * (Cocheck_sim.Simulator.snapshot -> unit)
-(** A fresh series and the observer to pass as {!Cocheck_sim.Simulator.run}'s
-    [sample] callback. [t_min]/[t_max] clip samples to a measurement
-    window (e.g. the config's segment). *)
+val create : unit -> Series.t * (Cocheck_sim.Simulator.snapshot -> unit)
+(** A fresh series (default capacity, every sample kept) and the observer
+    to pass as {!Cocheck_sim.Simulator.run}'s [sample] callback. *)
 
 val default_dt : Cocheck_sim.Config.t -> float
 (** A probe interval giving a few hundred samples over the config's

@@ -2,28 +2,21 @@ type t = {
   fields : string list;
   arity : int;
   capacity : int;
-  t_min : float;
-  t_max : float;
   buffer : (float * float array) option array;
   mutable next : int;
   mutable total : int;  (* rows ever accepted *)
-  mutable clipped : int;
 }
 
-let create ?(capacity = 100_000) ?(t_min = neg_infinity) ?(t_max = infinity) ~fields () =
+let create ?(capacity = 100_000) ~fields () =
   if fields = [] then invalid_arg "Series.create: no fields";
   if capacity <= 0 then invalid_arg "Series.create: capacity must be positive";
-  if t_min > t_max then invalid_arg "Series.create: empty time window";
   {
     fields;
     arity = List.length fields;
     capacity;
-    t_min;
-    t_max;
     buffer = Array.make capacity None;
     next = 0;
     total = 0;
-    clipped = 0;
   }
 
 let fields t = t.fields
@@ -31,16 +24,12 @@ let fields t = t.fields
 let push t ~time values =
   if Array.length values <> t.arity then
     invalid_arg "Series.push: row arity does not match fields";
-  if time < t.t_min || time > t.t_max then t.clipped <- t.clipped + 1
-  else begin
-    t.buffer.(t.next) <- Some (time, Array.copy values);
-    t.next <- (t.next + 1) mod t.capacity;
-    t.total <- t.total + 1
-  end
+  t.buffer.(t.next) <- Some (time, Array.copy values);
+  t.next <- (t.next + 1) mod t.capacity;
+  t.total <- t.total + 1
 
 let length t = min t.total t.capacity
 let dropped t = max 0 (t.total - t.capacity)
-let clipped t = t.clipped
 
 let rows t =
   let n = length t in
@@ -107,6 +96,3 @@ let sparkline t ~field ~width =
         Buffer.add_string buf spark_glyphs.(max 1 (min 8 level))
       done;
       Buffer.contents buf
-
-let to_plot t ~field =
-  { Cocheck_util.Ascii_plot.label = field; points = column t ~field }

@@ -3,30 +3,23 @@
     The simulator's periodic probe pushes one row per Δt — bandwidth
     utilization, token-queue depth, jobs per state, cumulative waste — into
     a bounded ring; the ring renders as CSV (one column per field) or as
-    sparklines / {!Cocheck_util.Ascii_plot} series. Samples timestamped
-    outside the configured window are discarded on push (segment clipping),
-    so campaign CSVs align with the metrics segment. *)
+    sparklines. *)
 
 type t
 
-val create : ?capacity:int -> ?t_min:float -> ?t_max:float -> fields:string list -> unit -> t
-(** Defaults: [capacity = 100_000], window unbounded. Requires a non-empty
-    field list, positive capacity and [t_min <= t_max] when both given. *)
+val create : ?capacity:int -> fields:string list -> unit -> t
+(** Default [capacity = 100_000]. Requires a non-empty field list and a
+    positive capacity. *)
 
 val fields : t -> string list
 
 val push : t -> time:float -> float array -> unit
-(** Append a row. Raises [Invalid_argument] on arity mismatch; silently
-    drops rows outside the [t_min, t_max] window (counted in {!clipped}).
-    When full, the oldest retained row is evicted (counted in
-    {!dropped}). *)
+(** Append a row. Raises [Invalid_argument] on arity mismatch. When
+    full, the oldest retained row is evicted (counted in {!dropped}). *)
 
 val length : t -> int
 val dropped : t -> int
 (** Rows evicted by the capacity bound. *)
-
-val clipped : t -> int
-(** Rows discarded by the time window. *)
 
 val rows : t -> (float * float array) list
 (** Retained rows, oldest first. *)
@@ -40,5 +33,3 @@ val to_csv : t -> string
 val sparkline : t -> field:string -> width:int -> string
 (** The field resampled to [width] cells of a Unicode block-glyph strip
     (min→max auto-scale); empty series yields a blank strip. *)
-
-val to_plot : t -> field:string -> Cocheck_util.Ascii_plot.series

@@ -134,11 +134,10 @@ let write ~path ?process_name t =
 (* Wiring: DES engine                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let instrument_engine t ?(prefix = "engine") ?(every = 5_000) ?(gc = true)
-    ~kinds engine =
+let instrument_engine t ?(prefix = "engine") ?(every = 5_000) ~kinds engine =
   if t == disabled then fun () -> ()
   else begin
-    let probe = if gc then Some (Runtime.gc_probe ()) else None in
+    let probe = Runtime.gc_probe () in
     let emit eng =
       let st = Option.get (Engine.stats eng) in
       counter t (prefix ^ "/fired")
@@ -148,10 +147,7 @@ let instrument_engine t ?(prefix = "engine") ?(every = 5_000) ?(gc = true)
         [ ("cancelled", float_of_int (Engine.stats_cancelled st)) ];
       counter t (prefix ^ "/queue")
         [ ("pending", float_of_int (Engine.queue_length eng)) ];
-      match probe with
-      | None -> ()
-      | Some p ->
-          counter t (prefix ^ "/gc") (Runtime.gc_delta_values (Runtime.gc_sample p))
+      counter t (prefix ^ "/gc") (Runtime.gc_delta_values (Runtime.gc_sample probe))
     in
     let _st = Engine.attach_stats engine ~kinds ~tick_every:every ~on_tick:emit () in
     fun () -> emit engine
@@ -161,17 +157,9 @@ let instrument_engine t ?(prefix = "engine") ?(every = 5_000) ?(gc = true)
 (* Wiring: worker pool                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let pool_telemetry t ?registry () =
+let pool_telemetry t =
   if t == disabled then Pool.no_telemetry
   else begin
-    let hist_mutex = Mutex.create () in
-    let wait_hist =
-      Option.map
-        (fun reg ->
-          Histogram.hist reg ~lo:1e-6 ~ratio:4.0 ~buckets:16 ~name:"pool_queue_wait_s"
-            ~unit_label:"s" ())
-        registry
-    in
     let tasks_done = Atomic.make 0 in
     let named = Hashtbl.create 8 in
     let named_mutex = Mutex.create () in
@@ -199,13 +187,7 @@ let pool_telemetry t ?registry () =
                  dur_us = ran_s *. 1e6;
                  args = [ ("queued_s", Span.Num queued_s) ];
                });
-          counter t "pool/throughput" [ ("tasks_done", float_of_int n) ];
-          Option.iter
-            (fun h ->
-              Mutex.lock hist_mutex;
-              Histogram.add h queued_s;
-              Mutex.unlock hist_mutex)
-            wait_hist);
+          counter t "pool/throughput" [ ("tasks_done", float_of_int n) ]);
       on_idle =
         (fun ~worker ~idle_s ->
           (* Sub-100µs waits are queue-pop noise, not idleness; skipping

@@ -99,7 +99,6 @@ val instrument_engine :
   t ->
   ?prefix:string ->
   ?every:int ->
-  ?gc:bool ->
   kinds:string array ->
   Cocheck_des.Engine.t ->
   unit ->
@@ -108,19 +107,18 @@ val instrument_engine :
     kind names (pass [Cocheck_sim.Ev_kind.names]) and a tick hook that,
     every [every] processed events (default 5000), emits counter tracks:
     [prefix/fired] (per-kind cumulative fires), [prefix/cancelled],
-    [prefix/queue] (calendar length), and — unless [~gc:false] —
-    [prefix/gc] ({!Runtime.gc_sample} deltas). Returns a {e flush}: call
-    it once after the run drains to emit one final sample (runs shorter
-    than [every] events would otherwise leave no counter points at all).
+    [prefix/queue] (calendar length) and [prefix/gc] ({!Runtime.gc_sample}
+    deltas). Returns a {e flush}: call it once after the run drains to emit
+    one final sample (runs shorter than [every] events would otherwise
+    leave no counter points at all).
     No-op (and no-op flush) on a disabled tracer, leaving the engine's
     hot path stat-free. Designed as a [Simulator.run ?on_engine]
     argument. *)
 
-val pool_telemetry :
-  t -> ?registry:Histogram.registry -> unit -> Cocheck_parallel.Pool.telemetry
+val pool_telemetry : t -> Cocheck_parallel.Pool.telemetry
 (** Telemetry hooks rendering each worker as a lane of [task] / [idle]
-    slices (track = worker index; idle gaps under 100 µs are elided), a
-    [pool/throughput] counter of completed tasks, and — when [registry]
-    is given — a [pool_queue_wait_s] histogram of submission-to-start
-    latency. Returns [Pool.no_telemetry] when the tracer is disabled, so
-    the pool keeps its unobserved fast path. *)
+    slices (track = worker index; idle gaps under 100 µs are elided; each
+    task slice carries its queue wait as a [queued_s] arg) and a
+    [pool/throughput] counter of completed tasks. Returns
+    [Pool.no_telemetry] when the tracer is disabled, so the pool keeps its
+    unobserved fast path. *)

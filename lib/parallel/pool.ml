@@ -181,8 +181,6 @@ let init_array ?tenant t n f =
     Array.map await futures
   end
 
-let map_array ?tenant t f xs = init_array ?tenant t (Array.length xs) (fun i -> f xs.(i))
-
 let shutdown t =
   Mutex.lock t.mutex;
   t.shutting_down <- true;

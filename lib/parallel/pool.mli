@@ -22,8 +22,7 @@ type telemetry = {
 }
 (** Observation hooks, called on the {e worker's} domain — implementations
     must be thread-safe. The tracing layer turns them into per-domain
-    busy/idle lanes and a queue-wait histogram
-    ([Cocheck_obs.Tracing.pool_telemetry]). *)
+    busy/idle lanes ([Cocheck_obs.Tracing.pool_telemetry]). *)
 
 val no_telemetry : telemetry
 (** The sentinel default. When a pool is created with it (physical
@@ -72,12 +71,9 @@ val await : 'a future -> 'a
 (** Block until the task finishes. Re-raises the task's exception, if any.
     May be called at most once per future from one caller. *)
 
-val map_array : ?tenant:tenant -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map], preserving order. Exceptions from tasks are
-    re-raised after all tasks complete. *)
-
 val init_array : ?tenant:tenant -> t -> int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init]. *)
+(** Parallel [Array.init], preserving order. The exception of the
+    lowest-index failing task is re-raised. *)
 
 val shutdown : t -> unit
 (** Join all workers. Outstanding tasks are completed first. Idempotent.

@@ -6,23 +6,16 @@ module Rng = Cocheck_util.Rng
 module Interval_ledger = Cocheck_util.Interval_ledger
 
 let kill_inst w inst =
-
   let t = w.clock.now in
-  (match inst.activity with
-  | Doing_io ->
-      abort_inst_flow w inst.io_sub inst.io_flow;
-      if inst.io_kind = Io.Ckpt then begin
-        w.ckpts_aborted <- w.ckpts_aborted + 1;
-        emit_inst w inst Trace.Ckpt_aborted
-      end
-  | Computing | Computing_pending -> pause_compute w inst
-  | Waiting_io | Waiting_ckpt -> record_wait w inst ~from:inst.fl.wait_start
-  | Local_ckpt ->
-      Metrics.record w.metrics ~t0:inst.fl.local_pause_start ~t1:t
-        ~nodes:inst.spec.Jobgen.nodes Metrics.Local_ckpt
-  | Local_recovery ->
-      Metrics.record w.metrics ~t0:inst.fl.wait_start ~t1:t ~nodes:inst.spec.Jobgen.nodes
-        Metrics.Recovery_io);
+  let ckpt_in_flight =
+    match inst.activity with Doing_io -> inst.io_kind = Io.Ckpt | _ -> false
+  in
+  close_activity w inst;
+  (* The aborted checkpoint is counted and traced after its flow is gone. *)
+  if ckpt_in_flight then begin
+    w.ckpts_aborted <- w.ckpts_aborted + 1;
+    emit_inst w inst Trace.Ckpt_aborted
+  end;
   release_token w inst;
   disarm_all w inst;
 

@@ -554,3 +554,20 @@ let abort_inst_flow w sub flow =
       Ckpt_hierarchy.abort_write h ~pool:sub flow;
       Io.abort_flow sub flow
   | _ -> Io.abort_flow sub flow
+
+(* Close a live instance's open activity at the current time: abort its
+   transfer, bank its compute interval, or book its wait or local
+   snapshot/recovery pause. The shared first step of a kill and of the
+   horizon cut. *)
+let close_activity w inst =
+  let t = w.clock.now in
+  match inst.activity with
+  | Doing_io -> abort_inst_flow w inst.io_sub inst.io_flow
+  | Computing | Computing_pending -> pause_compute w inst
+  | Waiting_io | Waiting_ckpt -> record_wait w inst ~from:inst.fl.wait_start
+  | Local_ckpt ->
+      Metrics.record w.metrics ~t0:inst.fl.local_pause_start ~t1:t
+        ~nodes:inst.spec.Jobgen.nodes Metrics.Local_ckpt
+  | Local_recovery ->
+      Metrics.record w.metrics ~t0:inst.fl.wait_start ~t1:t ~nodes:inst.spec.Jobgen.nodes
+        Metrics.Recovery_io

@@ -136,21 +136,13 @@ let schedule_probes w ~dt observe =
 let finalize w =
   (* The horizon cut: settle transfers, close compute intervals, and count
      still-uncommitted work as progress — it would commit eventually, and
-     the exclusion of the final day keeps the bias marginal. *)
-  let t = w.cfg.horizon in
+     the exclusion of the final day keeps the bias marginal. The engine
+     leaves its clock at the horizon. *)
+  let t = w.clock.now in
   let running = Hashtbl.fold (fun _ inst acc -> inst :: acc) w.insts [] in
   List.iter
     (fun inst ->
-      (match inst.activity with
-      | Doing_io -> abort_inst_flow w inst.io_sub inst.io_flow
-      | Computing | Computing_pending -> pause_compute w inst
-      | Waiting_io | Waiting_ckpt -> record_wait w inst ~from:inst.fl.wait_start
-      | Local_ckpt ->
-          Metrics.record w.metrics ~t0:inst.fl.local_pause_start ~t1:t
-            ~nodes:inst.spec.Jobgen.nodes Metrics.Local_ckpt
-      | Local_recovery ->
-          Metrics.record w.metrics ~t0:inst.fl.wait_start ~t1:t ~nodes:inst.spec.Jobgen.nodes
-            Metrics.Recovery_io);
+      close_activity w inst;
       flush_uncommitted w inst Metrics.Work;
       Metrics.record_enrolled w.metrics ~t0:inst.fl.start_time ~t1:t
         ~nodes:inst.spec.Jobgen.nodes)

@@ -166,5 +166,3 @@ let shuffle_list t l =
   let a = Array.of_list l in
   shuffle t a;
   Array.to_list a
-
-let seed_of t = t.seed

@@ -47,7 +47,3 @@ val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
 val shuffle_list : t -> 'a list -> 'a list
-
-val seed_of : t -> int
-(** The seed this generator (or its ancestor chain) originated from; used for
-    diagnostics. *)

@@ -11,7 +11,6 @@ let[@inline] running_add r x =
   r.(1) <- r.(1) +. (delta /. n);
   r.(2) <- r.(2) +. (delta *. (x -. r.(1)))
 
-let running_count r = int_of_float r.(0)
 let running_mean r = if r.(0) = 0.0 then nan else r.(1)
 let running_variance r = if r.(0) < 2.0 then nan else r.(2) /. (r.(0) -. 1.0)
 let running_stddev r = sqrt (running_variance r)
@@ -76,10 +75,6 @@ let candlestick xs =
     d9 = q 0.9;
     n;
   }
-
-let pp_candlestick ppf c =
-  Format.fprintf ppf "mean=%.4f d1=%.4f q1=%.4f med=%.4f q3=%.4f d9=%.4f (n=%d)"
-    c.mean c.d1 c.q1 c.median c.q3 c.d9 c.n
 
 let z_of_confidence = function
   | 0.90 -> 1.6449

@@ -9,7 +9,6 @@ type running
 
 val running_create : unit -> running
 val running_add : running -> float -> unit
-val running_count : running -> int
 val running_mean : running -> float
 (** Mean of the values added so far; [nan] when empty. *)
 
@@ -39,7 +38,6 @@ type candlestick = {
 (** The five-number summary the paper draws as candlesticks, plus mean/n. *)
 
 val candlestick : float array -> candlestick
-val pp_candlestick : Format.formatter -> candlestick -> unit
 
 val mean_ci : ?confidence:float -> float array -> float * float
 (** [(mean, half_width)] of a normal-approximation confidence interval

@@ -9,12 +9,10 @@ let hours x = x *. hour
 let days x = x *. day
 let years x = x *. year
 
-let gb x = x
 let tb x = x *. 1_000.0
 let pb x = x *. 1_000_000.0
 
 let to_hours s = s /. hour
-let to_days s = s /. day
 let to_years s = s /. year
 
 let pp_duration ppf s =

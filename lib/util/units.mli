@@ -19,13 +19,11 @@ val days : float -> float
 val years : float -> float
 (** [years x] is [x] years in seconds, etc. *)
 
-val gb : float -> float
 val tb : float -> float
 val pb : float -> float
 (** Data volumes in GB. *)
 
 val to_hours : float -> float
-val to_days : float -> float
 val to_years : float -> float
 
 val pp_duration : Format.formatter -> float -> unit

@@ -217,8 +217,7 @@ let test_period_scaling_study () =
 let test_interference_ablation_small () =
   Pool.with_pool ~num_domains:0 (fun pool ->
       let s =
-        E.Ablations.interference_model ~pool ~reps:2 ~seed:3 ~days:4.0
-          ~alphas:[ 0.0; 1.0 ] ()
+        E.Ablations.interference_model ~pool ~reps:2 ~seed:3 ~days:4.0 ()
       in
       let v alpha col =
         Option.get (E.Ablations.value s ~row:(Printf.sprintf "alpha=%g" alpha) ~col)
@@ -233,8 +232,7 @@ let test_interference_ablation_small () =
 let test_optimal_periods_ablation_small () =
   Pool.with_pool ~num_domains:0 (fun pool ->
       let s =
-        E.Ablations.optimal_periods ~pool ~reps:2 ~seed:4 ~days:4.0
-          ~bandwidths_gbs:[ 30.0 ] ()
+        E.Ablations.optimal_periods ~pool ~reps:2 ~seed:4 ~days:4.0 ()
       in
       let v col = Option.get (E.Ablations.value s ~row:"30 GB/s" ~col) in
       (* In the constrained regime the Theorem-1 periods should not do
@@ -250,8 +248,7 @@ let test_optimal_periods_ablation_small () =
 let test_fixed_period_ablation_small () =
   Pool.with_pool ~num_domains:0 (fun pool ->
       let s =
-        E.Ablations.fixed_period ~pool ~reps:2 ~seed:4 ~days:4.0
-          ~periods_s:[ 1800.0; 14400.0 ] ()
+        E.Ablations.fixed_period ~pool ~reps:2 ~seed:4 ~days:4.0 ()
       in
       let v row col = Option.get (E.Ablations.value s ~row ~col) in
       (* On the saturated 40 GB/s PFS, longer fixed periods relieve the

@@ -7,7 +7,7 @@ exception Boom
 
 let test_sequential_map () =
   Pool.with_pool ~num_domains:0 (fun pool ->
-      let r = Pool.map_array pool (fun x -> x * x) [| 1; 2; 3; 4 |] in
+      let r = Pool.init_array pool 4 (fun i -> (i + 1) * (i + 1)) in
       Alcotest.(check (array int)) "squares" [| 1; 4; 9; 16 |] r)
 
 let test_parallel_map_order () =

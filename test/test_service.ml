@@ -146,7 +146,7 @@ let test_protocol_roundtrip () =
       E.Protocol.Stats_result
         {
           store =
-            { E.Store.hits = 1; misses = 2; loads = 3; writes = 4; evictions = 5; migrated = 6 };
+            { E.Store.hits = 1; misses = 2; loads = 3; writes = 4; evictions = 5 };
           indexed = 7;
           inflight = 8;
           served = 9;

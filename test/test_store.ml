@@ -1,6 +1,6 @@
 (* Tests for the sharded results store: concurrent writers racing on the
    same keys, corrupt/truncated records demoting to a miss under a live
-   reader, migration from the flat pre-shard layout, index eviction
+   reader, records outside the shards reading as misses, index eviction
    bounds, and orphan-tmp compaction. *)
 
 module Json = Cocheck_obs.Json
@@ -123,39 +123,23 @@ let test_corrupt_record_demotes_live_reader () =
       Alcotest.(check bool) "live reader never saw the healthy key corrupted" true
         (Atomic.get healthy_ok))
 
-let test_flat_migration () =
+let test_root_record_is_miss () =
   with_temp_dir (fun dir ->
-      (* A PR 4-style flat store: every record at the root. *)
-      let n = 10 in
-      for i = 0 to n - 1 do
-        let key = key_of i in
-        let oc = open_out (Filename.concat dir (key ^ ".json")) in
-        output_string oc (Json.to_string_pretty (record ~key (ratio_of i)));
-        close_out oc
-      done;
-      let store = E.Store.open_ dir in
-      Alcotest.(check int) "every flat record migrated" n
-        (E.Store.stats store).E.Store.migrated;
-      Alcotest.(check int) "record count unchanged" n (E.Store.record_count store);
-      for i = 0 to n - 1 do
-        let key = key_of i in
-        Alcotest.(check bool) "flat path gone" false
-          (Sys.file_exists (E.Store.flat_path store key));
-        Alcotest.(check bool) "sharded path exists" true
-          (Sys.file_exists (E.Store.path_of_key store key));
-        Alcotest.(check (option (float 0.0))) "migrated record readable"
-          (Some (ratio_of i)) (E.Store.find store key)
-      done;
-      (* Mid-migration straggler: a flat record appearing after open (e.g.
-         written by an old process) still hits via the fallback probe. *)
-      let straggler = key_of 99 in
-      let oc = open_out (E.Store.flat_path store straggler) in
-      output_string oc (Json.to_string_pretty (record ~key:straggler (ratio_of 99)));
+      (* Records live only in shards: a record at the store root (the old
+         flat layout) is neither read nor seen. *)
+      let key = key_of 7 in
+      let oc = open_out (Filename.concat dir (key ^ ".json")) in
+      output_string oc (Json.to_string_pretty (record ~key (ratio_of 7)));
       close_out oc;
-      Alcotest.(check (option (float 0.0))) "unmigrated flat record still hits"
-        (Some (ratio_of 99)) (E.Store.find store straggler);
-      Alcotest.(check bool) "contains sees flat records too" true
-        (E.Store.contains store straggler))
+      let store = E.Store.open_ dir in
+      Alcotest.(check bool) "contains misses a root record" false (E.Store.contains store key);
+      Alcotest.(check (option (float 0.0))) "find misses a root record" None
+        (E.Store.find store key);
+      Alcotest.(check int) "root record not counted" 0 (E.Store.record_count store);
+      Alcotest.(check bool) "root record left in place" true
+        (Sys.file_exists (Filename.concat dir (key ^ ".json")));
+      Alcotest.(check bool) "no shard written" false
+        (Sys.file_exists (E.Store.path_of_key store key)))
 
 let test_eviction_bounds () =
   with_temp_dir (fun dir ->
@@ -198,7 +182,7 @@ let () =
           Alcotest.test_case "racing writers stay atomic" `Quick test_racing_writers;
           Alcotest.test_case "corrupt record demotes under a live reader" `Quick
             test_corrupt_record_demotes_live_reader;
-          Alcotest.test_case "flat-layout migration" `Quick test_flat_migration;
+          Alcotest.test_case "root record is a miss" `Quick test_root_record_is_miss;
           Alcotest.test_case "index eviction bounds" `Quick test_eviction_bounds;
           Alcotest.test_case "compact removes orphan temps" `Quick
             test_compact_removes_orphans;
